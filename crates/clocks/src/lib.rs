@@ -7,7 +7,7 @@
 //!
 //! * [`scheme`] — the clock waveform geometry (phase widths, non-overlap
 //!   gap) and phase arithmetic;
-//! * [`qualify`] — propagation of *clock qualification*: control signals
+//! * [`mod@qualify`] — propagation of *clock qualification*: control signals
 //!   like `write_enable ∧ φ1` behave as clocks and must be recognized as
 //!   such (TV called these qualified clocks);
 //! * [`latch`] — identification of dynamic latches: storage nodes sampled

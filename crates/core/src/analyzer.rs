@@ -15,7 +15,6 @@ use crate::checks::CheckIssue;
 use crate::error::TvError;
 use crate::graph::{PhaseCase, TimingGraph};
 use crate::hold::RaceHazard;
-use crate::incremental::IncrementalCache;
 use crate::options::AnalysisOptions;
 use crate::paths::TimingPath;
 use crate::propagate::{propagate, Completion, PhaseResult};
@@ -144,19 +143,11 @@ impl<'a> Analyzer<'a> {
     ///
     /// With [`AnalysisOptions::jobs`] above one, graph construction and
     /// the levelized propagation fan out across threads (bit-identical
-    /// results). With [`AnalysisOptions::incremental`] set, a transient
-    /// [`IncrementalCache`] lets later cases of this run reuse the clean
-    /// cones of earlier ones; hold a cache across runs with
-    /// [`Analyzer::run_incremental`] to also reuse work after a netlist
-    /// edit.
+    /// results). To reuse work after a netlist edit, hold a
+    /// [`crate::PassManager`] over a [`tv_netlist::Design`] instead.
     pub fn run(&self, options: &AnalysisOptions) -> TimingReport {
-        let r = if options.incremental {
-            let mut cache = IncrementalCache::new();
-            crate::pipeline::oneshot(self.netlist, options, Some(&mut cache), false)
-        } else {
-            crate::pipeline::oneshot(self.netlist, options, None, false)
-        };
-        r.expect("size limits are only enforced by try_run")
+        crate::pipeline::oneshot(self.netlist, options, false)
+            .expect("size limits are only enforced by try_run")
     }
 
     /// [`Analyzer::run`] with the size guards enforced: refuses (with
@@ -168,25 +159,7 @@ impl<'a> Analyzer<'a> {
     /// [`TimingReport::diagnostics`] explaining what is missing; chain
     /// [`TimingReport::strict`] to turn that into an error too.
     pub fn try_run(&self, options: &AnalysisOptions) -> Result<TimingReport, TvError> {
-        if options.incremental {
-            let mut cache = IncrementalCache::new();
-            crate::pipeline::oneshot(self.netlist, options, Some(&mut cache), true)
-        } else {
-            crate::pipeline::oneshot(self.netlist, options, None, true)
-        }
-    }
-
-    /// [`Analyzer::run`] against a caller-held [`IncrementalCache`]:
-    /// only the forward cone of whatever changed since the cache's last
-    /// run is recomputed. The report is bit-identical to a cold
-    /// [`Analyzer::run`].
-    pub fn run_incremental(
-        &self,
-        options: &AnalysisOptions,
-        cache: &mut IncrementalCache,
-    ) -> TimingReport {
-        crate::pipeline::oneshot(self.netlist, options, Some(cache), false)
-            .expect("size limits are only enforced by try_run")
+        crate::pipeline::oneshot(self.netlist, options, true)
     }
 }
 

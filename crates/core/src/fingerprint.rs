@@ -10,9 +10,9 @@
 //!   frozen: any change here *is* a semantic change to the equivalence
 //!   contract. The session protocol also reports these fingerprints, so
 //!   a session transcript pins the full report bit-for-bit.
-//! * The **internal mixer** ([`mix64`], [`hash_words`]) — a fast
+//! * The **internal mixer** (`mix64`, `hash_words`) — a fast
 //!   word-wise splitmix64-style finalizer used for pass input/output
-//!   fingerprints and the incremental cache's node fingerprints. These
+//!   fingerprints. These
 //!   are compared only within one process and never committed, so they
 //!   can favor speed (one multiply chain per word instead of per byte).
 

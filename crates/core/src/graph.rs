@@ -231,7 +231,7 @@ impl TimingGraph {
     /// build at any thread count.
     ///
     /// Since the hierarchical extraction pass this routes through
-    /// [`crate::macromodel::build_spanned`]: structurally identical
+    /// `macromodel::build_spanned`: structurally identical
     /// stages are analyzed once and instanced by pin remap, with the
     /// flat per-root build as the verified fallback. The arc list is
     /// bit-identical either way (DESIGN.md §16).
@@ -410,7 +410,7 @@ impl TimingGraph {
     /// Extends `marked` to the forward closure of `seeds` over out-arcs:
     /// the fanout cone a change to the seed nodes can influence. Nodes
     /// already marked act as seeds too (their fanout is included); the
-    /// incremental cache uses exactly this to turn a dirty node list
+    /// arrival pass uses exactly this to turn a splice's changed nodes
     /// into the affected set the cone engine re-relaxes.
     pub fn fanout_closure(&self, marked: &mut [bool], mut seeds: Vec<usize>) {
         while let Some(i) = seeds.pop() {
@@ -529,6 +529,13 @@ pub(crate) struct SpannedBuild {
 /// `Err` and the caller must discard the graph and rebuild from scratch:
 /// earlier affected roots may already have been overwritten, so an `Err`
 /// graph is *not* restored to its prior state.
+///
+/// On success returns the **changed targets**: every node index, sorted
+/// and deduplicated, with an in-arc whose delay or τ words differ
+/// bitwise from before the splice. Each arc lives in exactly one span
+/// and the rest of the arc is verified equal, so these are exactly the
+/// nodes whose local evaluation can differ — the arrival pass seeds its
+/// cone with them.
 pub(crate) fn splice_roots(
     graph: &mut TimingGraph,
     builder: &GraphBuilder<'_>,
@@ -537,7 +544,9 @@ pub(crate) fn splice_roots(
     spans: &[u32],
     affected: &[u32],
     scratch: &mut BuildScratch,
-) -> Result<(), ()> {
+) -> Result<Vec<u32>, ()> {
+    let words = |a: &Arc| [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits);
+    let mut changed: Vec<u32> = Vec::new();
     let mut fresh: Vec<Arc> = Vec::new();
     for &k in affected {
         let k = k as usize;
@@ -556,10 +565,15 @@ pub(crate) fn splice_roots(
             if o.from != f.from || o.to != f.to || o.kind != f.kind || o.inverting != f.inverting {
                 return Err(());
             }
+            if words(o) != words(&f) {
+                changed.push(o.to.index() as u32);
+            }
             *o = f;
         }
     }
-    Ok(())
+    changed.sort_unstable();
+    changed.dedup();
+    Ok(changed)
 }
 
 impl<'a> GraphBuilder<'a> {

@@ -16,7 +16,7 @@
 //! 3. [`graph`] turns each driving stage plus its downstream pass network
 //!    into **timing arcs** with separate rise/fall Elmore delays
 //!    (`tv-rc`);
-//! 4. [`propagate`] computes worst-case rise/fall arrival times per clock
+//! 4. [`mod@propagate`] computes worst-case rise/fall arrival times per clock
 //!    phase (case analysis), with genuine cyclic structures detected and
 //!    reported rather than looped on;
 //! 5. [`paths`] backtracks the top-K critical paths and [`hold`] runs
@@ -57,7 +57,6 @@ pub mod error;
 pub mod fingerprint;
 pub mod graph;
 pub mod hold;
-pub mod incremental;
 pub mod macromodel;
 pub mod optimize;
 pub mod options;
@@ -74,7 +73,6 @@ pub use error::TvError;
 pub use fingerprint::{flow_fingerprint, report_fingerprint, Fnv};
 pub use graph::{Arc, ArcKind, LevelSchedule, PhaseCase, TimingGraph};
 pub use hold::{race_check, RaceHazard};
-pub use incremental::{CaseEngine, CaseStats, ConfigEffect, IncrementalCache};
 pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};

@@ -16,7 +16,7 @@
 //!   an order-independent multiset hash of the stage's device geometry
 //!   and boundary-pin roles. Cheap, permutation-invariant, but only a
 //!   *candidate* grouping.
-//! * the **canonical trace** ([`root_canon`]) — the exact scalar inputs
+//! * the **canonical trace** (`root_canon`) — the exact scalar inputs
 //!   the arc-emission half of the flat builder consumes, serialized in
 //!   emission order with every [`NodeId`] replaced by its
 //!   first-encounter ordinal. Two roots share a class only if their
@@ -32,7 +32,7 @@
 //! instance corresponds to pin `k` of its master by construction.
 //!
 //! Any panic anywhere in extraction degrades to the flat
-//! per-stage-isolated build ([`TimingGraph::build_isolated`]) — the
+//! per-stage-isolated build (`TimingGraph::build_isolated`) — the
 //! same conservative fallback the spanned flat build used.
 
 use std::collections::HashMap;
@@ -52,7 +52,7 @@ use crate::options::DelayModel;
 
 /// What the extractor learned about one build: the class partition of
 /// the root set. Lives in the graph slot so a later parametric edit can
-/// **de-share** the touched instances (see [`Extraction::desplit`]).
+/// **de-share** the touched instances (see `Extraction::desplit`).
 pub struct Extraction {
     /// Class id per root ordinal.
     class_of: Vec<u32>,

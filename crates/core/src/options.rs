@@ -43,11 +43,6 @@ pub struct AnalysisOptions {
     /// `1` (the default) runs fully serial; `0` means "use every
     /// available core". Results are bit-identical at any setting.
     pub jobs: usize,
-    /// Reuse clean cones between the analysis cases of one run (and, via
-    /// [`crate::incremental::IncrementalCache`], across runs): per-node
-    /// stage fingerprints mark what changed, and only the forward cone of
-    /// dirtied nodes is recomputed. Bit-identical to a cold run.
-    pub incremental: bool,
     /// Overrides the cyclic-residue relaxation budget (default
     /// `64 × (arcs + nodes)`). Exhaustion returns *partial* results with
     /// the unresolved nodes listed, not an error-only exit.
@@ -91,7 +86,6 @@ impl Default for AnalysisOptions {
             top_k: 10,
             slope: SlopeModel::calibrated(),
             jobs: 1,
-            incremental: false,
             relax_budget: None,
             deadline: None,
             max_nodes: None,
@@ -112,7 +106,6 @@ mod tests {
         assert_eq!(o.top_k, 10);
         assert!(o.clock.cycle() > 0.0);
         assert_eq!(o.jobs, 1, "serial by default");
-        assert!(!o.incremental);
         assert!(o.relax_budget.is_none());
         assert!(o.deadline.is_none());
         assert!(o.max_nodes.is_none());

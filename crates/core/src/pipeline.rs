@@ -33,10 +33,11 @@
 //! build time. A parametric edit then resynthesizes only the affected
 //! roots and splices their delays into the existing graph in place —
 //! CSR adjacency and level schedule are untouched because parametric
-//! edits cannot change arc structure. The incremental arrival cache
-//! sees the spliced delay words as dirty fingerprints and re-propagates
-//! exactly the affected cone. Every reuse path is bit-identical to a
-//! cold run; the golden fingerprints in `tests/integration_layout.rs`
+//! edits cannot change arc structure. The splice reports exactly which
+//! nodes' in-arc delay words changed, and the arrival pass re-relaxes
+//! their fanout cone over the previous run's arrivals (the cone engine)
+//! instead of walking the whole graph. Every reuse path is bit-identical
+//! to a cold run; the golden fingerprints in `tests/integration_layout.rs`
 //! and the session-vs-oneshot tests in `tests/integration_session.rs`
 //! enforce it.
 
@@ -46,7 +47,8 @@ use tv_clocks::latch::{find_latches, Latch};
 use tv_clocks::qualify::{qualify_with_flow, Qualification};
 use tv_clocks::ClockConstraints;
 use tv_flow::FlowAnalysis;
-use tv_netlist::{Design, DesignStamp, DirtySince, Netlist, Revision};
+use tv_netlist::{Design, DesignStamp, DirtySince, Netlist, NodeId, Revision};
+use tv_rc::SlopeModel;
 
 use crate::analyzer::{
     endpoints_or_all, external_sources, phase_endpoints, phase_sources, PhaseAnalysis,
@@ -56,11 +58,12 @@ use crate::checks::{check_electrical, CheckIssue};
 use crate::error::TvError;
 use crate::fingerprint::{flow_fingerprint, hash_words, mix64};
 use crate::graph::{splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, TimingGraph};
-use crate::incremental::{CaseDelta, CaseEngine, IncrementalCache};
 use crate::macromodel::{build_spanned, Extraction};
 use crate::options::AnalysisOptions;
 use crate::paths::critical_paths;
-use crate::propagate::{propagate_reuse, Guards, Workspace};
+use crate::propagate::{
+    propagate_cone, propagate_full, Arrivals, Completion, Guards, PhaseResult, Workspace,
+};
 
 /// Names a pass instance. Graph and arrival passes are per case:
 /// `None` is the all-active (combinational) view, `Some(p)` phase `p`.
@@ -233,6 +236,28 @@ struct GraphSlot {
     extraction: Option<Extraction>,
 }
 
+/// The arrivals of one case's last complete, residue-free propagation,
+/// kept as the next run's starting point.
+struct ArrivalSlot {
+    /// Graph-pass input fingerprint the arrivals were computed under.
+    graph_fp: u64,
+    arrivals: Arrivals,
+}
+
+/// What the graph pass certifies about a case's arcs, handed to the
+/// arrival pass.
+struct CaseDelta {
+    /// Graph-pass input fingerprint the arcs currently reflect.
+    graph_fp: u64,
+    /// When known: the fingerprint the arcs previously reflected, and
+    /// exactly which node indices hold different in-arc delay words now
+    /// (the splice's changed targets; empty after a reuse or
+    /// revalidation). The certifying pass also guarantees the case's arc
+    /// structure, sources and endpoints are unchanged across that step.
+    /// `None` means a full rebuild — nothing is certified.
+    since: Option<(u64, Vec<u32>)>,
+}
+
 /// Demand-driven pass manager over a [`Design`].
 ///
 /// Hold one per long-lived design (the `tv session` REPL holds one per
@@ -243,20 +268,25 @@ struct GraphSlot {
 /// [`crate::Analyzer::run`] on the same netlist.
 #[derive(Default)]
 pub struct PassManager {
-    /// Whether graph builds record spans/extents for splicing. Costs a
-    /// little build time and memory; the throwaway one-shot path skips
-    /// it.
-    record_spans: bool,
+    /// Whether this manager keeps state for warm re-analysis: graph
+    /// builds record spans/extents for splicing and arrival passes keep
+    /// snapshots for the cone engine. Costs a little time and memory;
+    /// the throwaway one-shot path skips both.
+    warm: bool,
     flow: Option<Slot<FlowAnalysis>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
     /// Graph slots: `[comb, phase 0, phase 1]`.
     graphs: [Option<GraphSlot>; 3],
+    /// Arrival snapshots, indexed like `graphs`.
+    arrivals: [Option<ArrivalSlot>; 3],
+    /// Slope-model digest the snapshots were computed under. Slope
+    /// handling acts at propagation time, below every graph fingerprint,
+    /// so this key is the only guard against serving a stale snapshot
+    /// after a slope change.
+    slope_key: Option<u64>,
     checks: Option<Slot<Vec<CheckIssue>>>,
-    /// Arrival memoization (stage-fingerprint granular), shared across
-    /// all cases.
-    cache: IncrementalCache,
-    /// Propagation scratch for the uncached path.
+    /// Propagation scratch, reused across cases and runs.
     workspace: Workspace,
     trace: Vec<PassEvent>,
 }
@@ -266,7 +296,7 @@ impl PassManager {
     /// extents so parametric edits splice instead of rebuilding.
     pub fn new() -> Self {
         PassManager {
-            record_spans: true,
+            warm: true,
             ..Default::default()
         }
     }
@@ -306,8 +336,8 @@ impl PassManager {
     /// The current fingerprint of a pass: output (content) fingerprints
     /// for the interned analyses (flow, qualify, latches), input
     /// fingerprints for the graph and check passes, `None` for a pass
-    /// that has not run or for arrivals (memoized per node, not per
-    /// pass).
+    /// that has not run or for arrivals (keyed by their graph's
+    /// fingerprint, not one of their own).
     pub fn pass_fingerprint(&self, pass: PassId) -> Option<u64> {
         match pass {
             PassId::Flow => self.flow.as_ref().map(|s| s.output_fp),
@@ -332,47 +362,32 @@ impl PassManager {
             .and_then(|s| s.extraction.as_ref())
     }
 
-    /// Arrival-reuse statistics of the most recent `analyze`, one entry
-    /// per propagated case.
-    pub fn cache_stats(&self) -> &[crate::incremental::CaseStats] {
-        self.cache.last_stats()
-    }
-
     fn analyze_design(
         &mut self,
         design: &Design,
         options: &AnalysisOptions,
         enforce_limits: bool,
     ) -> Result<TimingReport, TvError> {
-        // The arrival cache is a field, but `analyze_inner` needs it as
-        // an independent borrow alongside the slot fields: lift it out
-        // for the duration of the run.
-        let mut cache = std::mem::take(&mut self.cache);
-        let r = self.analyze_inner(
+        self.analyze_inner(
             design.netlist(),
             design.stamp(),
             Some(design),
             options,
-            Some(&mut cache),
             enforce_limits,
-        );
-        self.cache = cache;
-        r
+        )
     }
 
     /// The pipeline body shared by the session path and the one-shot
     /// `Analyzer` facade. `stamp` is the design's counter snapshot (a
     /// [`DesignStamp::unique`] snapshot on the one-shot path, so nothing
     /// ever falsely matches); `design` enables dirty-set queries for
-    /// splicing; `cache` is the arrival memo (`None` = plain
-    /// propagation).
+    /// splicing.
     pub(crate) fn analyze_inner(
         &mut self,
         nl: &Netlist,
         stamp: DesignStamp,
         design: Option<&Design>,
         options: &AnalysisOptions,
-        mut cache: Option<&mut IncrementalCache>,
         enforce_limits: bool,
     ) -> Result<TimingReport, TvError> {
         let _span = tv_obs::span("analyze");
@@ -401,8 +416,13 @@ impl PassManager {
             relax_budget: options.relax_budget,
             deadline: options.deadline.map(|d| Instant::now() + d),
         };
-        if let Some(c) = cache.as_deref_mut() {
-            c.begin_run(options);
+        let slope = hash_words(&[
+            options.slope.k_slope.to_bits(),
+            options.slope.k_transition.to_bits(),
+        ]);
+        if self.slope_key != Some(slope) {
+            self.arrivals = Default::default();
+            self.slope_key = Some(slope);
         }
 
         // --- flow ---
@@ -488,7 +508,7 @@ impl PassManager {
         let comb_delta = graph_pass(
             &mut self.graphs[0],
             &mut self.trace,
-            self.record_spans,
+            self.warm,
             nl,
             flow,
             qual,
@@ -518,32 +538,22 @@ impl PassManager {
         diagnostics.extend(comb_slot.graph.diagnostics.iter().cloned());
         let comb_sources = external_sources(nl);
         let comb_endpoints = endpoints_or_all(nl, nl.outputs());
-        let combinational = match cache.as_deref_mut() {
-            Some(c) => c.propagate_case(
-                nl,
-                &comb_slot.graph,
-                &comb_sources,
-                &comb_endpoints,
-                &options.slope,
-                jobs,
-                guards,
-                &comb_delta,
-            ),
-            None => propagate_reuse(
-                nl,
-                &comb_slot.graph,
-                &comb_sources,
-                &comb_endpoints,
-                &options.slope,
-                jobs,
-                None,
-                guards,
-                &mut self.workspace,
-            ),
-        };
+        let (combinational, outcome) = arrival_pass(
+            &mut self.arrivals[0],
+            self.warm,
+            &mut self.workspace,
+            nl,
+            &comb_slot.graph,
+            &comb_sources,
+            &comb_endpoints,
+            &options.slope,
+            jobs,
+            guards,
+            &comb_delta,
+        );
         self.trace.push(PassEvent {
             pass: PassId::Arrivals(None),
-            outcome: arrivals_outcome(&cache),
+            outcome,
         });
         diagnostics.extend(combinational.diagnostics.iter().cloned());
         let combinational_paths = critical_paths(&comb_slot.graph, &combinational, options.top_k);
@@ -555,7 +565,7 @@ impl PassManager {
                 let delta = graph_pass(
                     &mut self.graphs[1 + p as usize],
                     &mut self.trace,
-                    self.record_spans,
+                    self.warm,
                     nl,
                     flow,
                     qual,
@@ -573,32 +583,22 @@ impl PassManager {
                 diagnostics.extend(slot.graph.diagnostics.iter().cloned());
                 let sources = phase_sources(nl, latches, p);
                 let endpoints = phase_endpoints(nl, latches, p);
-                let result = match cache.as_deref_mut() {
-                    Some(c) => c.propagate_case(
-                        nl,
-                        &slot.graph,
-                        &sources,
-                        &endpoints,
-                        &options.slope,
-                        jobs,
-                        guards,
-                        &delta,
-                    ),
-                    None => propagate_reuse(
-                        nl,
-                        &slot.graph,
-                        &sources,
-                        &endpoints,
-                        &options.slope,
-                        jobs,
-                        None,
-                        guards,
-                        &mut self.workspace,
-                    ),
-                };
+                let (result, outcome) = arrival_pass(
+                    &mut self.arrivals[1 + p as usize],
+                    self.warm,
+                    &mut self.workspace,
+                    nl,
+                    &slot.graph,
+                    &sources,
+                    &endpoints,
+                    &options.slope,
+                    jobs,
+                    guards,
+                    &delta,
+                );
                 self.trace.push(PassEvent {
                     pass: PassId::Arrivals(Some(p)),
-                    outcome: arrivals_outcome(&cache),
+                    outcome,
                 });
                 diagnostics.extend(result.diagnostics.iter().cloned());
                 let paths = critical_paths(&slot.graph, &result, options.top_k);
@@ -706,27 +706,19 @@ impl PassManager {
 pub(crate) fn oneshot(
     nl: &Netlist,
     options: &AnalysisOptions,
-    cache: Option<&mut IncrementalCache>,
     enforce_limits: bool,
 ) -> Result<TimingReport, TvError> {
-    PassManager::one_shot().analyze_inner(
-        nl,
-        DesignStamp::unique(),
-        None,
-        options,
-        cache,
-        enforce_limits,
-    )
+    PassManager::one_shot().analyze_inner(nl, DesignStamp::unique(), None, options, enforce_limits)
 }
 
 /// The graph pass for one case: reuse on a clean input fingerprint,
 /// splice on a parametric-only delta (matching shape, recorded spans,
 /// clean diagnostics, node-granular dirty set), full rebuild otherwise.
 ///
-/// Returns the [`CaseDelta`] certificate for the arrival cache: the
+/// Returns the [`CaseDelta`] certificate for the arrival pass: the
 /// graph fingerprint the arcs now reflect, and — when the pass reused,
-/// revalidated, or spliced — exactly which node indices may hold
-/// different in-arc words than under the previous fingerprint. The
+/// revalidated, or spliced — exactly which node indices hold different
+/// in-arc words than under the previous fingerprint. The
 /// certificate's "sources and endpoints unchanged" clause holds because
 /// every non-rebuild outcome pins topology, flow, and qualification
 /// (via `shape_fp`), which determine the latch set and hence every
@@ -735,7 +727,7 @@ pub(crate) fn oneshot(
 fn graph_pass(
     slot_opt: &mut Option<GraphSlot>,
     trace: &mut Vec<PassEvent>,
-    record_spans: bool,
+    warm: bool,
     nl: &Netlist,
     flow: &FlowAnalysis,
     qual: &[Qualification],
@@ -857,7 +849,7 @@ fn graph_pass(
             model: options.model,
         };
         let mut scratch = BuildScratch::new(nl.node_count());
-        if splice_roots(
+        if let Ok(changed) = splice_roots(
             graph,
             &builder,
             SOURCE_RESISTANCE,
@@ -865,20 +857,7 @@ fn graph_pass(
             &idx.spans,
             &affected,
             &mut scratch,
-        )
-        .is_ok()
-        {
-            // The splice overwrote exactly the affected roots' arc
-            // spans, so only the targets of those arcs can carry
-            // different in-arc words: that list is the certificate.
-            let mut dirty: Vec<u32> = Vec::new();
-            for &k in &affected {
-                let lo = idx.spans[k as usize] as usize;
-                let hi = idx.spans[k as usize + 1] as usize;
-                dirty.extend(graph.arcs[lo..hi].iter().map(|a| a.to.index() as u32));
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
+        ) {
             let prev_fp = *slot_in;
             *slot_in = input_fp;
             *built_revision = d.revision();
@@ -900,7 +879,7 @@ fn graph_pass(
             });
             return CaseDelta {
                 graph_fp: input_fp,
-                since: Some((prev_fp, dirty)),
+                since: Some((prev_fp, changed)),
             };
         }
         // Shape mismatch mid-splice: the graph is partially overwritten
@@ -908,7 +887,7 @@ fn graph_pass(
         // which replaces the slot wholesale.
     }
 
-    let slot = if record_spans {
+    let slot = if warm {
         let (sb, extraction) =
             build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
         let splice = sb.spans.map(|spans| {
@@ -964,6 +943,114 @@ fn graph_pass(
     }
 }
 
+/// The arrival pass for one case, with its trace outcome. On a `warm`
+/// manager it starts from the case's snapshot whenever `delta`
+/// certifies what changed since it was taken:
+///
+/// * taken under the current graph fingerprint — nothing changed, so
+///   the zero-seed cone serves it as-is (outcome `Reused`);
+/// * taken under the fingerprint `delta.since` names — only the listed
+///   nodes' in-arc words changed, so the cone engine re-relaxes their
+///   fanout closure (`Cone`, or `Reused` when the list is empty).
+///
+/// Everything else runs the full walk (`Computed`): a cold or rebuilt
+/// graph, a cyclic residue, a cone over half the graph (the chunkable
+/// walk is at least as fast), or an armed deadline (which needs the
+/// walk's level-boundary checks). Both cut-offs depend only on the
+/// certified edit, never on `jobs`, so the work counters stay
+/// schedule-independent. A complete, residue-free result becomes the
+/// next snapshot.
+#[allow(clippy::too_many_arguments)]
+fn arrival_pass(
+    slot: &mut Option<ArrivalSlot>,
+    warm: bool,
+    ws: &mut Workspace,
+    nl: &Netlist,
+    graph: &TimingGraph,
+    sources: &[NodeId],
+    endpoints: &[NodeId],
+    slope: &SlopeModel,
+    jobs: usize,
+    guards: Guards,
+    delta: &CaseDelta,
+) -> (PhaseResult, PassOutcome) {
+    let full = |ws: &mut Workspace| {
+        propagate_full(nl, graph, sources, endpoints, slope, jobs, guards, ws, None)
+    };
+    if !warm {
+        return (full(ws), PassOutcome::Computed);
+    }
+    let n = graph.node_count();
+
+    // Fault plane: a forced certificate corruption. Dropping the
+    // snapshot forces the full walk, whose result is bit-identical —
+    // corruption degrades cost, never answers.
+    if tv_fault::fault_point!(tv_fault::Site::CertLookup) {
+        tv_obs::incr(tv_obs::Counter::FaultInjected);
+        tv_obs::incr(tv_obs::Counter::FaultDegraded);
+        *slot = None;
+    }
+
+    // The nodes whose in-arc words changed since the snapshot, when the
+    // graph pass certifies them. Only a residue-free graph leaves a
+    // snapshot, and a certificate pins the arc structure, so a
+    // certified case is residue-free too.
+    let hit = slot.as_ref().is_some_and(|s| s.graph_fp == delta.graph_fp);
+    let seeds: Option<&[u32]> = match (slot.as_ref(), &delta.since) {
+        _ if hit => Some(&[]),
+        (Some(s), Some((prev_fp, changed))) if s.graph_fp == *prev_fp => Some(changed),
+        _ => None,
+    };
+    if let Some(seeds) = seeds {
+        let mut affected = vec![false; n];
+        for &i in seeds {
+            affected[i as usize] = true;
+        }
+        graph.fanout_closure(&mut affected, seeds.iter().map(|&i| i as usize).collect());
+        let recomputed = affected.iter().filter(|&&d| d).count();
+        if guards.deadline.is_none() && recomputed * 2 <= n {
+            let snapshot = slot.as_mut().expect("a certified case has a snapshot");
+            let result = propagate_cone(
+                graph,
+                sources,
+                endpoints,
+                slope,
+                &affected,
+                &mut snapshot.arrivals,
+                ws,
+            );
+            snapshot.graph_fp = delta.graph_fp;
+            if hit {
+                tv_obs::incr(tv_obs::Counter::CacheCaseHits);
+            } else {
+                tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+                tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
+            }
+            tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
+            tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
+            let outcome = if recomputed == 0 {
+                PassOutcome::Reused
+            } else {
+                PassOutcome::Cone { recomputed }
+            };
+            return (result, outcome);
+        }
+        tv_obs::incr(tv_obs::Counter::ConeFallbacks);
+    }
+
+    let result = full(ws);
+    tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+    tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
+    let keep = graph.schedule.residue.is_empty()
+        && result.completion == Completion::Complete
+        && result.unresolved.is_empty();
+    *slot = keep.then(|| ArrivalSlot {
+        graph_fp: delta.graph_fp,
+        arrivals: result.arrivals.clone(),
+    });
+    (result, PassOutcome::Computed)
+}
+
 fn case_slot(case: Option<u8>) -> usize {
     match case {
         None => 0,
@@ -987,23 +1074,6 @@ fn push(trace: &mut Vec<PassEvent>, pass: PassId, reran: bool) {
 /// dying on an `unwrap`.
 fn internal(what: &'static str) -> TvError {
     TvError::Internal { what }
-}
-
-/// Arrival passes are memoized per node inside the cache, not per pass:
-/// "reused" here means the whole case copied over (zero recomputed),
-/// and "cone" means the demand-driven engine re-relaxed only the
-/// affected cone.
-fn arrivals_outcome(cache: &Option<&mut IncrementalCache>) -> PassOutcome {
-    match cache {
-        Some(c) => match c.last_stats().last() {
-            Some(s) if s.recomputed == 0 => PassOutcome::Reused,
-            Some(s) if s.engine == CaseEngine::Cone => PassOutcome::Cone {
-                recomputed: s.recomputed,
-            },
-            _ => PassOutcome::Computed,
-        },
-        None => PassOutcome::Computed,
-    }
 }
 
 const SEED: u64 = 0xcbf29ce484222325;
@@ -1178,6 +1248,102 @@ mod tests {
             crate::fingerprint::report_fingerprint(design.netlist(), &r),
             crate::fingerprint::report_fingerprint(design.netlist(), &cold)
         );
+    }
+
+    fn fingerprint(design: &Design, r: &TimingReport) -> u64 {
+        crate::fingerprint::report_fingerprint(design.netlist(), r)
+    }
+
+    #[test]
+    fn slope_and_model_changes_match_cold_runs() {
+        // Slope handling acts below every graph fingerprint: only the
+        // slope key stops an unchanged design from serving a snapshot
+        // taken under the old slope model.
+        let dp = datapath::datapath(Tech::nmos4um(), datapath::DatapathConfig::small());
+        let design = Design::new(dp.netlist);
+        let mut pm = PassManager::new();
+        pm.analyze(&design, &AnalysisOptions::default());
+        let configs = [
+            AnalysisOptions {
+                slope: SlopeModel::disabled(),
+                ..AnalysisOptions::default()
+            },
+            AnalysisOptions {
+                model: crate::options::DelayModel::Lumped,
+                ..AnalysisOptions::default()
+            },
+            AnalysisOptions::default(),
+        ];
+        for opts in &configs {
+            let warm = pm.analyze(&design, opts);
+            let cold = crate::Analyzer::new(design.netlist()).run(opts);
+            assert_eq!(
+                fingerprint(&design, &warm),
+                fingerprint(&design, &cold),
+                "slope {:?} model {:?}",
+                opts.slope,
+                opts.model
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_cone_falls_back_to_full_walk() {
+        // A cap edit at the head of a chain dirties most of the graph:
+        // the full walk serves it, bit-identically.
+        let c = chains::inverter_chain(Tech::nmos4um(), 6, 1);
+        let mut design = Design::new(c.netlist);
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions::default();
+        pm.analyze(&design, &opts);
+        let head = design.netlist().node_by_name("s0").unwrap();
+        design.set_node_cap(head, 0.4).unwrap();
+        let r = pm.analyze(&design, &opts);
+        assert!(matches!(
+            trace_outcome(&pm, PassId::Graph(None)),
+            Some(PassOutcome::Spliced { .. })
+        ));
+        assert_eq!(
+            trace_outcome(&pm, PassId::Arrivals(None)),
+            Some(PassOutcome::Computed)
+        );
+        let cold = crate::Analyzer::new(design.netlist()).run(&opts);
+        assert_eq!(fingerprint(&design, &r), fingerprint(&design, &cold));
+
+        // An edit at the tail stays a minority cone.
+        let tail = design.netlist().node_by_name("s4").unwrap();
+        design.set_node_cap(tail, 0.4).unwrap();
+        let r = pm.analyze(&design, &opts);
+        assert!(matches!(
+            trace_outcome(&pm, PassId::Arrivals(None)),
+            Some(PassOutcome::Cone { .. })
+        ));
+        let cold = crate::Analyzer::new(design.netlist()).run(&opts);
+        assert_eq!(fingerprint(&design, &r), fingerprint(&design, &cold));
+    }
+
+    #[test]
+    fn armed_deadline_forces_full_walk() {
+        // A deadline needs the full walk's level-boundary checks, so even
+        // an unchanged re-analysis walks instead of serving the snapshot.
+        let c = chains::inverter_chain(Tech::nmos4um(), 5, 1);
+        let design = Design::new(c.netlist);
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions {
+            deadline: Some(std::time::Duration::from_secs(3600)),
+            ..AnalysisOptions::default()
+        };
+        let cold = pm.analyze(&design, &opts);
+        let warm = pm.analyze(&design, &opts);
+        assert_eq!(
+            trace_outcome(&pm, PassId::Graph(None)),
+            Some(PassOutcome::Reused)
+        );
+        assert_eq!(
+            trace_outcome(&pm, PassId::Arrivals(None)),
+            Some(PassOutcome::Computed)
+        );
+        assert_eq!(fingerprint(&design, &cold), fingerprint(&design, &warm));
     }
 
     #[test]

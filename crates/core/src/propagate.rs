@@ -20,11 +20,11 @@
 //!    reports genuine cycles via [`PhaseResult::cyclic`] exactly as the
 //!    fully serial engine did.
 //!
-//! Warm re-analyses of residue-free graphs additionally have the
-//! **demand-driven cone engine** ([`propagate_cone`]): given a cached
-//! snapshot and the forward-closed affected set of a certified edit, it
-//! re-relaxes only the affected nodes in level order and copies the
-//! rest from the snapshot — bit-identical to the full walk, at a cost
+//! Warm re-analyses of residue-free graphs use the only other engine,
+//! the **demand-driven cone engine** (`propagate_cone`): given the
+//! previous run's arrivals and the forward-closed affected set of a
+//! certified edit, it re-relaxes only the affected nodes in level order
+//! and keeps the rest — bit-identical to the full walk, at a cost
 //! proportional to the edit's fanout cone instead of the chip.
 
 use std::collections::VecDeque;
@@ -193,103 +193,6 @@ impl PhaseResult {
     }
 }
 
-/// Arrivals of one finished case, node-indexed, as kept by the
-/// incremental cache. Predecessors are stored as **ordinals** into the
-/// node's in-arc list (not global arc ids): arc ids shift when an edit
-/// changes how many arcs an upstream stage emits, but a node whose stage
-/// fingerprint is unchanged keeps the same in-arc list, so its ordinal
-/// stays valid across rebuilds.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedCase {
-    pub(crate) rise: Vec<f64>,
-    pub(crate) fall: Vec<f64>,
-    pub(crate) trans_rise: Vec<f64>,
-    pub(crate) trans_fall: Vec<f64>,
-    pub(crate) pred_rise: Vec<Option<(u32, Edge)>>,
-    pub(crate) pred_fall: Vec<Option<(u32, Edge)>>,
-}
-
-impl CachedCase {
-    /// Snapshots a finished propagation for reuse, translating global
-    /// pred arc ids into in-arc ordinals.
-    pub(crate) fn from_arrivals(graph: &TimingGraph, arr: &Arrivals) -> CachedCase {
-        let ordinal = |node: usize, p: Option<Pred>| {
-            p.map(|p| {
-                let pos = graph
-                    .in_arcs_of_index(node)
-                    .binary_search(&p.arc)
-                    .expect("pred arc is an in-arc of its target");
-                (pos as u32, p.from_edge)
-            })
-        };
-        let n = arr.rise.len();
-        CachedCase {
-            rise: arr.rise.clone(),
-            fall: arr.fall.clone(),
-            trans_rise: arr.trans_rise.clone(),
-            trans_fall: arr.trans_fall.clone(),
-            pred_rise: (0..n).map(|i| ordinal(i, arr.pred_rise[i])).collect(),
-            pred_fall: (0..n).map(|i| ordinal(i, arr.pred_fall[i])).collect(),
-        }
-    }
-
-    /// Overwrites the affected rows of an existing snapshot with a fresh
-    /// result, leaving clean rows untouched — by the reuse invariant
-    /// they are bit-identical to what the snapshot already holds. Saves
-    /// the full O(nodes) re-snapshot on warm runs.
-    pub(crate) fn update_from_arrivals(
-        &mut self,
-        graph: &TimingGraph,
-        arr: &Arrivals,
-        affected: &[bool],
-    ) {
-        let ordinal = |node: usize, p: Option<Pred>| {
-            p.map(|p| {
-                let pos = graph
-                    .in_arcs_of_index(node)
-                    .binary_search(&p.arc)
-                    .expect("pred arc is an in-arc of its target");
-                (pos as u32, p.from_edge)
-            })
-        };
-        for i in (0..arr.rise.len()).filter(|&i| affected[i]) {
-            self.rise[i] = arr.rise[i];
-            self.fall[i] = arr.fall[i];
-            self.trans_rise[i] = arr.trans_rise[i];
-            self.trans_fall[i] = arr.trans_fall[i];
-            self.pred_rise[i] = ordinal(i, arr.pred_rise[i]);
-            self.pred_fall[i] = ordinal(i, arr.pred_fall[i]);
-        }
-    }
-
-    /// Rehydrates one node's cached result against the current graph.
-    fn slot_for(&self, graph: &TimingGraph, node: usize) -> Slot {
-        let pred = |p: Option<(u32, Edge)>| {
-            p.map(|(ord, from_edge)| Pred {
-                arc: graph.in_arcs_of_index(node)[ord as usize],
-                from_edge,
-            })
-        };
-        Slot {
-            rise: self.rise[node],
-            fall: self.fall[node],
-            trans_rise: self.trans_rise[node],
-            trans_fall: self.trans_fall[node],
-            pred_rise: pred(self.pred_rise[node]),
-            pred_fall: pred(self.pred_fall[node]),
-        }
-    }
-}
-
-/// A reuse plan for one case: nodes with `affected[i] == false` are
-/// copied from the cache instead of recomputed. Only valid when the
-/// graph's schedule has no residue (cyclic cases always recompute).
-#[derive(Clone, Copy)]
-pub(crate) struct Reuse<'a> {
-    pub(crate) affected: &'a [bool],
-    pub(crate) cached: &'a CachedCase,
-}
-
 /// Per-node propagation state, kept in level (slot) order during the
 /// walk so each level is one contiguous, chunkable slice.
 #[derive(Debug, Clone, Copy)]
@@ -346,7 +249,6 @@ struct Ctx<'a> {
     /// Node index → slot index (level order, then residue).
     slot_of: &'a [u32],
     is_source: &'a [bool],
-    reuse: Option<Reuse<'a>>,
     /// Fault-injection hook (tests only); called before each evaluation.
     fault: Option<&'a (dyn Fn(u32) + Sync)>,
 }
@@ -395,15 +297,6 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
         );
     }
     let ni = node as usize;
-    if let Some(r) = ctx.reuse {
-        if !r.affected[ni] {
-            // Report the relax count a recomputation would have charged
-            // (one per in-arc, unconditionally) so `PhaseResult::relaxations`
-            // stays bit-identical between warm and cold runs.
-            let would_relax = ctx.graph.in_arcs_of_index(ni).len() as u32;
-            return (r.cached.slot_for(ctx.graph, ni), would_relax);
-        }
-    }
     let mut s = Slot::init(ctx.is_source[ni]);
     let mut relaxed = 0u32;
     for &ai in ctx.graph.in_arcs_of_index(ni) {
@@ -605,16 +498,14 @@ pub fn propagate_with(
     slope: &SlopeModel,
     jobs: usize,
 ) -> PhaseResult {
-    propagate_reuse(
+    propagate_guarded(
         netlist,
         graph,
         sources,
         endpoints,
         slope,
         jobs,
-        None,
         Guards::default(),
-        &mut Workspace::new(),
     )
 }
 
@@ -632,43 +523,26 @@ pub fn propagate_guarded(
     jobs: usize,
     guards: Guards,
 ) -> PhaseResult {
-    propagate_reuse(
+    propagate_full(
         netlist,
         graph,
         sources,
         endpoints,
         slope,
         jobs,
-        None,
         guards,
         &mut Workspace::new(),
+        None,
     )
 }
 
-/// The full engine: levelized parallel walk, optional cache reuse,
-/// residue worklist.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate_reuse(
-    netlist: &Netlist,
-    graph: &TimingGraph,
-    sources: &[NodeId],
-    endpoints: &[NodeId],
-    slope: &SlopeModel,
-    jobs: usize,
-    reuse: Option<Reuse<'_>>,
-    guards: Guards,
-    ws: &mut Workspace,
-) -> PhaseResult {
-    propagate_full(
-        netlist, graph, sources, endpoints, slope, jobs, reuse, guards, ws, None,
-    )
-}
-
-/// Demand-driven cone engine: materializes a cached snapshot and
-/// re-relaxes only the nodes marked `affected`, in level order.
+/// Demand-driven cone engine: re-relaxes only the nodes marked
+/// `affected`, in level order, over the previous run's arrivals.
+/// `snapshot` is advanced in place to the new arrivals, and the result
+/// carries a copy.
 ///
-/// Preconditions (the caller — [`crate::incremental::IncrementalCache`]
-/// — enforces all three): the graph's schedule has no residue, the
+/// Preconditions (the caller — the pass pipeline's arrival pass —
+/// enforces all three): the graph's schedule has no residue, the
 /// `affected` set is forward-closed over out-arcs, and no wall-clock
 /// deadline is armed. Under them the result is **bit-identical** to the
 /// full walk: a node's predecessors sit at strictly lower levels, so by
@@ -682,7 +556,7 @@ pub(crate) fn propagate_cone(
     endpoints: &[NodeId],
     slope: &SlopeModel,
     affected: &[bool],
-    cached: &CachedCase,
+    snapshot: &mut Arrivals,
     ws: &mut Workspace,
 ) -> PhaseResult {
     let _span = tv_obs::span("propagate");
@@ -692,7 +566,7 @@ pub(crate) fn propagate_cone(
         sched.residue.is_empty(),
         "cone propagation requires a fully leveled graph"
     );
-    debug_assert_eq!(cached.rise.len(), n);
+    debug_assert_eq!(snapshot.rise.len(), n);
 
     let is_source = &mut ws.is_source;
     is_source.clear();
@@ -701,36 +575,10 @@ pub(crate) fn propagate_cone(
         is_source[s.index()] = true;
     }
 
-    // Materialize the snapshot: values verbatim, predecessors rehydrated
-    // from in-arc ordinals to the current graph's arc ids. Affected rows
-    // are about to be overwritten — and their in-arc lists may have
-    // changed shape, invalidating the stored ordinals — so they are left
-    // unhydrated rather than read.
-    let pred = |node: usize, p: Option<(u32, Edge)>| {
-        p.map(|(ord, from_edge)| Pred {
-            arc: graph.in_arcs_of_index(node)[ord as usize],
-            from_edge,
-        })
-    };
-    let hydrate = |stored: &[Option<(u32, Edge)>]| -> Vec<Option<Pred>> {
-        (0..n)
-            .map(|i| {
-                if affected[i] {
-                    None
-                } else {
-                    pred(i, stored[i])
-                }
-            })
-            .collect()
-    };
-    let mut arr = Arrivals {
-        rise: cached.rise.clone(),
-        fall: cached.fall.clone(),
-        trans_rise: cached.trans_rise.clone(),
-        trans_fall: cached.trans_fall.clone(),
-        pred_rise: hydrate(&cached.pred_rise),
-        pred_fall: hydrate(&cached.pred_fall),
-    };
+    // The snapshot's predecessor arc ids are still valid: it was taken
+    // on an arc-for-arc identical graph (same fingerprint) or on one a
+    // splice changed only in delay words.
+    let arr = snapshot;
 
     let mut cone_nodes = 0u64;
     let mut cone_relax = 0u64;
@@ -794,14 +642,14 @@ pub(crate) fn propagate_cone(
 
     PhaseResult {
         case: graph.case,
-        arrivals: arr,
+        arrivals: arr.clone(),
         endpoints: eps,
         cyclic: false,
         // Charge-equivalent, not actual: `PhaseResult::relaxations`
-        // feeds the frozen report fingerprint, and the full engine
-        // charges one relaxation per in-arc whether a node recomputes
-        // or is served from the snapshot — one per arc in total. The
-        // obs counters above record what the cone really did.
+        // feeds the frozen report fingerprint, and the full walk of a
+        // residue-free graph relaxes every in-arc exactly once — one per
+        // arc in total. The obs counters above record what the cone
+        // really did.
         relaxations: graph.arcs.len(),
         completion: Completion::Complete,
         unresolved: Vec::new(),
@@ -809,18 +657,18 @@ pub(crate) fn propagate_cone(
     }
 }
 
-/// Innermost entry point, additionally taking a fault-injection hook
-/// called with each node index before evaluation. Tests use a panicking
-/// hook to exercise worker isolation; production callers pass `None`.
+/// The full engine: the levelized (optionally parallel) walk, then the
+/// residue worklist, reusing `ws`'s scratch buffers. `fault` is a hook
+/// called with each node index before evaluation; tests use a panicking
+/// hook to exercise worker isolation, production callers pass `None`.
 #[allow(clippy::too_many_arguments)]
-fn propagate_full(
+pub(crate) fn propagate_full(
     netlist: &Netlist,
     graph: &TimingGraph,
     sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
     jobs: usize,
-    reuse: Option<Reuse<'_>>,
     guards: Guards,
     ws: &mut Workspace,
     fault: Option<&(dyn Fn(u32) + Sync)>,
@@ -844,14 +692,6 @@ fn propagate_full(
         is_source[s.index()] = true;
     }
 
-    // Reuse plans are only meaningful on fully leveled graphs: the
-    // residue worklist has no per-node locality to exploit.
-    let reuse = if sched.residue.is_empty() {
-        reuse
-    } else {
-        None
-    };
-
     // Slot permutation: leveled nodes in level order, then residue.
     slot_of.clear();
     slot_of.resize(n, 0);
@@ -867,7 +707,6 @@ fn propagate_full(
         slope,
         slot_of: slot_of.as_slice(),
         is_source: is_source.as_slice(),
-        reuse,
         fault,
     };
 
@@ -1418,7 +1257,6 @@ mod tests {
             &[y, v],
             &SlopeModel::calibrated(),
             1,
-            None,
             Guards::default(),
             &mut Workspace::new(),
             Some(&hook),
@@ -1462,7 +1300,6 @@ mod tests {
                 &[n2],
                 &SlopeModel::calibrated(),
                 jobs,
-                None,
                 Guards::default(),
                 &mut Workspace::new(),
                 Some(&hook),

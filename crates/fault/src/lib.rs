@@ -5,7 +5,7 @@
 //! provides the machinery: a seeded [`FaultPlan`] names one trust
 //! boundary ([`Site`]) and a trigger count, and [`fault_point!`] hooks
 //! compiled into those boundaries fire the plan's fault exactly once —
-//! a forced worker panic, a forced `io::Error`, a corrupted incremental
+//! a forced worker panic, a forced `io::Error`, a corrupted arrival
 //! certificate, an exhausted deadline clock — after which the hosting
 //! subsystem's recovery path (serial degradation, bounded retry, cold
 //! recompute) must restore the documented contract. `tv chaos` sweeps
@@ -49,8 +49,8 @@ pub enum Site {
     PropagateWorker,
     /// Entry into the pass pipeline (forced `TvError::Internal`).
     PassEntry,
-    /// The incremental cache's certificate lookup (forced corruption:
-    /// the cached case entry must be dropped and recomputed cold).
+    /// The arrival pass's certificate lookup (forced corruption: the
+    /// kept arrivals must be dropped and the case recomputed cold).
     CertLookup,
     /// The propagation deadline/budget clock (forced early exhaustion,
     /// expressed deterministically — never a wall-clock read).

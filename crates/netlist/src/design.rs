@@ -128,8 +128,9 @@ enum DirtyScope {
     All,
 }
 
-/// A live, editable design: one [`Netlist`] plus the revision counters
-/// and dirty log described in the [module docs](self).
+/// A live, editable design: one [`Netlist`] plus monotonic revision
+/// counters ([`DesignStamp`]) and a bounded dirty log
+/// ([`Design::dirty_since`]).
 ///
 /// # Example
 ///

@@ -36,21 +36,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Arc relaxations performed (or charged on reuse) by propagation.
+    /// Arc relaxations performed by propagation.
     PropagateRelaxations,
     /// Worklist pops of the residue (cyclic) relaxation.
     PropagateResiduePops,
-    /// Nodes finished by propagation (evaluated or cache-copied), i.e.
-    /// in-arc CSR rows touched by the arrival walk.
+    /// Nodes evaluated by propagation, i.e. in-arc CSR rows touched by
+    /// the arrival walk.
     PropagateNodes,
     /// Propagation cases finished (combinational + per-phase).
     PropagateCases,
-    /// Dirty seed nodes handed to the demand-driven cone engine.
+    /// Certified changed nodes handed to the cone engine as seeds.
     ConeSeeds,
     /// Nodes re-relaxed by the cone engine (the affected fanout cone).
     ConeNodes,
-    /// Warm passes that fell back from the cone engine to a full walk
-    /// (cone too large, residue present, or a deadline guard armed).
+    /// Certified warm passes that fell back from the cone engine to a
+    /// full walk (cone too large, or a deadline guard armed).
     ConeFallbacks,
     /// Sweeps the flow fixpoint took to stabilize.
     FlowSweeps,
@@ -80,13 +80,15 @@ pub enum Counter {
     PassSpliced,
     /// Graph passes revalidated without touching an arc.
     PassRevalidated,
-    /// Nodes whose arrivals the incremental cache served from snapshot.
+    /// Nodes whose kept arrivals an arrival pass served unchanged.
     CacheNodesReused,
-    /// Nodes the incremental cache had to re-evaluate (the dirty cone).
+    /// Nodes an arrival pass re-evaluated (the cone, or every node on a
+    /// full walk).
     CacheNodesRecomputed,
-    /// Cases served entirely by the snapshot fast path (zero re-hash).
+    /// Cases whose graph was unchanged, served by the zero-seed cone.
     CacheCaseHits,
-    /// Cases that required fingerprinting or full propagation.
+    /// All other cases: a certified cone over a changed graph, or the
+    /// full walk.
     CacheCaseMisses,
     /// Electrical-check issues found.
     CheckIssues,

@@ -25,6 +25,10 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# Broken, ambiguous, or private intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== bench smoke: perf trajectory vs BENCH_TRAJECTORY.json =="
 # Fixed smoke suite over the acceptance benchmarks, gated at 2x against
 # the latest run appended to the committed trajectory (current-run min

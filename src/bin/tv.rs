@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! tv analyze <file.sim> [--cycle NS] [--no-case] [--model lumped|elmore|upper]
-//!                       [--top K] [--jobs N] [--incremental] [--check]
+//!                       [--top K] [--jobs N] [--check]
 //!                       [--relax-budget N] [--deadline SECS]
 //!                       [--max-nodes N] [--max-arcs N]
 //! tv check   <file.sim>            # electrical rules only
@@ -44,9 +44,8 @@
 //! count, `--diag-format json` switches to machine-readable output) and
 //! analyzes whatever parsed. `--jobs N` fans graph construction and
 //! levelized propagation out over `N` threads (`0` = all cores) with
-//! bit-identical results; `--incremental` reuses clean cones between the
-//! run's analysis cases; `--relax-budget` / `--deadline` bound the work a
-//! pathological netlist can consume, returning partial results.
+//! bit-identical results; `--relax-budget` / `--deadline` bound the work
+//! a pathological netlist can consume, returning partial results.
 //!
 //! Exit status: `0` clean, `1` analysis failure (unreadable or
 //! unrecoverable input, parse errors, exhausted resource guards), `2`
@@ -85,7 +84,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   tv analyze <file.sim> [--cycle NS] [--no-case] [--model lumped|elmore|upper]
-                        [--top K] [--jobs N] [--incremental] [--check]
+                        [--top K] [--jobs N] [--check]
                         [--relax-budget N] [--deadline SECS]
                         [--max-nodes N] [--max-arcs N]
   tv check   <file.sim>
@@ -809,9 +808,13 @@ fn parse_cli(args: &[String]) -> Result<Cli, TvError> {
         match flag {
             "--no-case" => cli.options.case_analysis = false,
             "--check" => cli.check = true,
-            "--incremental" => cli.options.incremental = true,
             "--cycle" => {
                 let cycle: f64 = fl.parsed(flag, "cycle")?;
+                if !cycle.is_finite() || cycle <= 0.0 {
+                    return Err(TvError::Usage(format!(
+                        "cycle must be positive, got {cycle:?}"
+                    )));
+                }
                 cli.options.clock = TwoPhaseClock::symmetric(cycle, cycle * 0.02);
             }
             "--model" => {

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `tv` command-line binary, driving it exactly
 //! as a user would: on `.sim` files from disk.
 
+use std::path::Path;
 use std::process::Command;
 
 fn tv() -> Command {
@@ -152,13 +153,51 @@ fn bad_usage_exits_two_with_usage_text() {
     assert_eq!(out.status.code(), Some(2));
 
     let f = write_sim();
-    let out = tv()
-        .args(["analyze"])
-        .arg(f.path())
-        .args(["--frob"])
-        .output()
-        .expect("run tv");
-    assert_eq!(out.status.code(), Some(2));
+    for flag in ["--frob", "--incremental"] {
+        let out = tv()
+            .args(["analyze"])
+            .arg(f.path())
+            .args([flag])
+            .output()
+            .expect("run tv");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{flag}: {err}");
+    }
+}
+
+#[test]
+fn cycle_rejects_non_positive_and_non_finite_values() {
+    // A clock period that is zero, negative or not finite has no phase
+    // windows: every subcommand taking `--cycle` must refuse it as a
+    // usage error (exit 2), never reach the clock constructor's assert.
+    let f = write_sim();
+    let script = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/session_smoke.txt");
+    for bad in ["0", "-5", "nan", "inf"] {
+        for (sub, operand) in [
+            ("analyze", Some(f.path())),
+            ("session", None),
+            ("batch", Some(script.as_path())),
+        ] {
+            let mut cmd = tv();
+            cmd.arg(sub);
+            if let Some(path) = operand {
+                cmd.arg(path);
+            }
+            let out = cmd
+                .args(["--cycle", bad])
+                .stdin(std::process::Stdio::null())
+                .output()
+                .expect("run tv");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{sub} --cycle {bad}: {err}");
+            assert!(
+                err.contains("cycle must be positive"),
+                "{sub} --cycle {bad}: {err}"
+            );
+            assert!(err.contains("usage:"), "{sub} --cycle {bad}: {err}");
+        }
+    }
 }
 
 #[test]

@@ -12,18 +12,24 @@
 //!    golden report fingerprints equal the full walk's at `--jobs`
 //!    1/2/8, and the cone's relaxation work never exceeds the full
 //!    walk's.
+//! 3. **Certificate exactness** — the cone seeds a splice certifies are
+//!    exactly the nodes whose in-arc delay words differ between cold
+//!    graph builds before and after the edit.
 //!
-//! The counter plane is process-global, so the one test that reads it
-//! serializes behind `OBS_LOCK` and every other test in this binary
+//! The counter plane is process-global, so the tests that read it
+//! serialize behind `OBS_LOCK` and every other test in this binary
 //! takes the same lock.
 
 use std::path::Path;
 use std::process::Command;
 use std::sync::Mutex;
 
+use nmos_tv::clocks::qualify::qualify_with_flow;
 use nmos_tv::core::{
-    report_fingerprint, AnalysisOptions, Analyzer, CaseEngine, PassId, PassManager, PassOutcome,
+    report_fingerprint, AnalysisOptions, Analyzer, PassId, PassManager, PassOutcome, PhaseCase,
+    TimingGraph,
 };
+use nmos_tv::flow::RuleSet;
 use nmos_tv::gen::datapath::{datapath, DatapathConfig};
 use nmos_tv::gen::rng::Rng64;
 use nmos_tv::netlist::{Design, DeviceId, DeviceKind, NodeId, NodeRole, Tech};
@@ -57,6 +63,16 @@ fn trace_outcome(pm: &PassManager, pass: PassId) -> Option<PassOutcome> {
         .map(|e| e.outcome)
 }
 
+/// Arrival passes of the most recent analyze that took the cone engine.
+fn cone_passes(pm: &PassManager) -> usize {
+    pm.last_trace()
+        .iter()
+        .filter(|e| {
+            matches!(e.pass, PassId::Arrivals(_)) && matches!(e.outcome, PassOutcome::Cone { .. })
+        })
+        .count()
+}
+
 #[test]
 fn mid_splice_shape_mismatch_rebuilds_and_matches_cold() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -70,9 +86,7 @@ fn mid_splice_shape_mismatch_rebuilds_and_matches_cold() {
     design.resize_device(dev, 6.0, 2.0).expect("resize");
     pm.analyze(&design, &opts);
     assert!(
-        pm.cache_stats()
-            .iter()
-            .any(|s| s.engine == CaseEngine::Cone),
+        cone_passes(&pm) > 0,
         "resize edit did not take the cone engine"
     );
 
@@ -108,10 +122,10 @@ fn mid_splice_shape_mismatch_rebuilds_and_matches_cold() {
             p.name()
         );
     }
-    for s in pm.cache_stats() {
+    for case in [None, Some(0), Some(1)] {
         assert_eq!(
-            s.engine,
-            CaseEngine::Full,
+            trace_outcome(&pm, PassId::Arrivals(case)),
+            Some(PassOutcome::Computed),
             "stale certificate reached the cone engine after a shape change"
         );
     }
@@ -143,10 +157,8 @@ fn mid_splice_shape_mismatch_rebuilds_and_matches_cold() {
     design.resize_device(dev, 5.0, 2.0).expect("resize");
     let warm2 = pm.analyze(&design, &opts);
     assert!(
-        pm.cache_stats()
-            .iter()
-            .any(|s| s.engine == CaseEngine::Cone),
-        "cache did not re-prime after the rebuild"
+        cone_passes(&pm) > 0,
+        "snapshots did not re-prime after the rebuild"
     );
     let cold2 = Analyzer::new(design.netlist()).run(&opts);
     assert_eq!(
@@ -234,11 +246,7 @@ fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
         let warm0 = pms[0].analyze(&designs[0], &opts_for(JOBS[0]));
         let after_warm = nmos_tv::obs::snapshot();
         let fp0 = report_fingerprint(designs[0].netlist(), &warm0);
-        cone_runs += pms[0]
-            .cache_stats()
-            .iter()
-            .filter(|s| s.engine == CaseEngine::Cone)
-            .count();
+        cone_runs += cone_passes(&pms[0]);
 
         let cold = Analyzer::new(designs[0].netlist()).run(&opts_for(1));
         let after_cold = nmos_tv::obs::snapshot();
@@ -319,5 +327,130 @@ fn cone_smoke_replays_to_golden_and_saves_ninety_percent() {
         "warm resize did {} relaxations, not under 10% of cold {}",
         relax[1],
         relax[0]
+    );
+}
+
+/// Cold graphs of every case, `[comb, φ1, φ2]`, built the one-shot way.
+fn cold_graphs(design: &Design) -> Vec<TimingGraph> {
+    let nl = design.netlist();
+    let flow = nmos_tv::flow::analyze(nl, &RuleSet::all());
+    let qual = qualify_with_flow(nl, &flow);
+    [
+        PhaseCase::all_active(),
+        PhaseCase::phase(0),
+        PhaseCase::phase(1),
+    ]
+    .into_iter()
+    .map(|case| {
+        TimingGraph::build_par(
+            nl,
+            &flow,
+            &qual,
+            case,
+            nmos_tv::core::DelayModel::Elmore,
+            nmos_tv::core::SOURCE_RESISTANCE,
+            1,
+        )
+    })
+    .collect()
+}
+
+/// Brute-force certificate: the nodes whose in-arc delay/τ words differ
+/// between two builds of the same graph shape.
+fn changed_targets(before: &TimingGraph, after: &TimingGraph) -> u64 {
+    let words = |g: &TimingGraph, i: usize| -> Vec<[u64; 4]> {
+        g.in_arcs_of_index(i)
+            .iter()
+            .map(|&ai| {
+                let a = &g.arcs[ai as usize];
+                [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits)
+            })
+            .collect()
+    };
+    (0..after.node_count())
+        .filter(|&i| words(before, i) != words(after, i))
+        .count() as u64
+}
+
+#[test]
+fn certified_seeds_equal_brute_force_word_diff() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    nmos_tv::obs::counters::set_enabled(true);
+
+    const JOBS: [usize; 3] = [1, 2, 8];
+    let mut designs: Vec<Design> = (0..JOBS.len()).map(|_| small_design()).collect();
+    let mut pms: Vec<PassManager> = (0..JOBS.len()).map(|_| PassManager::new()).collect();
+    let opts_for = |jobs: usize| AnalysisOptions {
+        jobs,
+        ..AnalysisOptions::default()
+    };
+    for (k, jobs) in JOBS.iter().enumerate() {
+        pms[k].analyze(&designs[k], &opts_for(*jobs));
+    }
+    let mut graphs = cold_graphs(&designs[0]);
+
+    let mut rng = Rng64::new(0x5EED_CE27);
+    let mut cone_edits = 0usize;
+    for step in 0..120 {
+        let devs = device_ids(&designs[0]);
+        let nodes = editable_nodes(&designs[0]);
+        if rng.bool(0.5) {
+            let di = rng.usize_range(0, devs.len());
+            let w = rng.f64_range(3.0, 8.0);
+            for d in &mut designs {
+                d.resize_device(devs[di], w, 2.0).expect("resize");
+            }
+        } else {
+            let ni = rng.usize_range(0, nodes.len());
+            let pf = rng.f64_range(0.01, 0.08);
+            for d in &mut designs {
+                d.set_node_cap(nodes[ni], pf).expect("setcap");
+            }
+        }
+        let fresh = cold_graphs(&designs[0]);
+        let brute: Vec<u64> = graphs
+            .iter()
+            .zip(&fresh)
+            .map(|(b, a)| changed_targets(b, a))
+            .collect();
+        graphs = fresh;
+        let cold = Analyzer::new(designs[0].netlist()).run(&opts_for(1));
+        let cold_fp = report_fingerprint(designs[0].netlist(), &cold);
+
+        for (k, jobs) in JOBS.iter().enumerate() {
+            let before = nmos_tv::obs::snapshot();
+            let warm = pms[k].analyze(&designs[k], &opts_for(*jobs));
+            let seeds = nmos_tv::obs::snapshot()
+                .since(&before)
+                .get(Counter::ConeSeeds);
+            assert_eq!(
+                report_fingerprint(designs[k].netlist(), &warm),
+                cold_fp,
+                "edit #{step} jobs {jobs}: warm report diverged from cold"
+            );
+            if cone_passes(&pms[k]) == 0 {
+                continue;
+            }
+            // Only cases served from a snapshot contribute seeds.
+            let expected: u64 = [None, Some(0), Some(1)]
+                .into_iter()
+                .zip(&brute)
+                .filter(|(case, _)| {
+                    trace_outcome(&pms[k], PassId::Arrivals(*case)) != Some(PassOutcome::Computed)
+                })
+                .map(|(_, &b)| b)
+                .sum();
+            assert_eq!(
+                seeds, expected,
+                "edit #{step} jobs {jobs}: certified seeds differ from the brute-force word diff"
+            );
+            if k == 0 {
+                cone_edits += 1;
+            }
+        }
+    }
+    assert!(
+        cone_edits >= 50,
+        "only {cone_edits} of 120 edits took the cone engine"
     );
 }

@@ -424,12 +424,13 @@ fn parallel_propagation_bit_identical_to_serial() {
     }
 }
 
-/// Full-pipeline determinism: `Analyzer::run` with jobs 1/2/8 and with
-/// the incremental cache produces bit-identical reports on random
-/// netlists — arrivals, min cycle, and slack included.
+/// Full-pipeline determinism: `Analyzer::run` with jobs 1/2/4/8 and a
+/// warm `PassManager` re-analysis produce bit-identical reports on
+/// random netlists — arrivals, min cycle, and slack included.
 #[test]
 fn analyzer_jobs_and_incremental_bit_identical() {
-    use nmos_tv::core::IncrementalCache;
+    use nmos_tv::core::{PassId, PassManager, PassOutcome};
+    use nmos_tv::netlist::Design;
 
     for seed in 0..6u64 {
         let circuit = random_logic(
@@ -450,7 +451,6 @@ fn analyzer_jobs_and_incremental_bit_identical() {
                 ..AnalysisOptions::default()
             },
             AnalysisOptions {
-                incremental: true,
                 jobs: 4,
                 ..AnalysisOptions::default()
             },
@@ -480,11 +480,12 @@ fn analyzer_jobs_and_incremental_bit_identical() {
             }
         }
 
-        // Cross-run incremental: a warm re-run against a held cache is
+        // Cross-run: a warm re-analysis on a held pipeline is
         // bit-identical to cold and recomputes nothing.
-        let mut cache = IncrementalCache::new();
-        let first = Analyzer::new(nl).run_incremental(&AnalysisOptions::default(), &mut cache);
-        let second = Analyzer::new(nl).run_incremental(&AnalysisOptions::default(), &mut cache);
+        let design = Design::new(nl.clone());
+        let mut pm = PassManager::new();
+        let first = pm.analyze(&design, &AnalysisOptions::default());
+        let second = pm.analyze(&design, &AnalysisOptions::default());
         for i in nl.node_ids() {
             assert_eq!(
                 first.combinational.arrival(i).map(f64::to_bits),
@@ -497,16 +498,16 @@ fn analyzer_jobs_and_incremental_bit_identical() {
                 "seed={seed} warm-vs-cold node={i:?}"
             );
         }
-        for s in cache.last_stats() {
+        for e in pm.last_trace() {
             // Acyclic cases reuse everything on an identical re-run;
             // cyclic cases (all-active view of latched logic) recompute.
-            assert!(
-                s.recomputed == 0 || s.recomputed == s.nodes,
-                "seed={seed} case={:?}: partial recompute {} of {} on identical input",
-                s.case,
-                s.recomputed,
-                s.nodes
-            );
+            if let PassId::Arrivals(case) = e.pass {
+                assert!(
+                    matches!(e.outcome, PassOutcome::Reused | PassOutcome::Computed),
+                    "seed={seed} case={case:?}: partial recompute {:?} on identical input",
+                    e.outcome
+                );
+            }
         }
     }
 }
