@@ -316,13 +316,17 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
 }
 
 /// The P8 ingest suite: the serial T5-scale parse (always — it is the
-/// figure the 1.5x gate in `check` pins), plus, at scale, the
-/// million-device T6 multi-core design with the parse/build/propagate
-/// split measured separately at jobs=1.
+/// figure the 1.5x gate in `check` pins) and the electrical checks on
+/// the same netlist, plus, at scale, the million-device T6 multi-core
+/// design with the parse/build/checks/propagate split measured
+/// separately at jobs=1.
 fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     use tv_clocks::latch::find_latches;
     use tv_clocks::qualify::qualify_with_flow;
-    use tv_core::{external_sources, propagate_with, PhaseCase, TimingGraph, SOURCE_RESISTANCE};
+    use tv_core::{
+        check_electrical, external_sources, propagate_with, PhaseCase, TimingGraph,
+        SOURCE_RESISTANCE,
+    };
     use tv_gen::mips_mc::{t6_mips_mc, MILLION_DEVICE_CORES};
     use tv_netlist::{sim_format, Diagnostics};
 
@@ -351,6 +355,15 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     };
     let s = bench("ingest/t5-parse-serial", 5, &mut work);
     out.push(entry(s, devices, counted(&mut work)));
+
+    // Electrical checks on the same netlist, flow and qualification
+    // precomputed. The pass must stay linear in the pull-down networks:
+    // any per-stage O(nodes) cost makes it quadratic, which this gates.
+    let flow = tv_flow::analyze(&t5.netlist, &RuleSet::all());
+    let qual = qualify_with_flow(&t5.netlist, &flow);
+    let mut checks_work = || check_electrical(&t5.netlist, &flow, &qual).len();
+    let s = bench("checks/t5-102k", 5, &mut checks_work);
+    out.push(entry(s, devices, counted(&mut checks_work)));
 
     if !at_scale {
         return out;
@@ -388,6 +401,10 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
 
     let flow = tv_flow::analyze(nl, &opts.rules);
     let qual = qualify_with_flow(nl, &flow);
+    let mut checks_work = || check_electrical(nl, &flow, &qual).len();
+    let s = bench("ingest/t6-1m-checks", 1, &mut checks_work);
+    out.push(entry(s, devices, counted(&mut checks_work)));
+
     let graph = TimingGraph::build_par(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE, 1);
     let sources = external_sources(nl);
     let endpoints = nl.outputs().to_vec();

@@ -14,7 +14,9 @@ use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, Direction, FlowAnalysis, NodeClass};
 use tv_netlist::{codes, DeviceId, Diagnostic, Netlist, NodeId};
 
-use crate::graph::{pull_down_resistance, pull_up_resistance};
+use crate::graph::{
+    pull_down_resistance_with, pull_up_resistance, stage_inputs_into, BuildScratch, StageInputKind,
+};
 
 /// One electrical diagnostic.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,18 +134,30 @@ pub fn check_electrical(
     let tech = netlist.tech();
     let mut issues = Vec::new();
 
-    // Ratio checks on restored nodes.
+    // Ratio checks on restored nodes. One scratch serves every stage, so
+    // the pass is linear in the pull-down networks it walks.
+    let mut scratch = BuildScratch::new(netlist.node_count());
     for id in netlist.node_ids() {
         if flow.node_class(id) != NodeClass::Restored {
             continue;
         }
         let (Some(r_pu), Some(r_pd)) = (
             pull_up_resistance(netlist, flow, id),
-            pull_down_resistance(netlist, flow, id),
+            pull_down_resistance_with(netlist, flow, id, &mut scratch.on_path),
         ) else {
             continue;
         };
-        let required = if stage_sees_degraded_input(netlist, flow, id) {
+        // A pull-down gate fed by a pass network sees a degraded high
+        // level (VDD − V_T), which doubles the required ratio.
+        stage_inputs_into(netlist, flow, id, &mut scratch);
+        let degraded = scratch.inputs.iter().any(|i| {
+            i.kind == StageInputKind::PullDownGate
+                && matches!(
+                    flow.node_class(i.node),
+                    NodeClass::Storage | NodeClass::PassInterior | NodeClass::Bus
+                )
+        });
+        let required = if degraded {
             tech.ratio_through_pass
         } else {
             tech.ratio_restored
@@ -207,35 +221,6 @@ pub fn check_electrical(
     issues
 }
 
-/// Whether any pull-down gate input of the stage under `out` is fed by a
-/// pass network (degraded high level VDD − V_T), which doubles the
-/// required ratio.
-fn stage_sees_degraded_input(netlist: &Netlist, flow: &FlowAnalysis, out: NodeId) -> bool {
-    let mut frontier = vec![out];
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(out);
-    while let Some(node) = frontier.pop() {
-        for &did in netlist.node_devices(node).channel {
-            if flow.device_role(did) != DeviceRole::PullDown {
-                continue;
-            }
-            let dev = netlist.device(did);
-            let gate_class = flow.node_class(dev.gate());
-            if matches!(
-                gate_class,
-                NodeClass::Storage | NodeClass::PassInterior | NodeClass::Bus
-            ) {
-                return true;
-            }
-            let other = dev.other_channel_end(node);
-            if other != netlist.gnd() && other != netlist.vdd() && seen.insert(other) {
-                frontier.push(other);
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +279,71 @@ mod tests {
             )),
             "{issues:?}"
         );
+    }
+
+    /// The `required` ratio of a violation reported at `out`, if any.
+    fn ratio_required_at(nl: &Netlist, out: NodeId) -> Option<f64> {
+        run_checks(nl).into_iter().find_map(|i| match i {
+            CheckIssue::RatioViolation { node, required, .. } if node == out => Some(required),
+            _ => None,
+        })
+    }
+
+    /// A 2-input NAND whose ground-side series pull-down is gated by a
+    /// dynamic-latch storage node (`storage`) or by a restoring inverter.
+    fn nand_stack_required(storage: bool) -> Option<f64> {
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let (x, y) = (b.input("x"), b.input("y"));
+        let top = b.node("top");
+        b.inverter("itop", x, top);
+        let bottom = if storage {
+            let phi = b.clock("phi1", 0);
+            let qb = b.node("qb");
+            b.dynamic_latch("l", phi, y, qb)
+        } else {
+            let bottom = b.node("bottom");
+            b.inverter("ibot", y, bottom);
+            bottom
+        };
+        let out = b.output("out");
+        b.nand("g", &[top, bottom], out);
+        ratio_required_at(&b.finish().unwrap(), out)
+    }
+
+    #[test]
+    fn degraded_input_deep_in_a_series_stack_needs_ratio_eight() {
+        // The storage node gates the device one below the output, so
+        // only a walk of the whole stack finds it.
+        assert_eq!(nand_stack_required(true), Some(8.0));
+    }
+
+    #[test]
+    fn restored_inputs_hold_a_series_stack_to_ratio_four() {
+        // Sized 4:1, the NAND meets the 4:1 rule; it is flagged only if
+        // wrongly held to 8:1.
+        assert_eq!(nand_stack_required(false), None);
+    }
+
+    #[test]
+    fn storage_gated_active_pull_up_keeps_ratio_four() {
+        // A 4:1 stage whose depletion pull-up is gated by a storage node
+        // and whose pull-down is gated by a restored input. Only
+        // pull-down gates lower the output's low level, so the degraded
+        // pull-up gate must not raise the requirement to 8:1.
+        let tech = Tech::nmos4um();
+        let s = tech.min_size();
+        let mut b = NetlistBuilder::new(tech);
+        let phi = b.clock("phi1", 0);
+        let (d, x) = (b.input("d"), b.input("x"));
+        let qb = b.node("qb");
+        let store = b.dynamic_latch("l", phi, d, qb);
+        let inp = b.node("inp");
+        b.inverter("iin", x, inp);
+        let out = b.output("out");
+        let (vdd, gnd) = (b.vdd(), b.gnd());
+        b.depletion("pu", store, vdd, out, s, 2.0 * s);
+        b.enhancement("pd", inp, gnd, out, 2.0 * s, s);
+        assert_eq!(ratio_required_at(&b.finish().unwrap(), out), None);
     }
 
     #[test]

@@ -1103,15 +1103,10 @@ pub fn pull_up_resistance(netlist: &Netlist, flow: &FlowAnalysis, node: NodeId) 
 }
 
 /// Worst-case (maximum) series resistance of any pull-down path from
-/// `node` to GND. `None` if no pull-down path exists.
-pub fn pull_down_resistance(netlist: &Netlist, flow: &FlowAnalysis, node: NodeId) -> Option<f64> {
-    let mut on_path = vec![false; netlist.node_count()];
-    pull_down_resistance_with(netlist, flow, node, &mut on_path)
-}
-
-/// [`pull_down_resistance`] over a caller-owned path-flag array (must be
-/// all-false on entry; the DFS leaves it all-false again), so the build
-/// loop reuses one allocation across every root.
+/// `node` to GND. `None` if no pull-down path exists. `on_path` is a
+/// caller-owned path-flag array, one per node (must be all-false on
+/// entry; the DFS leaves it all-false again), so a loop over stages
+/// reuses one allocation instead of paying O(nodes) per stage.
 pub(crate) fn pull_down_resistance_with(
     netlist: &Netlist,
     flow: &FlowAnalysis,
@@ -1447,7 +1442,9 @@ mod tests {
         b.nor("g", &[i0, i1], out);
         let nl = b.finish().unwrap();
         let flow = analyze(&nl, &RuleSet::all());
-        let r_nor = pull_down_resistance(&nl, &flow, out).unwrap();
+        let mut on_path = vec![false; nl.node_count()];
+        let r_nor = pull_down_resistance_with(&nl, &flow, out, &mut on_path).unwrap();
+        assert!(on_path.iter().all(|&f| !f), "path flags left set");
 
         let mut b = NetlistBuilder::new(Tech::nmos4um());
         let i0 = b.input("i0");
@@ -1456,7 +1453,9 @@ mod tests {
         b.nand("g", &[i0, i1], out);
         let nl2 = b.finish().unwrap();
         let flow2 = analyze(&nl2, &RuleSet::all());
-        let r_nand = pull_down_resistance(&nl2, &flow2, out).unwrap();
+        let mut on_path = vec![false; nl2.node_count()];
+        let r_nand = pull_down_resistance_with(&nl2, &flow2, out, &mut on_path).unwrap();
+        assert!(on_path.iter().all(|&f| !f), "path flags left set");
         // NAND series devices are sized wider to match the inverter, so
         // its total equals the NOR's single leg.
         assert!((r_nand - r_nor).abs() < 1e-9);

@@ -556,7 +556,10 @@ impl PassManager {
             outcome,
         });
         diagnostics.extend(combinational.diagnostics.iter().cloned());
-        let combinational_paths = critical_paths(&comb_slot.graph, &combinational, options.top_k);
+        let combinational_paths = {
+            let _s = tv_obs::span("pass.paths");
+            critical_paths(&comb_slot.graph, &combinational, options.top_k)
+        };
 
         // --- per-phase cases ---
         let mut phases = Vec::new();
@@ -601,11 +604,17 @@ impl PassManager {
                     outcome,
                 });
                 diagnostics.extend(result.diagnostics.iter().cloned());
-                let paths = critical_paths(&slot.graph, &result, options.top_k);
+                let paths = {
+                    let _s = tv_obs::span("pass.paths");
+                    critical_paths(&slot.graph, &result, options.top_k)
+                };
                 let slack = result
                     .critical_arrival()
                     .map(|a| options.clock.width(p) - a);
-                let races = crate::hold::race_check(nl, &slot.graph, latches, p);
+                let races = {
+                    let _s = tv_obs::span("pass.races");
+                    crate::hold::race_check(nl, &slot.graph, latches, p)
+                };
                 phases.push(PhaseAnalysis {
                     phase: p,
                     arcs: slot.graph.arc_count(),

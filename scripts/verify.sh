@@ -14,6 +14,13 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== tvbench tests: the benchmark against the current crates =="
+# tvbench is a workspace of its own (BENCHMARK.json), so the tier-1
+# `cargo test` never builds it. Its tests run every workload at smoke
+# scale through `tvbench/src/sut.rs`, so a tv-core API change that
+# breaks the benchmark fails here rather than at the next benchmark run.
+cargo test --offline --manifest-path tvbench/Cargo.toml
+
 echo "== examples build =="
 # The examples are documentation that compiles; tier-1 alone never
 # builds them, so an API drift can silently rot them without this.

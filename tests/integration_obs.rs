@@ -222,7 +222,8 @@ fn warm_session_analyses_report_less_work_than_cold() {
 
 #[test]
 fn trace_flag_emits_chrome_trace_that_validates() {
-    let (_, netlist) = workloads().remove(0);
+    // regfile-4x8 is clocked, so the trace covers the per-phase cases.
+    let (_, netlist) = workloads().remove(2);
     let sim = TempPath::new("t.sim", &sim_format::write(&netlist));
     let trace = TempPath::new("trace.json", "");
     let out = tv()
@@ -239,6 +240,18 @@ fn trace_flag_emits_chrome_trace_that_validates() {
     let text = std::fs::read_to_string(trace.path()).expect("read trace");
     let events = nmos_tv::obs::trace::validate(&text).expect("trace validates");
     assert!(events > 0, "trace has no events");
+    // Every per-case pass after the arrivals is accounted for by a span.
+    let doc = json::parse(&text).expect("trace parses");
+    let names: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents")
+        .iter()
+        .filter_map(|e| e.get("name").and_then(Value::as_str))
+        .collect();
+    for pass in ["pass.checks", "pass.paths", "pass.races"] {
+        assert!(names.contains(&pass), "trace has no {pass} event");
+    }
 
     let check = tv()
         .arg("trace-check")
