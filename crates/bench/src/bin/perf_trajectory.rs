@@ -15,7 +15,8 @@
 //!   perf_trajectory --check BENCH_TRAJECTORY.json --threshold 3.0
 //!
 //! Each bench entry carries `name`, `input_size` (devices), `ns_per_op`
-//! (median), `min_ns` (fastest iteration), and `counters` — the
+//! (median), `min_ns` (fastest iteration), `peak_rss_kb` (the bench's
+//! own peak resident set, see [`peak_rss_kb`]), and `counters` — the
 //! deterministic `tv_obs` work counters from **one instrumented run**
 //! performed after the timed loop, so the timing numbers are always
 //! measured with instrumentation disabled. The JSON is hand-rolled (the
@@ -24,6 +25,7 @@
 //! strictly parseable.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use tv_bench::experiments::parallel_scaling;
 use tv_bench::harness::bench;
@@ -49,33 +51,63 @@ struct Entry {
     ns_per_op: f64,
     min_ns: f64,
     iters: usize,
-    /// Process peak resident set (VmHWM, kB) as of the end of this
-    /// bench; 0 where procfs is unavailable or in pre-P9 runs.
+    /// Peak resident set (VmHWM, kB) over this bench — setup, timed
+    /// loop and counted run — when the run's `peak_rss` scope is
+    /// per-bench; the process's running peak in older runs. 0 where
+    /// procfs is unavailable or in pre-P9 runs.
     peak_rss_kb: u64,
     counters: Vec<(String, u64)>,
 }
 
-/// Peak resident set size of this process in kB, from the `VmHWM`
-/// line of `/proc/self/status` — no dependency, no syscall wrapper.
-/// The kernel figure is a lifetime high-water mark, so per-entry
-/// values are a running maximum over the suite: the jump recorded by
-/// the at-scale T6 entries is the figure this exists for (DESIGN.md
-/// §15's memory story). Returns 0 where procfs is missing (non-Linux).
+/// Whether every high-water-mark reset of this run succeeded, so each
+/// entry's `peak_rss_kb` is that bench's own peak.
+static PEAK_RESETS_OK: AtomicBool = AtomicBool::new(true);
+
+/// `peak_rss` scope of a run whose every reset succeeded.
+const PEAK_PER_BENCH: &str = "per-bench";
+
+/// Restarts the kernel's resident-set high-water mark at the current
+/// resident size (writing `5` to `/proc/self/clear_refs`). A failed
+/// write leaves the lifetime mark in place and marks the run's peaks
+/// as running maxima.
+fn reset_peak_rss() {
+    if std::fs::write("/proc/self/clear_refs", "5").is_err() {
+        PEAK_RESETS_OK.store(false, Ordering::Relaxed);
+    }
+}
+
+/// Peak resident set size in kB since the previous reading, from the
+/// `VmHWM` line of `/proc/self/status` — no dependency, no syscall
+/// wrapper — then resets the mark for the next bench. Call it once per
+/// bench, after the bench's counted run, so each entry records its own
+/// peak (setup included) rather than the suite's running maximum. The
+/// mark restarts at the resident size, so memory the allocator still
+/// holds from an earlier bench counts toward the next one. If a
+/// reset fails the figure degrades to the running maximum and the run
+/// says so in its `peak_rss` field. Returns 0 where procfs is missing
+/// (non-Linux).
 fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().strip_suffix("kB"))
-        .and_then(|n| n.trim().parse().ok())
-        .unwrap_or(0)
+    let peak = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|rest| rest.trim().strip_suffix("kB"))
+                .and_then(|n| n.trim().parse().ok())
+        })
+        .unwrap_or(0);
+    reset_peak_rss();
+    peak
 }
 
 /// One labeled suite execution: the unit the trajectory file appends.
 struct Run {
     label: String,
+    /// What the entries' `peak_rss_kb` measures: [`PEAK_PER_BENCH`], or
+    /// a note that the figures are running maxima. `None` in runs
+    /// recorded before schema 4, whose peaks are all running maxima.
+    peak_rss: Option<String>,
     benches: Vec<Entry>,
 }
 
@@ -135,6 +167,7 @@ fn counted<R>(mut f: impl FnMut() -> R) -> Vec<(String, u64)> {
 fn run_suite(at_scale: bool) -> Vec<Entry> {
     let tech = Tech::nmos4um();
     let mut out = Vec::new();
+    reset_peak_rss();
 
     // Analyzer scaling (the T5 bench, smoke sizes).
     for target in [1_600usize, 6_400] {
@@ -147,6 +180,7 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
                 .devices
         };
         let s = bench(&format!("scaling/random-{target}"), 10, &mut work);
+        let counters = counted(&mut work);
         out.push(Entry {
             name: s.name,
             input_size: devices,
@@ -154,7 +188,7 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
             min_ns: s.min_ms * 1e6,
             iters: s.iters,
             peak_rss_kb: peak_rss_kb(),
-            counters: counted(&mut work),
+            counters,
         });
     }
 
@@ -164,6 +198,7 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
         let devices = item.circuit.netlist.device_count();
         let mut work = || tv_flow::analyze(&item.circuit.netlist, &RuleSet::all()).sweeps();
         let s = bench(&format!("flow/{}", item.name), 50, &mut work);
+        let counters = counted(&mut work);
         out.push(Entry {
             name: s.name,
             input_size: devices,
@@ -171,7 +206,7 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
             min_ns: s.min_ms * 1e6,
             iters: s.iters,
             peak_rss_kb: peak_rss_kb(),
-            counters: counted(&mut work),
+            counters,
         });
     }
 
@@ -184,6 +219,12 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
     let dp_netlist = tv_gen::datapath::datapath(tech.clone(), cfg).netlist;
     let devices = dp_netlist.device_count();
     let rows = parallel_scaling(&tech, cfg, &[1], 5);
+    let counters = counted(|| {
+        Analyzer::new(&dp_netlist)
+            .run(&AnalysisOptions::default())
+            .combinational
+            .relaxations
+    });
     out.push(Entry {
         name: "propagate/mips32-jobs1".to_string(),
         input_size: devices,
@@ -191,17 +232,15 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
         min_ns: rows[0].total_ms() * 1e6,
         iters: 5,
         peak_rss_kb: peak_rss_kb(),
-        counters: counted(|| {
-            Analyzer::new(&dp_netlist)
-                .run(&AnalysisOptions::default())
-                .combinational
-                .relaxations
-        }),
+        counters,
     });
 
     out.extend(session_suite(&tech));
-    out.extend(ingest_suite(&tech, at_scale));
+    // The million-device ingest benches run last: the allocator keeps
+    // much of their memory resident after they finish, and a per-bench
+    // peak starts from the resident size at its reset.
     out.extend(serve_suite(&tech));
+    out.extend(ingest_suite(&tech, at_scale));
 
     out
 }
@@ -260,6 +299,8 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
     });
     handle.stop();
     let iters = report.requests as usize;
+    // One loadgen run backs all three percentile entries.
+    let peak = peak_rss_kb();
     for (name, ns, counters) in [
         ("serve/loadgen-c8", report.p50_ns, counters),
         ("serve/loadgen-c8-p95", report.p95_ns, Vec::new()),
@@ -271,7 +312,7 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
             ns_per_op: ns as f64,
             min_ns: ns as f64,
             iters,
-            peak_rss_kb: peak_rss_kb(),
+            peak_rss_kb: peak,
             counters,
         });
     }
@@ -300,6 +341,7 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
         }
     };
     let s = bench("serve/admission-reject", 10, &mut reject);
+    let counters = counted(&mut reject);
     out.push(Entry {
         name: s.name,
         input_size: devices,
@@ -307,7 +349,7 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
         min_ns: s.min_ms * 1e6,
         iters: s.iters,
         peak_rss_kb: peak_rss_kb(),
-        counters: counted(&mut reject),
+        counters,
     });
     drop(hold);
     tiny.stop();
@@ -585,15 +627,20 @@ fn session_suite(tech: &Tech) -> Vec<Entry> {
 fn write_json(runs: &[Run]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"tv-bench-trajectory/3\",\n");
+    s.push_str("  \"schema\": \"tv-bench-trajectory/4\",\n");
     s.push_str(
         "  \"unit\": \"ns_per_op is the median of `iters` timed runs; counters are \
-         deterministic tv_obs work from one instrumented run\",\n",
+         deterministic tv_obs work from one instrumented run; peak_rss_kb is each bench's \
+         own peak in runs whose peak_rss is per-bench, the running process peak otherwise \
+         (every run before schema 4)\",\n",
     );
     s.push_str("  \"runs\": [\n");
     for (r, run) in runs.iter().enumerate() {
         s.push_str("    {\n");
         s.push_str(&format!("      \"label\": \"{}\",\n", run.label));
+        if let Some(scope) = &run.peak_rss {
+            s.push_str(&format!("      \"peak_rss\": \"{scope}\",\n"));
+        }
         s.push_str("      \"benches\": [\n");
         for (i, e) in run.benches.iter().enumerate() {
             let counters = if e.counters.is_empty() {
@@ -647,13 +694,22 @@ fn load_runs(text: &str) -> Result<Vec<Run>, String> {
                     .and_then(Value::as_str)
                     .ok_or("run without a string \"label\"")?
                     .to_string();
+                let peak_rss = r
+                    .get("peak_rss")
+                    .and_then(Value::as_str)
+                    .map(str::to_string);
                 let benches = runs_of(r.get("benches").ok_or("run without \"benches\"")?)?;
-                Ok(Run { label, benches })
+                Ok(Run {
+                    label,
+                    peak_rss,
+                    benches,
+                })
             })
             .collect()
     } else if let Some(benches) = root.get("benches") {
         Ok(vec![Run {
             label: "pre-trajectory".to_string(),
+            peak_rss: None,
             benches: runs_of(benches)?,
         }])
     } else {
@@ -769,6 +825,10 @@ fn check(entries: &[Entry], baseline_path: &str, threshold: f64) -> ExitCode {
         eprintln!("perf_trajectory: {msg}");
         failed = true;
     }
+    if let Err(msg) = check_build_peak(entries, &runs) {
+        eprintln!("perf_trajectory: {msg}");
+        failed = true;
+    }
     if failed {
         eprintln!("perf_trajectory: regression beyond {threshold}x of committed baseline");
         ExitCode::FAILURE
@@ -853,6 +913,59 @@ fn check_serve_latency(entries: &[Entry]) -> Result<(), String> {
         return Err(format!(
             "serve loadgen p99 {p99:.0} ns is >= 20x the warm single-edit median {warm:.0} ns: \
              the serving plane is adding more than an order of magnitude over the engine"
+        ));
+    }
+    Ok(())
+}
+
+/// The `peak_rss` scope of the run just measured.
+fn current_peak_scope() -> String {
+    if PEAK_RESETS_OK.load(Ordering::Relaxed) {
+        PEAK_PER_BENCH.to_string()
+    } else {
+        "running (clear_refs unavailable: each entry is the process peak so far)".to_string()
+    }
+}
+
+/// Bound on the at-scale T6 build's own peak against the latest
+/// committed per-bench reading of it.
+const BUILD_PEAK_BOUND: f64 = 1.25;
+
+/// Memory gate on the current run (at-scale runs only): the
+/// million-device T6 graph build's own peak resident set must stay
+/// within [`BUILD_PEAK_BOUND`] of the latest committed run that
+/// recorded it per bench. The build is jobs=1 and its inputs are fixed,
+/// so its peak moves only with the graph layout — this is what pins
+/// the 16-byte arc and shared delay-row layout (DESIGN.md §9). Skipped
+/// when either side's peak is a running maximum.
+fn check_build_peak(entries: &[Entry], runs: &[Run]) -> Result<(), String> {
+    const NAME: &str = "ingest/t6-1m-build";
+    let Some(current) = entries.iter().find(|e| e.name == NAME) else {
+        return Ok(());
+    };
+    if !PEAK_RESETS_OK.load(Ordering::Relaxed) {
+        println!("{NAME:<28} peak gate skipped: this run's peaks are running maxima");
+        return Ok(());
+    }
+    let Some((label, base)) = runs.iter().rev().find_map(|r| {
+        (r.peak_rss.as_deref() == Some(PEAK_PER_BENCH))
+            .then(|| r.benches.iter().find(|b| b.name == NAME))
+            .flatten()
+            .map(|b| (&r.label, b))
+    }) else {
+        println!("{NAME:<28} peak gate skipped: no committed per-bench reading");
+        return Ok(());
+    };
+    let ratio = current.peak_rss_kb as f64 / base.peak_rss_kb.max(1) as f64;
+    println!(
+        "{:<28} {:>14} {:>14} {:>7.2}x  build peak kB gate (run \"{}\", must stay under {}x)",
+        NAME, base.peak_rss_kb, current.peak_rss_kb, ratio, label, BUILD_PEAK_BOUND
+    );
+    if ratio > BUILD_PEAK_BOUND {
+        return Err(format!(
+            "{NAME} peaked at {} kB, {ratio:.2}x the {} kB of run \"{label}\" \
+             (bound {BUILD_PEAK_BOUND}x): the graph build's memory grew",
+            current.peak_rss_kb, base.peak_rss_kb
         ));
     }
     Ok(())
@@ -972,6 +1085,7 @@ fn main() -> ExitCode {
         };
         runs.push(Run {
             label: label.unwrap_or_else(|| "dev".to_string()),
+            peak_rss: Some(current_peak_scope()),
             benches: entries,
         });
         let json = write_json(&runs);

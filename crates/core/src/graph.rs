@@ -44,16 +44,33 @@ pub enum ArcKind {
     Precharge,
 }
 
-/// One timing arc. `rise_delay`/`fall_delay` are the delays for the **to**
-/// node rising/falling; `f64::INFINITY` disables that transition. The
-/// `*_tau` fields carry the underlying RC time constants, from which the
-/// propagation derives the output transition times for slope handling.
-#[derive(Debug, Clone)]
+/// One timing arc's topology: 16 bytes (guarded by a unit test). The
+/// arc's delay and τ words live in a shared [`ArcDelay`] row of
+/// [`TimingGraph::delays`], read through [`TimingGraph::delay_of`].
+/// Those words depend only on the RC-tree node the arc drives, so every
+/// gate input and pass control of a stage that reaches the same tree
+/// node shares one row instead of carrying its own copy.
+#[derive(Debug, Clone, Copy)]
 pub struct Arc {
     /// Upstream node (a gate input, pass control, or data source).
     pub from: NodeId,
     /// Downstream node (a stage output or pass-network node).
     pub to: NodeId,
+    /// Index of the arc's delay row in [`TimingGraph::delays`].
+    pub delay: u32,
+    /// Whether `from` rising causes `to` to fall (gate inversion).
+    pub inverting: bool,
+    /// Structural kind (controls propagation semantics).
+    pub kind: ArcKind,
+}
+
+/// The delay words of one or more arcs: 32 bytes (guarded by a unit
+/// test). `rise_delay`/`fall_delay` are the delays for the **to** node
+/// rising/falling; `f64::INFINITY` disables that transition. The `*_tau`
+/// fields carry the underlying RC time constants, from which the
+/// propagation derives the output transition times for slope handling.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArcDelay {
     /// Delay for `to` rising, ns.
     pub rise_delay: f64,
     /// Delay for `to` falling, ns.
@@ -62,10 +79,67 @@ pub struct Arc {
     pub rise_tau: f64,
     /// Elmore time constant of the falling transition, ns.
     pub fall_tau: f64,
-    /// Whether `from` rising causes `to` to fall (gate inversion).
-    pub inverting: bool,
-    /// Structural kind (controls propagation semantics).
-    pub kind: ArcKind,
+}
+
+impl ArcDelay {
+    /// The four words bit for bit — the unit the splice certificate and
+    /// the bit-identity tests compare.
+    pub fn words(&self) -> [u64; 4] {
+        [
+            self.rise_delay,
+            self.fall_delay,
+            self.rise_tau,
+            self.fall_tau,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
+/// Growable arc list with its delay rows: what a stage build emits into.
+/// Each arc's `delay` indexes `delays`; [`ArcBuf::append`] rebases the
+/// indices when per-worker parts are concatenated in root order.
+#[derive(Default)]
+pub(crate) struct ArcBuf {
+    pub(crate) arcs: Vec<Arc>,
+    pub(crate) delays: Vec<ArcDelay>,
+}
+
+impl ArcBuf {
+    /// Pushes a delay row and returns its index.
+    pub(crate) fn row(&mut self, d: ArcDelay) -> u32 {
+        self.delays.push(d);
+        (self.delays.len() - 1) as u32
+    }
+
+    fn arc(&mut self, from: NodeId, to: NodeId, delay: u32, inverting: bool, kind: ArcKind) {
+        self.arcs.push(Arc {
+            from,
+            to,
+            delay,
+            inverting,
+            kind,
+        });
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.arcs.clear();
+        self.delays.clear();
+    }
+
+    /// Appends `part` after everything already here, rebasing its row
+    /// indices. An empty buffer takes `part`'s vectors whole.
+    pub(crate) fn append(&mut self, part: ArcBuf) {
+        if self.arcs.is_empty() && self.delays.is_empty() {
+            *self = part;
+            return;
+        }
+        let base = self.delays.len() as u32;
+        self.arcs.extend(part.arcs.into_iter().map(|a| Arc {
+            delay: a.delay + base,
+            ..a
+        }));
+        self.delays.extend_from_slice(&part.delays);
+    }
 }
 
 /// The clock case a graph is built for.
@@ -121,11 +195,16 @@ impl LevelSchedule {
         &self.order[self.level_starts[l] as usize..self.level_starts[l + 1] as usize]
     }
 
-    fn build(node_count: usize, arcs: &[Arc], out_starts: &[u32], out_arc_ids: &[u32]) -> Self {
-        let mut indeg = vec![0u32; node_count];
-        for a in arcs {
-            indeg[a.to.index()] += 1;
-        }
+    /// Kahn's algorithm over the finished CSR: in-degrees come straight
+    /// from the in-arc offsets, so only the frontier walk touches arcs.
+    fn build(
+        node_count: usize,
+        arcs: &[Arc],
+        out_starts: &[u32],
+        out_arc_ids: &[u32],
+        in_starts: &[u32],
+    ) -> Self {
+        let mut indeg: Vec<u32> = in_starts.windows(2).map(|w| w[1] - w[0]).collect();
         let mut order: Vec<u32> = Vec::with_capacity(node_count);
         let mut level_starts = vec![0u32];
         let mut frontier: Vec<u32> = (0..node_count as u32)
@@ -173,6 +252,10 @@ impl LevelSchedule {
 pub struct TimingGraph {
     /// All arcs.
     pub arcs: Vec<Arc>,
+    /// Delay rows, indexed by [`Arc::delay`]. Each build root owns a
+    /// contiguous run of rows in emission order, so the row list — like
+    /// the arc list — is the same at any thread count.
+    pub delays: Vec<ArcDelay>,
     /// CSR offsets into [`TimingGraph::out_arc_ids`]: arcs leaving node
     /// `i` are `out_arc_ids[out_starts[i] as usize..out_starts[i+1] as
     /// usize]`, ascending by arc id.
@@ -226,15 +309,15 @@ impl TimingGraph {
 
     /// Builds the graph with up to `jobs` worker threads. Each driving
     /// stage is an independent RC problem, so workers build disjoint root
-    /// chunks and the per-chunk arc vectors are concatenated in root
-    /// order — the resulting arc list is **identical** to the serial
-    /// build at any thread count.
+    /// chunks and the per-chunk arc and row vectors are concatenated in
+    /// root order — the resulting arc and row lists are **identical** to
+    /// the serial build at any thread count.
     ///
     /// Since the hierarchical extraction pass this routes through
     /// `macromodel::build_spanned`: structurally identical
     /// stages are analyzed once and instanced by pin remap, with the
-    /// flat per-root build as the verified fallback. The arc list is
-    /// bit-identical either way (DESIGN.md §16).
+    /// flat per-root build as the verified fallback. The arc and row
+    /// lists are bit-identical either way (DESIGN.md §16).
     #[allow(clippy::too_many_arguments)]
     pub fn build_par(
         netlist: &Netlist,
@@ -253,6 +336,7 @@ impl TimingGraph {
             model,
             source_resistance,
             jobs,
+            &flow.stages().structural_hashes(netlist),
         )
         .0
         .graph
@@ -291,9 +375,9 @@ impl TimingGraph {
 
         // Fast path for one chunk of roots: any panic voids the whole
         // chunk (Err), which the caller then recovers root-by-root.
-        let build_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<Vec<Arc>, ()> {
+        let build_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<ArcBuf, ()> {
             catch_unwind(AssertUnwindSafe(|| {
-                let mut arcs = Vec::new();
+                let mut arcs = ArcBuf::default();
                 let mut scratch = BuildScratch::new(netlist.node_count());
                 for r in root_chunk {
                     if let Some(hook) = fault {
@@ -312,11 +396,11 @@ impl TimingGraph {
         // behind, and this path is rare enough not to optimize.
         let recover_chunk = |root_chunk: &[(NodeId, RootKind)],
                              diagnostics: &mut Vec<Diagnostic>|
-         -> Vec<Arc> {
-            let mut arcs = Vec::new();
+         -> ArcBuf {
+            let mut arcs = ArcBuf::default();
             for r in root_chunk {
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let mut part = Vec::new();
+                    let mut part = ArcBuf::default();
                     let mut scratch = BuildScratch::new(netlist.node_count());
                     if let Some(hook) = fault {
                         hook(r.0);
@@ -325,7 +409,7 @@ impl TimingGraph {
                     part
                 }));
                 match attempt {
-                        Ok(part) => arcs.extend(part),
+                        Ok(part) => arcs.append(part),
                         Err(_) => diagnostics.push(Diagnostic::error(
                             codes::ANALYSIS_WORKER_PANIC,
                             format!(
@@ -338,7 +422,7 @@ impl TimingGraph {
             arcs
         };
 
-        let arcs: Vec<Arc> = if threads <= 1 || roots.len() < PAR_MIN_ROOTS {
+        let arcs: ArcBuf = if threads <= 1 || roots.len() < PAR_MIN_ROOTS {
             match build_chunk(&roots) {
                 Ok(arcs) => arcs,
                 Err(()) => {
@@ -348,7 +432,7 @@ impl TimingGraph {
             }
         } else {
             let chunk = roots.len().div_ceil(threads);
-            let parts: Vec<Result<Vec<Arc>, ()>> = std::thread::scope(|s| {
+            let parts: Vec<Result<ArcBuf, ()>> = std::thread::scope(|s| {
                 let handles: Vec<_> = roots
                     .chunks(chunk)
                     .map(|root_chunk| {
@@ -364,11 +448,11 @@ impl TimingGraph {
             if parts.iter().any(Result::is_err) {
                 diagnostics.push(degraded_build_note());
             }
-            let mut arcs = Vec::new();
+            let mut arcs = ArcBuf::default();
             for (root_chunk, part) in roots.chunks(chunk).zip(parts) {
                 match part {
-                    Ok(p) => arcs.extend(p),
-                    Err(()) => arcs.extend(recover_chunk(root_chunk, &mut diagnostics)),
+                    Ok(p) => arcs.append(p),
+                    Err(()) => arcs.append(recover_chunk(root_chunk, &mut diagnostics)),
                 }
             }
             arcs
@@ -380,6 +464,12 @@ impl TimingGraph {
     /// Number of arcs.
     pub fn arc_count(&self) -> usize {
         self.arcs.len()
+    }
+
+    /// The delay row of `arc`.
+    #[inline]
+    pub fn delay_of(&self, arc: &Arc) -> &ArcDelay {
+        &self.delays[arc.delay as usize]
     }
 
     /// Number of nodes the graph was built over.
@@ -451,19 +541,20 @@ impl TimingGraph {
     }
 }
 
-/// Finishes a graph from its flat arc list: both CSR adjacency
-/// directions in two counting passes each (degree counts, prefix sums
-/// into offsets, then a cursor pass — iterating arcs in id order keeps
-/// each node's list ascending by arc id, the same order the old
-/// nested-Vec push loop produced), then the level schedule. Every build
-/// path — serial, parallel, isolated, spanned — funnels through here so
-/// the CSR layout is defined in exactly one place.
+/// Finishes a graph from its flat arc list and delay rows: both CSR
+/// adjacency directions in two counting passes each (degree counts,
+/// prefix sums into offsets, then a cursor pass — iterating arcs in id
+/// order keeps each node's list ascending by arc id, the same order the
+/// old nested-Vec push loop produced), then the level schedule. Every
+/// build path — serial, parallel, isolated, spanned — funnels through
+/// here so the CSR layout is defined in exactly one place.
 pub(crate) fn finish_graph(
     node_count: usize,
-    arcs: Vec<Arc>,
+    buf: ArcBuf,
     case: PhaseCase,
     diagnostics: Vec<Diagnostic>,
 ) -> TimingGraph {
+    let ArcBuf { arcs, delays } = buf;
     tv_obs::incr(tv_obs::Counter::GraphBuilds);
     tv_obs::add(tv_obs::Counter::GraphArcs, arcs.len() as u64);
     let n = node_count;
@@ -489,9 +580,10 @@ pub(crate) fn finish_graph(
         in_arc_ids[*c as usize] = i as u32;
         *c += 1;
     }
-    let schedule = LevelSchedule::build(n, &arcs, &out_starts, &out_arc_ids);
+    let schedule = LevelSchedule::build(n, &arcs, &out_starts, &out_arc_ids, &in_starts);
     TimingGraph {
         arcs,
+        delays,
         out_starts,
         out_arc_ids,
         case,
@@ -502,74 +594,113 @@ pub(crate) fn finish_graph(
     }
 }
 
-/// A graph built with its root list and per-root arc spans recorded —
-/// the substrate for the pass pipeline's stage-granular splicing.
+/// Per-root prefix offsets into a graph's arc and delay-row lists, each
+/// with `roots.len() + 1` entries.
+pub(crate) struct RootSpans {
+    /// Root `k` owns arcs `arcs[k] as usize .. arcs[k + 1] as usize`.
+    pub(crate) arcs: Vec<u32>,
+    /// Root `k` owns rows `rows[k] as usize .. rows[k + 1] as usize`;
+    /// every arc of root `k` indexes a row inside that range.
+    pub(crate) rows: Vec<u32>,
+}
+
+/// A graph built with its root list and per-root arc and row spans
+/// recorded — the substrate for the pass pipeline's stage-granular
+/// splicing.
 pub(crate) struct SpannedBuild {
     /// The finished graph, arc-identical to [`TimingGraph::build_par`].
     pub(crate) graph: TimingGraph,
     /// Build roots in deterministic (node id) order.
     pub(crate) roots: Vec<(NodeId, RootKind)>,
-    /// Prefix offsets, `roots.len() + 1` entries: root `k` owns arcs
-    /// `spans[k] as usize .. spans[k + 1] as usize`. `None` when a build
-    /// worker panicked — the degraded per-stage recovery path omits
-    /// stages, so spans would lie; callers then fall back to full
-    /// rebuilds, which is exactly the conservative behavior wanted for a
-    /// netlist that crashes the builder.
-    pub(crate) spans: Option<Vec<u32>>,
+    /// `None` when a build worker panicked — the degraded per-stage
+    /// recovery path omits stages, so spans would lie; callers then fall
+    /// back to full rebuilds, which is exactly the conservative behavior
+    /// wanted for a netlist that crashes the builder.
+    pub(crate) spans: Option<RootSpans>,
 }
 
-/// Splices freshly rebuilt arcs for `affected` root ordinals into an
-/// existing graph in place, leaving delays/taus updated and everything
-/// else untouched. Valid only after **parametric** edits (geometry or
+/// Per-root splice support recorded at graph build time.
+pub(crate) struct SpliceIndex {
+    /// Which arcs and rows each root owns.
+    pub(crate) spans: RootSpans,
+    /// CSR offsets into `extent_roots` by node index.
+    pub(crate) extent_starts: Vec<u32>,
+    /// Root ordinals whose arc delays read the node's caps or adjacent
+    /// geometry, grouped by node.
+    pub(crate) extent_roots: Vec<u32>,
+}
+
+/// Splices freshly rebuilt delay rows for `affected` root ordinals into
+/// an existing graph in place, leaving every arc and every other root's
+/// rows untouched. Valid only after **parametric** edits (geometry or
 /// capacitance): those cannot change which arcs a stage produces, only
-/// their delay values, so each root's new arcs must match its recorded
-/// span in count, endpoints, kind, and inversion — all of which this
-/// function verifies arc by arc before overwriting anything within the
-/// span. On any mismatch (or a panic inside a stage build) it returns
-/// `Err` and the caller must discard the graph and rebuild from scratch:
-/// earlier affected roots may already have been overwritten, so an `Err`
-/// graph is *not* restored to its prior state.
+/// their delay values, so each root's fresh build must match its
+/// recorded spans in arc count and row count, and arc by arc in
+/// endpoints, kind, inversion and row index relative to the root's first
+/// row — all of which this function verifies before overwriting the
+/// root's rows. On any mismatch (or a panic inside a stage build) it
+/// returns `Err` and the caller must discard the graph and rebuild from
+/// scratch: earlier affected roots may already have been overwritten, so
+/// an `Err` graph is *not* restored to its prior state.
 ///
 /// On success returns the **changed targets**: every node index, sorted
-/// and deduplicated, with an in-arc whose delay or τ words differ
-/// bitwise from before the splice. Each arc lives in exactly one span
-/// and the rest of the arc is verified equal, so these are exactly the
-/// nodes whose local evaluation can differ — the arrival pass seeds its
-/// cone with them.
+/// and deduplicated, with an in-arc whose delay row words differ
+/// bitwise from before the splice. Each row belongs to exactly one root
+/// and the arc-to-row map is verified unchanged, so these are exactly
+/// the nodes whose local evaluation can differ — the arrival pass seeds
+/// its cone with them.
 pub(crate) fn splice_roots(
     graph: &mut TimingGraph,
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     roots: &[(NodeId, RootKind)],
-    spans: &[u32],
+    index: &SpliceIndex,
     affected: &[u32],
     scratch: &mut BuildScratch,
 ) -> Result<Vec<u32>, ()> {
-    let words = |a: &Arc| [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits);
+    let spans = &index.spans;
     let mut changed: Vec<u32> = Vec::new();
-    let mut fresh: Vec<Arc> = Vec::new();
+    let mut fresh = ArcBuf::default();
+    let mut row_changed: Vec<bool> = Vec::new();
     for &k in affected {
         let k = k as usize;
-        let span = spans[k] as usize..spans[k + 1] as usize;
+        let span = spans.arcs[k] as usize..spans.arcs[k + 1] as usize;
+        let rows = spans.rows[k] as usize..spans.rows[k + 1] as usize;
         fresh.clear();
         catch_unwind(AssertUnwindSafe(|| {
             graph_build_fault_point();
             builder.build_root(&roots[k], source_resistance, &mut fresh, scratch)
         }))
         .map_err(|_| ())?;
-        if fresh.len() != span.len() {
+        if fresh.arcs.len() != span.len() || fresh.delays.len() != rows.len() {
             return Err(());
         }
-        let old = &mut graph.arcs[span];
-        for (o, f) in old.iter_mut().zip(fresh.drain(..)) {
-            if o.from != f.from || o.to != f.to || o.kind != f.kind || o.inverting != f.inverting {
+        let base = rows.start as u32;
+        for (o, f) in graph.arcs[span].iter().zip(&fresh.arcs) {
+            if o.from != f.from
+                || o.to != f.to
+                || o.kind != f.kind
+                || o.inverting != f.inverting
+                || o.delay.wrapping_sub(base) != f.delay
+            {
                 return Err(());
             }
-            if words(o) != words(&f) {
-                changed.push(o.to.index() as u32);
-            }
-            *o = f;
         }
+        let old = &mut graph.delays[rows];
+        row_changed.clear();
+        row_changed.extend(
+            old.iter()
+                .zip(&fresh.delays)
+                .map(|(o, f)| o.words() != f.words()),
+        );
+        changed.extend(
+            fresh
+                .arcs
+                .iter()
+                .filter(|f| row_changed[f.delay as usize])
+                .map(|f| f.to.index() as u32),
+        );
+        old.copy_from_slice(&fresh.delays);
     }
     changed.sort_unstable();
     changed.dedup();
@@ -782,12 +913,12 @@ impl<'a> GraphBuilder<'a> {
         &self,
         root: &(NodeId, RootKind),
         source_resistance: f64,
-        arcs: &mut Vec<Arc>,
+        out: &mut ArcBuf,
         scratch: &mut BuildScratch,
     ) {
         match root.1 {
-            RootKind::Stage => self.build_stage(root.0, arcs, scratch),
-            RootKind::Source => self.build_source_tree(root.0, source_resistance, arcs, scratch),
+            RootKind::Stage => self.build_stage(root.0, out, scratch),
+            RootKind::Source => self.build_source_tree(root.0, source_resistance, out, scratch),
         }
     }
 
@@ -926,8 +1057,12 @@ impl<'a> GraphBuilder<'a> {
         (rise_d, fall_d, rise_tau, fall_tau)
     }
 
-    /// Builds arcs for one driving stage rooted at `out`.
-    fn build_stage(&self, out: NodeId, arcs: &mut Vec<Arc>, scratch: &mut BuildScratch) {
+    /// Builds arcs for one driving stage rooted at `out`. Each walk node
+    /// gets one delay row shared by its Gate and PassControl arcs, a
+    /// second (fall disabled) when the stage has BufferPull inputs, and
+    /// one per firing precharge device; a row is emitted only when an arc
+    /// uses it.
+    fn build_stage(&self, out: NodeId, buf: &mut ArcBuf, scratch: &mut BuildScratch) {
         let nl = self.netlist;
         let r_pu = pull_up_resistance(nl, self.flow, out);
         let r_pd = pull_down_resistance_with(nl, self.flow, out, &mut scratch.on_path);
@@ -944,6 +1079,10 @@ impl<'a> GraphBuilder<'a> {
             r_pu.unwrap_or(f64::INFINITY),
             r_pd.unwrap_or(f64::INFINITY),
         );
+        let has_pull_down = inputs
+            .iter()
+            .any(|i| i.kind == StageInputKind::PullDownGate);
+        let has_pull_up = inputs.iter().any(|i| i.kind == StageInputKind::PullUpGate);
 
         for (i, w) in walk.iter().enumerate() {
             // Domino discipline: a precharged node starts its evaluation
@@ -955,44 +1094,33 @@ impl<'a> GraphBuilder<'a> {
             } else {
                 rise_d[i]
             };
-            for inp in inputs.iter() {
-                match inp.kind {
-                    StageInputKind::PullDownGate => arcs.push(Arc {
-                        from: inp.node,
-                        to: w.node,
-                        rise_delay: rise_dly,
-                        fall_delay: fall_d[i],
-                        rise_tau: rise_tau[i],
-                        fall_tau: fall_tau[i],
-                        inverting: true,
-                        kind: ArcKind::Gate,
-                    }),
-                    StageInputKind::PullUpGate => arcs.push(Arc {
-                        from: inp.node,
-                        to: w.node,
-                        rise_delay: rise_dly,
-                        fall_delay: f64::INFINITY,
-                        rise_tau: rise_tau[i],
-                        fall_tau: fall_tau[i],
-                        inverting: false,
-                        kind: ArcKind::BufferPull,
-                    }),
-                }
-            }
+            let row = ArcDelay {
+                rise_delay: rise_dly,
+                fall_delay: fall_d[i],
+                rise_tau: rise_tau[i],
+                fall_tau: fall_tau[i],
+            };
             // Pass controls along the path: when the latest-arriving
             // control rises, the whole path conducts.
             path_controls(nl, walk, i, controls);
+            let main = (has_pull_down || !controls.is_empty()).then(|| buf.row(row));
+            let pull = has_pull_up.then(|| {
+                buf.row(ArcDelay {
+                    fall_delay: f64::INFINITY,
+                    ..row
+                })
+            });
+            for inp in inputs.iter() {
+                let (d, inverting, kind) = match inp.kind {
+                    StageInputKind::PullDownGate => (main, true, ArcKind::Gate),
+                    StageInputKind::PullUpGate => (pull, false, ArcKind::BufferPull),
+                };
+                let d = d.expect("a row exists for every input kind present");
+                buf.arc(inp.node, w.node, d, inverting, kind);
+            }
             for &ctrl in controls.iter() {
-                arcs.push(Arc {
-                    from: ctrl,
-                    to: w.node,
-                    rise_delay: rise_dly,
-                    fall_delay: fall_d[i],
-                    rise_tau: rise_tau[i],
-                    fall_tau: fall_tau[i],
-                    inverting: false,
-                    kind: ArcKind::PassControl,
-                });
+                let d = main.expect("controls present, so the shared row exists");
+                buf.arc(ctrl, w.node, d, false, ArcKind::PassControl);
             }
         }
 
@@ -1014,27 +1142,25 @@ impl<'a> GraphBuilder<'a> {
             let r_pre = nl.device(did).resistance(nl.tech());
             let (pre_rise, _, pre_tau, _) = self.tree_delays(walk, r_pre, f64::INFINITY);
             for (i, w) in walk.iter().enumerate() {
-                arcs.push(Arc {
-                    from: gate,
-                    to: w.node,
+                let d = buf.row(ArcDelay {
                     rise_delay: pre_rise[i],
                     fall_delay: f64::INFINITY,
                     rise_tau: pre_tau[i],
                     fall_tau: pre_tau[i],
-                    inverting: false,
-                    kind: ArcKind::Precharge,
                 });
+                buf.arc(gate, w.node, d, false, ArcKind::Precharge);
             }
         }
     }
 
     /// Builds pass-data arcs from a primary input that feeds pass devices
-    /// directly (no on-chip driver stage).
+    /// directly (no on-chip driver stage): one delay row per walk node
+    /// below the source, shared by its PassData and PassControl arcs.
     fn build_source_tree(
         &self,
         source: NodeId,
         source_resistance: f64,
-        arcs: &mut Vec<Arc>,
+        buf: &mut ArcBuf,
         scratch: &mut BuildScratch,
     ) {
         self.walk_downstream(source, scratch);
@@ -1051,28 +1177,16 @@ impl<'a> GraphBuilder<'a> {
             } else {
                 rise_d[i]
             };
-            arcs.push(Arc {
-                from: source,
-                to: w.node,
+            let d = buf.row(ArcDelay {
                 rise_delay: rise_dly,
                 fall_delay: fall_d[i],
                 rise_tau: rise_tau[i],
                 fall_tau: fall_tau[i],
-                inverting: false,
-                kind: ArcKind::PassData,
             });
+            buf.arc(source, w.node, d, false, ArcKind::PassData);
             path_controls(nl, walk, i, controls);
             for &ctrl in controls.iter() {
-                arcs.push(Arc {
-                    from: ctrl,
-                    to: w.node,
-                    rise_delay: rise_dly,
-                    fall_delay: fall_d[i],
-                    rise_tau: rise_tau[i],
-                    fall_tau: fall_tau[i],
-                    inverting: false,
-                    kind: ArcKind::PassControl,
-                });
+                buf.arc(ctrl, w.node, d, false, ArcKind::PassControl);
             }
         }
     }
@@ -1244,11 +1358,12 @@ mod tests {
         assert_eq!(arc.from, a);
         assert_eq!(arc.to, out);
         assert!(arc.inverting);
+        let d = g.delay_of(arc);
         assert!(
-            arc.rise_delay > 3.0 * arc.fall_delay,
+            d.rise_delay > 3.0 * d.fall_delay,
             "ratioed rise {} vs fall {}",
-            arc.rise_delay,
-            arc.fall_delay
+            d.rise_delay,
+            d.fall_delay
         );
     }
 
@@ -1268,7 +1383,7 @@ mod tests {
         assert_eq!(to_out.len(), 3);
         for a in to_out {
             assert!(a.inverting);
-            assert!(a.fall_delay.is_finite());
+            assert!(g.delay_of(a).fall_delay.is_finite());
         }
     }
 
@@ -1363,7 +1478,7 @@ mod tests {
             g.arcs
                 .iter()
                 .find(|x| x.from == a && x.to == to)
-                .map(|x| x.fall_delay)
+                .map(|x| g.delay_of(x).fall_delay)
                 .expect("arc exists")
         };
         assert!(d(s1) > d(s0));
@@ -1389,8 +1504,8 @@ mod tests {
             .find(|x| x.from == internal && x.to == out && x.kind == ArcKind::BufferPull)
             .expect("buffer pull arc");
         assert!(!pull.inverting);
-        assert!(pull.rise_delay.is_finite());
-        assert!(pull.fall_delay.is_infinite());
+        assert!(g.delay_of(pull).rise_delay.is_finite());
+        assert!(g.delay_of(pull).fall_delay.is_infinite());
     }
 
     #[test]
@@ -1505,18 +1620,11 @@ mod tests {
             DelayModel::Lumped,
             1.0,
         );
-        let d0 = g
-            .arcs
-            .iter()
-            .find(|x| x.from == a && x.to == s0)
-            .unwrap()
-            .fall_delay;
-        let d1 = g
-            .arcs
-            .iter()
-            .find(|x| x.from == a && x.to == s1)
-            .unwrap()
-            .fall_delay;
+        let fall_to = |to: NodeId| {
+            let arc = g.arcs.iter().find(|x| x.from == a && x.to == to).unwrap();
+            g.delay_of(arc).fall_delay
+        };
+        let (d0, d1) = (fall_to(s0), fall_to(s1));
         assert!((d0 - d1).abs() < 1e-12, "lumped ignores tree position");
     }
 
@@ -1609,13 +1717,12 @@ mod tests {
                 for (a, b) in serial.arcs.iter().zip(&par.arcs) {
                     assert_eq!(a.from, b.from);
                     assert_eq!(a.to, b.to);
-                    assert_eq!(a.rise_delay.to_bits(), b.rise_delay.to_bits());
-                    assert_eq!(a.fall_delay.to_bits(), b.fall_delay.to_bits());
-                    assert_eq!(a.rise_tau.to_bits(), b.rise_tau.to_bits());
-                    assert_eq!(a.fall_tau.to_bits(), b.fall_tau.to_bits());
+                    assert_eq!(a.delay, b.delay);
+                    assert_eq!(serial.delay_of(a).words(), par.delay_of(b).words());
                     assert_eq!(a.inverting, b.inverting);
                     assert_eq!(a.kind, b.kind);
                 }
+                assert_eq!(serial.delays.len(), par.delays.len());
                 assert_eq!(serial.schedule.order, par.schedule.order);
                 assert_eq!(serial.schedule.level_starts, par.schedule.level_starts);
                 assert_eq!(serial.schedule.residue, par.schedule.residue);
@@ -1681,8 +1788,91 @@ mod tests {
         for (a, b) in serial.arcs.iter().zip(&par.arcs) {
             assert_eq!(a.from, b.from);
             assert_eq!(a.to, b.to);
-            assert_eq!(a.rise_delay.to_bits(), b.rise_delay.to_bits());
+            assert_eq!(serial.delay_of(a).words(), par.delay_of(b).words());
         }
+    }
+
+    #[test]
+    fn arc_topology_and_delay_rows_stay_packed() {
+        assert_eq!(std::mem::size_of::<Arc>(), 16);
+        assert_eq!(std::mem::size_of::<ArcDelay>(), 32);
+    }
+
+    #[test]
+    fn splice_refuses_a_root_whose_row_span_disagrees() {
+        let dp =
+            tv_gen::datapath::datapath(Tech::nmos4um(), tv_gen::datapath::DatapathConfig::small());
+        let nl = &dp.netlist;
+        let flow = analyze(nl, &RuleSet::all());
+        let q = qualify_with_flow(nl, &flow);
+        let hashes = flow.stages().structural_hashes(nl);
+        let case = PhaseCase::all_active();
+        let builder = GraphBuilder {
+            netlist: nl,
+            flow: &flow,
+            qualification: &q,
+            case,
+            model: DelayModel::Elmore,
+        };
+        let mut scratch = BuildScratch::new(nl.node_count());
+        // Splices root `k` against row spans bent by `bend`.
+        let mut splice_with = |k: usize, bend: &dyn Fn(&mut Vec<u32>)| {
+            let (sb, _) = crate::macromodel::build_spanned(
+                nl,
+                &flow,
+                &q,
+                case,
+                DelayModel::Elmore,
+                1.0,
+                2,
+                &hashes,
+            );
+            let mut graph = sb.graph;
+            let mut spans = sb.spans.expect("clean build records spans");
+            bend(&mut spans.rows);
+            let index = SpliceIndex {
+                spans,
+                extent_starts: Vec::new(),
+                extent_roots: Vec::new(),
+            };
+            let before = graph.delays.clone();
+            let out = splice_roots(
+                &mut graph,
+                &builder,
+                1.0,
+                &sb.roots,
+                &index,
+                &[k as u32],
+                &mut scratch,
+            );
+            (out, before == graph.delays)
+        };
+        let (sb, _) = crate::macromodel::build_spanned(
+            nl,
+            &flow,
+            &q,
+            case,
+            DelayModel::Elmore,
+            1.0,
+            1,
+            &hashes,
+        );
+        let rows = sb.spans.expect("clean build records spans").rows;
+        let k = (0..sb.roots.len())
+            .find(|&k| rows[k + 1] - rows[k] >= 2)
+            .expect("some stage has two delay rows");
+
+        // Honest spans: the unchanged root splices with nothing changed.
+        assert_eq!(splice_with(k, &|_| {}), (Ok(Vec::new()), true));
+        // One row short: the fresh build's row count disagrees.
+        let (out, untouched) = splice_with(k, &|r| r[k + 1] -= 1);
+        assert!(out.is_err() && untouched);
+        // Same count, shifted by one: relative row indices disagree.
+        let (out, untouched) = splice_with(k, &|r| {
+            r[k] += 1;
+            r[k + 1] += 1;
+        });
+        assert!(out.is_err() && untouched);
     }
 
     #[test]
@@ -1711,7 +1901,8 @@ mod tests {
             DelayModel::UpperBound,
             1.0,
         );
-        assert!(gu.arcs[0].fall_delay > ge.arcs[0].fall_delay);
-        assert!(gu.arcs[0].rise_delay > ge.arcs[0].rise_delay);
+        let (u, e) = (gu.delay_of(&gu.arcs[0]), ge.delay_of(&ge.arcs[0]));
+        assert!(u.fall_delay > e.fall_delay);
+        assert!(u.rise_delay > e.rise_delay);
     }
 }

@@ -58,7 +58,8 @@ pub fn min_arrivals(netlist: &Netlist, graph: &TimingGraph, sources: &[NodeId]) 
         let here = arr[node.index()];
         for &ai in graph.out_arcs_of(node) {
             let arc = &graph.arcs[ai as usize];
-            let d = arc.rise_delay.min(arc.fall_delay);
+            let row = graph.delay_of(arc);
+            let d = row.rise_delay.min(row.fall_delay);
             if !d.is_finite() {
                 continue;
             }
@@ -105,7 +106,8 @@ pub fn race_check(
     }
     let mut incoming_min = vec![f64::INFINITY; netlist.node_count()];
     for arc in &graph.arcs {
-        let d = arc.rise_delay.min(arc.fall_delay);
+        let row = graph.delay_of(arc);
+        let d = row.rise_delay.min(row.fall_delay);
         if !d.is_finite() {
             continue;
         }

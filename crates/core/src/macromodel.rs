@@ -36,17 +36,18 @@
 //! same conservative fallback the spanned flat build used.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, FlowAnalysis, NodeClass};
-use tv_netlist::{Netlist, NodeId};
+use tv_netlist::{FxHasher, Netlist, NodeId};
 
 use crate::fingerprint::mix64;
 use crate::graph::{
     finish_graph, graph_build_fault_point, pull_down_resistance_with, pull_up_resistance,
-    stage_inputs_into, Arc, ArcKind, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpannedBuild,
-    StageInputKind, TimingGraph, PAR_MIN_ROOTS,
+    stage_inputs_into, Arc, ArcBuf, ArcDelay, ArcKind, BuildScratch, GraphBuilder, PhaseCase,
+    RootKind, RootSpans, SpannedBuild, StageInputKind, TimingGraph, PAR_MIN_ROOTS,
 };
 use crate::options::DelayModel;
 
@@ -120,24 +121,26 @@ impl Extraction {
 }
 
 /// One pin-to-pin timing arc of a macromodel: [`Arc`] with both
-/// endpoints replaced by pin ordinals into the owning root's pin table.
+/// endpoints replaced by pin ordinals into the owning root's pin table,
+/// and its row index relative to the master's first delay row.
 struct MacroArc {
     from_pin: u32,
     to_pin: u32,
-    rise_delay: f64,
-    fall_delay: f64,
-    rise_tau: f64,
-    fall_tau: f64,
+    delay: u32,
     inverting: bool,
     kind: ArcKind,
 }
 
 /// The analysis result for one class: a shareable pin-indexed arc
-/// table, or a marker that members must each build flat (an arc endpoint
-/// fell outside the recorded pin table — impossible by construction,
-/// kept as a verified fallback rather than an assumption).
+/// table with the master's delay rows, or a marker that members must
+/// each build flat (an arc endpoint fell outside the recorded pin table
+/// — impossible by construction, kept as a verified fallback rather
+/// than an assumption).
 enum MacroTable {
-    Arcs(Vec<MacroArc>),
+    Arcs {
+        arcs: Vec<MacroArc>,
+        rows: Vec<ArcDelay>,
+    },
     Opaque,
 }
 
@@ -315,6 +318,18 @@ fn root_key(stage_hashes: &[u64], flow: &FlowAnalysis, root: &(NodeId, RootKind)
     )
 }
 
+/// The class-lookup hash of a canonical trace. Every root pays it, and
+/// a collision costs only one exact trace comparison, so it is one
+/// FxHash multiply-rotate per word rather than `mix64`'s full avalanche
+/// (which made a mips32 graph build about a quarter slower).
+fn trace_hash(canon: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &w in canon {
+        h.write_u64(w);
+    }
+    h.finish()
+}
+
 /// Per-chunk output of the signature phase.
 struct Sigs {
     canon: Vec<u64>,
@@ -325,11 +340,14 @@ struct Sigs {
 
 /// The hierarchical replacement for the flat spanned build: groups the
 /// root set into equivalence classes, analyzes one master per class,
-/// instances the rest, and finishes a graph whose arc list is
+/// instances the rest, and finishes a graph whose arc and row lists are
 /// bit-identical to [`TimingGraph::build_par`]'s flat output at any
-/// thread count. Returns the per-root arc spans (for splicing) and the
-/// [`Extraction`] partition (for de-sharing); the extraction is `None`
-/// when a panic degraded the build to flat per-stage isolation.
+/// thread count. `stage_hashes` is
+/// [`tv_flow::stage::Stages::structural_hashes`] of the same netlist and
+/// flow (a pure function of both, so one analysis computes it once for
+/// all its cases). Returns the per-root arc and row spans (for splicing)
+/// and the [`Extraction`] partition (for de-sharing); the extraction is
+/// `None` when a panic degraded the build to flat per-stage isolation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_spanned(
     netlist: &Netlist,
@@ -339,6 +357,7 @@ pub(crate) fn build_spanned(
     model: DelayModel,
     source_resistance: f64,
     jobs: usize,
+    stage_hashes: &[u64],
 ) -> (SpannedBuild, Option<Extraction>) {
     let builder = GraphBuilder {
         netlist,
@@ -348,9 +367,10 @@ pub(crate) fn build_spanned(
         model,
     };
     let roots = builder.roots();
-    match hier_build(&builder, &roots, source_resistance, jobs) {
+    match hier_build(&builder, &roots, source_resistance, jobs, stage_hashes) {
         Some((arcs, spans, extraction)) => {
-            debug_assert_eq!(*spans.last().unwrap() as usize, arcs.len());
+            debug_assert_eq!(*spans.arcs.last().unwrap() as usize, arcs.arcs.len());
+            debug_assert_eq!(*spans.rows.last().unwrap() as usize, arcs.delays.len());
             (
                 SpannedBuild {
                     graph: finish_graph(netlist.node_count(), arcs, case, Vec::new()),
@@ -396,19 +416,24 @@ fn hier_build(
     roots: &[(NodeId, RootKind)],
     source_resistance: f64,
     jobs: usize,
-) -> Option<(Vec<Arc>, Vec<u32>, Extraction)> {
+    stage_hashes: &[u64],
+) -> Option<(ArcBuf, RootSpans, Extraction)> {
     let nl = builder.netlist;
     let node_count = nl.node_count();
     let n_roots = roots.len();
-    let stage_hashes = builder.flow.stages().structural_hashes(nl);
     let threads = jobs.max(1).min(n_roots.max(1));
     let serial = threads <= 1 || n_roots < PAR_MIN_ROOTS;
 
     // Phases A (signatures) and B (grouping): every root gets a key +
     // canonical trace + pin table, then joins its class in
-    // deterministic root order, with the canonical-trace comparison
-    // against the candidate class's master as the collision check —
-    // equal keys with different traces stay separate classes.
+    // deterministic root order. Classes are looked up by the grouping
+    // key mixed with a hash of the trace, so a bucket almost always
+    // holds at most one class; the exact trace comparison against each
+    // candidate's master stays as the collision check — equal lookup
+    // keys with different traces stay separate classes. The first match
+    // is the one a scan over every class of the grouping key would find
+    // (at most one class per key has a given trace), so class ids and
+    // the partition do not depend on the lookup key.
     let mut class_of = vec![0u32; n_roots];
     let mut masters: Vec<u32> = Vec::new();
     let mut class_len: Vec<u32> = Vec::new();
@@ -416,6 +441,8 @@ fn hier_build(
     let mut pins_all: Vec<NodeId> = Vec::new();
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
     pin_starts.push(0);
+    // The default (keyed) hasher stays: the lookup keys derive from
+    // netlist content, which arrives from outside the program.
     let mut by_key: HashMap<u64, Vec<u32>> = HashMap::new();
 
     if serial {
@@ -449,10 +476,12 @@ fn hier_build(
                     &mut canon_buf,
                     &mut pin_buf,
                 );
-                keys.push(root_key(&stage_hashes, builder.flow, root));
+                keys.push(root_key(stage_hashes, builder.flow, root));
                 pins_all.extend_from_slice(&pin_buf);
                 pin_starts.push(pins_all.len());
-                let cands = by_key.entry(keys[r]).or_default();
+                let cands = by_key
+                    .entry(mix64(keys[r], trace_hash(&canon_buf)))
+                    .or_default();
                 let hit = cands.iter().copied().find(|&cid| {
                     let c = cid as usize;
                     master_canon[master_canon_starts[c]..master_canon_starts[c + 1]]
@@ -505,7 +534,7 @@ fn hier_build(
                         &mut sigs.canon,
                         &mut pin_buf,
                     );
-                    let key = root_key(&stage_hashes, builder.flow, r);
+                    let key = root_key(stage_hashes, builder.flow, r);
                     sigs.meta
                         .push((key, (sigs.canon.len() - c0) as u32, pin_buf.len() as u32));
                     sigs.pins.extend_from_slice(&pin_buf);
@@ -551,7 +580,7 @@ fn hier_build(
         }
         for r in 0..n_roots {
             let c = &canon_all[canon_starts[r]..canon_starts[r + 1]];
-            let cands = by_key.entry(keys[r]).or_default();
+            let cands = by_key.entry(mix64(keys[r], trace_hash(c))).or_default();
             let hit = cands.iter().copied().find(|&cid| {
                 let m = masters[cid as usize] as usize;
                 canon_all[canon_starts[m]..canon_starts[m + 1]] == *c
@@ -579,21 +608,23 @@ fn hier_build(
         catch_unwind(AssertUnwindSafe(|| {
             let mut scratch = BuildScratch::new(node_count);
             let mut ms = MacroScratch::new(node_count);
-            let mut arcs: Vec<Arc> = Vec::new();
+            // Cleared per master, so its row indices come out relative to
+            // the master's first row.
+            let mut buf = ArcBuf::default();
             let mut tables = Vec::with_capacity(master_chunk.len());
             for &m in master_chunk {
                 let m = m as usize;
-                arcs.clear();
-                builder.build_root(&roots[m], source_resistance, &mut arcs, &mut scratch);
+                buf.clear();
+                builder.build_root(&roots[m], source_resistance, &mut buf, &mut scratch);
                 let pins = &pins_all[pin_starts[m]..pin_starts[m + 1]];
                 ms.begin();
                 for (i, &p) in pins.iter().enumerate() {
                     ms.mark[p.index()] = ms.epoch;
                     ms.ord[p.index()] = i as u32;
                 }
-                let mut table = Vec::with_capacity(arcs.len());
+                let mut table = Vec::with_capacity(buf.arcs.len());
                 let mut complete = true;
-                for a in &arcs {
+                for a in &buf.arcs {
                     let (Some(from_pin), Some(to_pin)) = (ms.lookup(a.from), ms.lookup(a.to))
                     else {
                         complete = false;
@@ -602,16 +633,16 @@ fn hier_build(
                     table.push(MacroArc {
                         from_pin,
                         to_pin,
-                        rise_delay: a.rise_delay,
-                        fall_delay: a.fall_delay,
-                        rise_tau: a.rise_tau,
-                        fall_tau: a.fall_tau,
+                        delay: a.delay,
                         inverting: a.inverting,
                         kind: a.kind,
                     });
                 }
                 tables.push(if complete {
-                    MacroTable::Arcs(table)
+                    MacroTable::Arcs {
+                        arcs: table,
+                        rows: buf.delays.clone(),
+                    }
                 } else {
                     MacroTable::Opaque
                 });
@@ -644,55 +675,58 @@ fn hier_build(
         tables.extend(part.ok()?);
     }
 
-    // Phase D: emit every root in order — shared classes by pin remap,
-    // opaque classes by direct flat build.
-    let emit_chunk =
-        |start: usize, root_chunk: &[(NodeId, RootKind)]| -> Result<(Vec<Arc>, Vec<u32>), ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                // Reserve the exact instanced-arc total upfront (opaque
-                // roots still grow, but they are the rare case): at a
-                // million devices the chunk emits tens of millions of
-                // arcs, and growth doubling would copy them repeatedly.
-                let est: usize = (0..root_chunk.len())
-                    .map(|j| match &tables[class_of[start + j] as usize] {
-                        MacroTable::Arcs(t) => t.len(),
-                        MacroTable::Opaque => 0,
-                    })
-                    .sum();
-                let mut arcs: Vec<Arc> = Vec::with_capacity(est);
-                let mut counts: Vec<u32> = Vec::with_capacity(root_chunk.len());
-                let mut scratch = BuildScratch::new(node_count);
-                for (j, r) in root_chunk.iter().enumerate() {
-                    let ri = start + j;
-                    let before = arcs.len();
-                    match &tables[class_of[ri] as usize] {
-                        MacroTable::Arcs(table) => {
-                            let pins = &pins_all[pin_starts[ri]..pin_starts[ri + 1]];
-                            for ma in table {
-                                arcs.push(Arc {
-                                    from: pins[ma.from_pin as usize],
-                                    to: pins[ma.to_pin as usize],
-                                    rise_delay: ma.rise_delay,
-                                    fall_delay: ma.fall_delay,
-                                    rise_tau: ma.rise_tau,
-                                    fall_tau: ma.fall_tau,
-                                    inverting: ma.inverting,
-                                    kind: ma.kind,
-                                });
-                            }
-                        }
-                        MacroTable::Opaque => {
-                            builder.build_root(r, source_resistance, &mut arcs, &mut scratch);
-                        }
+    // Phase D: emit every root in order — shared classes by pin remap
+    // and a rebased copy of the master's rows, opaque classes by direct
+    // flat build.
+    type EmitPart = (ArcBuf, Vec<(u32, u32)>);
+    let emit_chunk = |start: usize, root_chunk: &[(NodeId, RootKind)]| -> Result<EmitPart, ()> {
+        catch_unwind(AssertUnwindSafe(|| {
+            // Reserve the exact instanced totals upfront (opaque roots
+            // still grow, but they are the rare case): at a million
+            // devices the chunk emits tens of millions of arcs, and
+            // growth doubling would copy them repeatedly.
+            let (est_arcs, est_rows) = (0..root_chunk.len())
+                .map(|j| match &tables[class_of[start + j] as usize] {
+                    MacroTable::Arcs { arcs, rows } => (arcs.len(), rows.len()),
+                    MacroTable::Opaque => (0, 0),
+                })
+                .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+            let mut buf = ArcBuf {
+                arcs: Vec::with_capacity(est_arcs),
+                delays: Vec::with_capacity(est_rows),
+            };
+            let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
+            let mut scratch = BuildScratch::new(node_count);
+            for (j, r) in root_chunk.iter().enumerate() {
+                let ri = start + j;
+                let (arcs_before, rows_before) = (buf.arcs.len(), buf.delays.len());
+                match &tables[class_of[ri] as usize] {
+                    MacroTable::Arcs { arcs, rows } => {
+                        let pins = &pins_all[pin_starts[ri]..pin_starts[ri + 1]];
+                        let base = rows_before as u32;
+                        buf.delays.extend_from_slice(rows);
+                        buf.arcs.extend(arcs.iter().map(|ma| Arc {
+                            from: pins[ma.from_pin as usize],
+                            to: pins[ma.to_pin as usize],
+                            delay: base + ma.delay,
+                            inverting: ma.inverting,
+                            kind: ma.kind,
+                        }));
                     }
-                    counts.push((arcs.len() - before) as u32);
+                    MacroTable::Opaque => {
+                        builder.build_root(r, source_resistance, &mut buf, &mut scratch);
+                    }
                 }
-                (arcs, counts)
-            }))
-            .map_err(|_| ())
-        };
-    type EmitResult = Result<(Vec<Arc>, Vec<u32>), ()>;
-    let emit_parts: Vec<EmitResult> = if serial {
+                counts.push((
+                    (buf.arcs.len() - arcs_before) as u32,
+                    (buf.delays.len() - rows_before) as u32,
+                ));
+            }
+            (buf, counts)
+        }))
+        .map_err(|_| ())
+    };
+    let emit_parts: Vec<Result<EmitPart, ()>> = if serial {
         vec![emit_chunk(0, roots)]
     } else {
         let chunk = n_roots.div_ceil(threads);
@@ -712,25 +746,30 @@ fn hier_build(
         })
     };
 
-    let mut parts_ok: Vec<(Vec<Arc>, Vec<u32>)> = Vec::with_capacity(emit_parts.len());
+    let mut parts_ok: Vec<EmitPart> = Vec::with_capacity(emit_parts.len());
     for part in emit_parts {
         parts_ok.push(part.ok()?);
     }
-    let arc_total: usize = parts_ok.iter().map(|(a, _)| a.len()).sum();
-    let mut arcs: Vec<Arc> = Vec::new();
-    let mut spans: Vec<u32> = Vec::with_capacity(n_roots + 1);
-    spans.push(0);
-    // The serial build produces one part: take its vector whole rather
-    // than copying ~GBs of arcs through an extend.
-    for (i, (part_arcs, counts)) in parts_ok.into_iter().enumerate() {
-        for c in counts {
-            spans.push(spans.last().unwrap() + c);
+    let arc_total: usize = parts_ok.iter().map(|(b, _)| b.arcs.len()).sum();
+    let row_total: usize = parts_ok.iter().map(|(b, _)| b.delays.len()).sum();
+    let mut buf = ArcBuf::default();
+    let mut spans = RootSpans {
+        arcs: Vec::with_capacity(n_roots + 1),
+        rows: Vec::with_capacity(n_roots + 1),
+    };
+    spans.arcs.push(0);
+    spans.rows.push(0);
+    // The serial build produces one part: `append` takes its vectors
+    // whole rather than copying ~GBs of arcs.
+    for (i, (part, counts)) in parts_ok.into_iter().enumerate() {
+        for (a, r) in counts {
+            spans.arcs.push(spans.arcs.last().unwrap() + a);
+            spans.rows.push(spans.rows.last().unwrap() + r);
         }
+        buf.append(part);
         if i == 0 {
-            arcs = part_arcs;
-            arcs.reserve_exact(arc_total - arcs.len());
-        } else {
-            arcs.extend(part_arcs);
+            buf.arcs.reserve_exact(arc_total - buf.arcs.len());
+            buf.delays.reserve_exact(row_total - buf.delays.len());
         }
     }
 
@@ -740,7 +779,7 @@ fn hier_build(
     let mut instanced: u64 = 0;
     for (cid, &len) in class_len.iter().enumerate() {
         match &tables[cid] {
-            MacroTable::Arcs(_) => {
+            MacroTable::Arcs { .. } => {
                 analyzed += 1;
                 instanced += (len - 1) as u64;
             }
@@ -758,7 +797,7 @@ fn hier_build(
     }
 
     Some((
-        arcs,
+        buf,
         spans,
         Extraction {
             class_of,
@@ -779,6 +818,22 @@ mod tests {
     use tv_flow::{analyze, RuleSet};
     use tv_netlist::Tech;
 
+    fn spanned(nl: &Netlist, case: PhaseCase, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
+        let flow = analyze(nl, &RuleSet::all());
+        let qual = qualify_with_flow(nl, &flow);
+        let hashes = flow.stages().structural_hashes(nl);
+        build_spanned(
+            nl,
+            &flow,
+            &qual,
+            case,
+            DelayModel::Elmore,
+            1.0,
+            jobs,
+            &hashes,
+        )
+    }
+
     fn assert_hier_matches_flat(nl: &Netlist, case: PhaseCase) -> Extraction {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
@@ -786,26 +841,73 @@ mod tests {
             TimingGraph::build_isolated(nl, &flow, &qual, case, DelayModel::Elmore, 1.0, 1, None);
         let mut last = None;
         for jobs in [1usize, 2, 8] {
-            let (sb, ex) = build_spanned(nl, &flow, &qual, case, DelayModel::Elmore, 1.0, jobs);
+            let (sb, ex) = spanned(nl, case, jobs);
             let ex = ex.expect("clean build must extract");
-            assert_eq!(sb.graph.arc_count(), flat.arc_count(), "jobs {jobs}");
-            for (h, f) in sb.graph.arcs.iter().zip(flat.arcs.iter()) {
+            let g = &sb.graph;
+            assert_eq!(g.arc_count(), flat.arc_count(), "jobs {jobs}");
+            assert_eq!(g.delays.len(), flat.delays.len(), "jobs {jobs}");
+            for (h, f) in g.arcs.iter().zip(flat.arcs.iter()) {
                 assert_eq!(h.from, f.from);
                 assert_eq!(h.to, f.to);
                 assert_eq!(h.kind, f.kind);
                 assert_eq!(h.inverting, f.inverting);
-                assert_eq!(h.rise_delay.to_bits(), f.rise_delay.to_bits());
-                assert_eq!(h.fall_delay.to_bits(), f.fall_delay.to_bits());
-                assert_eq!(h.rise_tau.to_bits(), f.rise_tau.to_bits());
-                assert_eq!(h.fall_tau.to_bits(), f.fall_tau.to_bits());
+                assert_eq!(h.delay, f.delay);
+                assert_eq!(g.delay_of(h).words(), flat.delay_of(f).words());
             }
-            assert_eq!(
-                *sb.spans.as_ref().unwrap().last().unwrap() as usize,
-                sb.graph.arc_count()
-            );
+            assert_rows_owned(&sb);
             last = Some(ex);
         }
         last.unwrap()
+    }
+
+    /// Every arc in root `k`'s arc span indexes a row inside root `k`'s
+    /// row span, and the spans tile both lists exactly.
+    fn assert_rows_owned(sb: &SpannedBuild) {
+        let spans = sb.spans.as_ref().expect("clean build records spans");
+        let g = &sb.graph;
+        assert_eq!(spans.arcs.len(), sb.roots.len() + 1);
+        assert_eq!(spans.rows.len(), sb.roots.len() + 1);
+        assert_eq!(*spans.arcs.last().unwrap() as usize, g.arc_count());
+        assert_eq!(*spans.rows.last().unwrap() as usize, g.delays.len());
+        for k in 0..sb.roots.len() {
+            let rows = spans.rows[k]..spans.rows[k + 1];
+            for a in &g.arcs[spans.arcs[k] as usize..spans.arcs[k + 1] as usize] {
+                assert!(
+                    rows.contains(&a.delay),
+                    "root {k}: arc row {} outside its span {rows:?}",
+                    a.delay
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_arc_indexes_a_row_its_root_owns() {
+        let t = Tech::nmos4um();
+        let workloads = [
+            tv_gen::adder::ripple_carry_adder(t.clone(), 16).netlist,
+            tv_gen::shifter::barrel_shifter(t.clone(), 8, 4).netlist,
+            tv_gen::regfile::register_file(t.clone(), 4, 8).netlist,
+            tv_gen::random::random_logic(
+                t.clone(),
+                800,
+                0xA11CE,
+                tv_gen::random::RandomMix::default(),
+            )
+            .netlist,
+            tv_gen::mips_mc::t6_mips_mc(t, 1).netlist,
+        ];
+        for nl in &workloads {
+            for case in [
+                PhaseCase::all_active(),
+                PhaseCase::phase(0),
+                PhaseCase::phase(1),
+            ] {
+                for jobs in [1usize, 2, 8] {
+                    assert_rows_owned(&spanned(nl, case, jobs).0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -848,17 +950,7 @@ mod tests {
     #[test]
     fn desplit_mints_singleton_classes_once() {
         let mc = tv_gen::mips_mc::t6_mips_mc(Tech::nmos4um(), 2);
-        let flow = analyze(&mc.netlist, &RuleSet::all());
-        let qual = qualify_with_flow(&mc.netlist, &flow);
-        let (_, ex) = build_spanned(
-            &mc.netlist,
-            &flow,
-            &qual,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-            2,
-        );
+        let (_, ex) = spanned(&mc.netlist, PhaseCase::all_active(), 2);
         let mut ex = ex.unwrap();
         let fp0 = ex.fingerprint();
         // Find a root in a shared class.

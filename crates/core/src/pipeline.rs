@@ -57,7 +57,9 @@ use crate::analyzer::{
 use crate::checks::{check_electrical, CheckIssue};
 use crate::error::TvError;
 use crate::fingerprint::{flow_fingerprint, hash_words, mix64};
-use crate::graph::{splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, TimingGraph};
+use crate::graph::{
+    splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpliceIndex, TimingGraph,
+};
 use crate::macromodel::{build_spanned, Extraction};
 use crate::options::AnalysisOptions;
 use crate::paths::critical_paths;
@@ -204,17 +206,6 @@ struct Slot<T> {
     value: T,
 }
 
-/// Per-root splice support recorded at graph build time.
-struct SpliceIndex {
-    /// Prefix offsets: root `k` owns arcs `spans[k]..spans[k + 1]`.
-    spans: Vec<u32>,
-    /// CSR offsets into `extent_roots` by node index.
-    extent_starts: Vec<u32>,
-    /// Root ordinals whose arc delays read the node's caps or adjacent
-    /// geometry, grouped by node.
-    extent_roots: Vec<u32>,
-}
-
 /// A cached timing graph for one case.
 struct GraphSlot {
     input_fp: u64,
@@ -271,7 +262,8 @@ pub struct PassManager {
     /// Whether this manager keeps state for warm re-analysis: graph
     /// builds record spans/extents for splicing and arrival passes keep
     /// snapshots for the cone engine. Costs a little time and memory;
-    /// the throwaway one-shot path skips both.
+    /// the throwaway one-shot path skips both, and frees each case's
+    /// graph as soon as the case is done.
     warm: bool,
     flow: Option<Slot<FlowAnalysis>>,
     qual: Option<Slot<Vec<Qualification>>>,
@@ -301,8 +293,9 @@ impl PassManager {
         }
     }
 
-    /// A throwaway manager for the one-shot `Analyzer` path: no span
-    /// recording, byte-for-byte the pre-pipeline build behavior.
+    /// A throwaway manager for the one-shot `Analyzer` path: no splice
+    /// index or arrival snapshots, and each case graph is dropped once
+    /// the case's arrivals, paths and races are done.
     pub(crate) fn one_shot() -> Self {
         PassManager::default()
     }
@@ -504,6 +497,13 @@ impl PassManager {
         let census = flow.census();
         let mut diagnostics = flow.diagnostics(nl);
 
+        // The macromodel grouping keys depend only on the netlist and the
+        // flow result, so every case's full build shares one computation
+        // (made on first need: a run that splices or reuses every case
+        // never pays for it). Not cached across runs: a resize changes
+        // device geometry without rerunning flow.
+        let mut stage_hashes: Option<Vec<u64>> = None;
+
         // --- combinational case ---
         let comb_delta = graph_pass(
             &mut self.graphs[0],
@@ -519,6 +519,7 @@ impl PassManager {
             flow_fp,
             qual_fp,
             jobs,
+            &mut stage_hashes,
         );
         let comb_slot = self.graphs[0]
             .as_ref()
@@ -560,6 +561,12 @@ impl PassManager {
             let _s = tv_obs::span("pass.paths");
             critical_paths(&comb_slot.graph, &combinational, options.top_k)
         };
+        // A one-shot run never reads a case's graph again once its
+        // arrivals, paths and races are done: free it before the next
+        // case builds, so at most one case graph is alive at a time.
+        if !self.warm {
+            self.graphs[0] = None;
+        }
 
         // --- per-phase cases ---
         let mut phases = Vec::new();
@@ -579,6 +586,7 @@ impl PassManager {
                     flow_fp,
                     qual_fp,
                     jobs,
+                    &mut stage_hashes,
                 );
                 let slot = self.graphs[1 + p as usize]
                     .as_ref()
@@ -623,6 +631,9 @@ impl PassManager {
                     slack,
                     races,
                 });
+                if !self.warm {
+                    self.graphs[1 + p as usize] = None;
+                }
             }
         }
 
@@ -710,8 +721,8 @@ impl PassManager {
 }
 
 /// One-shot entry for the `Analyzer` facade: a throwaway manager with a
-/// unique stamp, so every pass computes exactly as the pre-pipeline
-/// code did (including `build_par` graphs without span recording).
+/// unique stamp, so every pass computes from scratch and no more than
+/// one case graph is alive at a time.
 pub(crate) fn oneshot(
     nl: &Netlist,
     options: &AnalysisOptions,
@@ -747,6 +758,7 @@ fn graph_pass(
     flow_fp: u64,
     qual_fp: u64,
     jobs: usize,
+    stage_hashes: &mut Option<Vec<u64>>,
 ) -> CaseDelta {
     let _span = tv_obs::span("pass.graph");
     let pass = PassId::Graph(case.active);
@@ -863,7 +875,7 @@ fn graph_pass(
             &builder,
             SOURCE_RESISTANCE,
             roots,
-            &idx.spans,
+            idx,
             &affected,
             &mut scratch,
         ) {
@@ -896,9 +908,18 @@ fn graph_pass(
         // which replaces the slot wholesale.
     }
 
+    let hashes = stage_hashes.get_or_insert_with(|| flow.stages().structural_hashes(nl));
+    let (sb, extraction) = build_spanned(
+        nl,
+        flow,
+        qual,
+        case,
+        options.model,
+        SOURCE_RESISTANCE,
+        jobs,
+        hashes,
+    );
     let slot = if warm {
-        let (sb, extraction) =
-            build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
         let splice = sb.spans.map(|spans| {
             let builder = GraphBuilder {
                 netlist: nl,
@@ -925,13 +946,11 @@ fn graph_pass(
             extraction,
         }
     } else {
-        let graph =
-            TimingGraph::build_par(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
         GraphSlot {
             input_fp,
             shape_fp,
             built_revision: Revision(0),
-            graph,
+            graph: sb.graph,
             roots: Vec::new(),
             splice: None,
             extraction: None,
@@ -1126,6 +1145,36 @@ mod tests {
             .iter()
             .find(|e| e.pass == pass)
             .map(|e| e.outcome)
+    }
+
+    #[test]
+    fn one_shot_run_frees_every_case_graph() {
+        let dp = datapath::datapath(Tech::nmos4um(), datapath::DatapathConfig::small());
+        let nl = &dp.netlist;
+        let opts = AnalysisOptions::default();
+        let mut pm = PassManager::one_shot();
+        let r = pm
+            .analyze_inner(nl, DesignStamp::unique(), None, &opts, true)
+            .expect("within limits");
+        assert_eq!(r.phases.len(), 2, "clocked design runs both phase cases");
+        assert!(r.phases.iter().all(|p| p.arcs > 0));
+        assert!(
+            pm.graphs.iter().all(Option::is_none),
+            "a one-shot manager keeps no graph once the report is built"
+        );
+        // The arc limit is still enforced before the graph is freed.
+        let limited = AnalysisOptions {
+            max_arcs: Some(1),
+            ..AnalysisOptions::default()
+        };
+        match crate::Analyzer::new(nl).try_run(&limited) {
+            Err(TvError::TooLarge { what, .. }) => assert_eq!(what, "arcs"),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        // A session manager keeps all three for warm re-analysis.
+        let mut warm = PassManager::new();
+        warm.analyze(&Design::new(nl.clone()), &opts);
+        assert!(warm.graphs.iter().all(Option::is_some));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::Instant;
 use tv_netlist::{codes, Diagnostic, Netlist, NodeId};
 use tv_rc::SlopeModel;
 
-use crate::graph::{Arc, ArcKind, PhaseCase, TimingGraph};
+use crate::graph::{Arc, ArcDelay, ArcKind, PhaseCase, TimingGraph};
 
 /// A signal transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,27 +254,27 @@ struct Ctx<'a> {
 }
 
 /// Candidate `(rise arrival, rise trigger, fall arrival, fall trigger)`
-/// the arc offers its target, padded with the slope penalty of the
-/// triggering waveform.
+/// the arc offers its target through its delay row `d`, padded with the
+/// slope penalty of the triggering waveform.
 #[inline]
-fn candidates(arc: &Arc, from: &Slot, slope: &SlopeModel) -> (f64, Edge, f64, Edge) {
+fn candidates(arc: &Arc, d: &ArcDelay, from: &Slot, slope: &SlopeModel) -> (f64, Edge, f64, Edge) {
     match arc.kind {
         ArcKind::PassControl | ArcKind::Precharge => (
-            from.rise + arc.rise_delay + slope.k_slope * from.trans_rise,
+            from.rise + d.rise_delay + slope.k_slope * from.trans_rise,
             Edge::Rise,
-            from.rise + arc.fall_delay + slope.k_slope * from.trans_rise,
+            from.rise + d.fall_delay + slope.k_slope * from.trans_rise,
             Edge::Rise,
         ),
         _ if arc.inverting => (
-            from.fall + arc.rise_delay + slope.k_slope * from.trans_fall,
+            from.fall + d.rise_delay + slope.k_slope * from.trans_fall,
             Edge::Fall,
-            from.rise + arc.fall_delay + slope.k_slope * from.trans_rise,
+            from.rise + d.fall_delay + slope.k_slope * from.trans_rise,
             Edge::Rise,
         ),
         _ => (
-            from.rise + arc.rise_delay + slope.k_slope * from.trans_rise,
+            from.rise + d.rise_delay + slope.k_slope * from.trans_rise,
             Edge::Rise,
-            from.fall + arc.fall_delay + slope.k_slope * from.trans_fall,
+            from.fall + d.fall_delay + slope.k_slope * from.trans_fall,
             Edge::Fall,
         ),
     }
@@ -301,11 +301,12 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
     let mut relaxed = 0u32;
     for &ai in ctx.graph.in_arcs_of_index(ni) {
         let arc = &ctx.graph.arcs[ai as usize];
+        let d = ctx.graph.delay_of(arc);
         let from = &done[ctx.slot_of[arc.from.index()] as usize];
-        let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, from, ctx.slope);
+        let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, d, from, ctx.slope);
         if cand_rise.is_finite() && cand_rise > s.rise {
             s.rise = cand_rise;
-            s.trans_rise = ctx.slope.output_transition(arc.rise_tau);
+            s.trans_rise = ctx.slope.output_transition(d.rise_tau);
             s.pred_rise = Some(Pred {
                 arc: ai,
                 from_edge: rise_src,
@@ -313,7 +314,7 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
         }
         if cand_fall.is_finite() && cand_fall > s.fall {
             s.fall = cand_fall;
-            s.trans_fall = ctx.slope.output_transition(arc.fall_tau);
+            s.trans_fall = ctx.slope.output_transition(d.fall_tau);
             s.pred_fall = Some(Pred {
                 arc: ai,
                 from_edge: fall_src,
@@ -328,9 +329,9 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
 /// [`candidates`]: `(from_edge, to_edge)` index pairs (0 = rise,
 /// 1 = fall) such that a finite arrival on `from_edge` of `arc.from`
 /// yields a finite candidate on `to_edge` of `arc.to`. An infinite
-/// delay carries nothing on its edge.
+/// delay in the arc's row `d` carries nothing on its edge.
 #[inline]
-fn arc_transitions(arc: &Arc) -> [Option<(usize, usize)>; 2] {
+fn arc_transitions(arc: &Arc, d: &ArcDelay) -> [Option<(usize, usize)>; 2] {
     const RISE: usize = 0;
     const FALL: usize = 1;
     let (rise_from, fall_from) = match arc.kind {
@@ -339,8 +340,8 @@ fn arc_transitions(arc: &Arc) -> [Option<(usize, usize)>; 2] {
         _ => (RISE, FALL),
     };
     [
-        arc.rise_delay.is_finite().then_some((rise_from, RISE)),
-        arc.fall_delay.is_finite().then_some((fall_from, FALL)),
+        d.rise_delay.is_finite().then_some((rise_from, RISE)),
+        d.fall_delay.is_finite().then_some((fall_from, FALL)),
     ]
 }
 
@@ -386,7 +387,7 @@ fn residue_diverges(
     for a in &graph.arcs {
         if in_residue[a.to.index()] && !in_residue[a.from.index()] {
             let s = &slots[slot_of[a.from.index()] as usize];
-            for (fe, te) in arc_transitions(a).into_iter().flatten() {
+            for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 let v = if fe == 0 { s.rise } else { s.fall };
                 let st = 2 * a.to.index() + te;
                 if v.is_finite() && !finite[st] {
@@ -402,7 +403,7 @@ fn residue_diverges(
         let (node, bit) = (st as usize / 2, st as usize % 2);
         for &ai in graph.out_arcs_of_index(node) {
             let a = &graph.arcs[ai as usize];
-            for (fe, te) in arc_transitions(a).into_iter().flatten() {
+            for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 let to_st = 2 * a.to.index() + te;
                 if fe == bit && !finite[to_st] {
                     finite[to_st] = true;
@@ -419,7 +420,7 @@ fn residue_diverges(
         total += finite[2 * ri] as usize + finite[2 * ri + 1] as usize;
         for &ai in graph.out_arcs_of_index(ri) {
             let a = &graph.arcs[ai as usize];
-            for (fe, te) in arc_transitions(a).into_iter().flatten() {
+            for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 if finite[2 * ri + fe] && finite[2 * a.to.index() + te] {
                     indeg[2 * a.to.index() + te] += 1;
                 }
@@ -441,7 +442,7 @@ fn residue_diverges(
         let (node, bit) = (st as usize / 2, st as usize % 2);
         for &ai in graph.out_arcs_of_index(node) {
             let a = &graph.arcs[ai as usize];
-            for (fe, te) in arc_transitions(a).into_iter().flatten() {
+            for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 let to_st = 2 * a.to.index() + te;
                 if fe == bit && finite[to_st] {
                     indeg[to_st] -= 1;
@@ -591,6 +592,7 @@ pub(crate) fn propagate_cone(
         let mut s = Slot::init(is_source[ni]);
         for &ai in graph.in_arcs_of_index(ni) {
             let arc = &graph.arcs[ai as usize];
+            let d = graph.delay_of(arc);
             let fi = arc.from.index();
             let from = Slot {
                 rise: arr.rise[fi],
@@ -600,10 +602,10 @@ pub(crate) fn propagate_cone(
                 pred_rise: None,
                 pred_fall: None,
             };
-            let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, &from, slope);
+            let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, d, &from, slope);
             if cand_rise.is_finite() && cand_rise > s.rise {
                 s.rise = cand_rise;
-                s.trans_rise = slope.output_transition(arc.rise_tau);
+                s.trans_rise = slope.output_transition(d.rise_tau);
                 s.pred_rise = Some(Pred {
                     arc: ai,
                     from_edge: rise_src,
@@ -611,7 +613,7 @@ pub(crate) fn propagate_cone(
             }
             if cand_fall.is_finite() && cand_fall > s.fall {
                 s.fall = cand_fall;
-                s.trans_fall = slope.output_transition(arc.fall_tau);
+                s.trans_fall = slope.output_transition(d.fall_tau);
                 s.pred_fall = Some(Pred {
                     arc: ai,
                     from_edge: fall_src,
@@ -888,13 +890,15 @@ pub(crate) fn propagate_full(
                 let from = slots[slot_of[ni] as usize];
                 for &ai in graph.out_arcs_of_index(ni) {
                     let arc = &graph.arcs[ai as usize];
+                    let d = graph.delay_of(arc);
                     let to = arc.to.index();
-                    let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, &from, slope);
+                    let (cand_rise, rise_src, cand_fall, fall_src) =
+                        candidates(arc, d, &from, slope);
                     let target = &mut slots[slot_of[to] as usize];
                     let mut improved = false;
                     if cand_rise.is_finite() && cand_rise > target.rise {
                         target.rise = cand_rise;
-                        target.trans_rise = slope.output_transition(arc.rise_tau);
+                        target.trans_rise = slope.output_transition(d.rise_tau);
                         target.pred_rise = Some(Pred {
                             arc: ai,
                             from_edge: rise_src,
@@ -903,7 +907,7 @@ pub(crate) fn propagate_full(
                     }
                     if cand_fall.is_finite() && cand_fall > target.fall {
                         target.fall = cand_fall;
-                        target.trans_fall = slope.output_transition(arc.fall_tau);
+                        target.trans_fall = slope.output_transition(d.fall_tau);
                         target.pred_fall = Some(Pred {
                             arc: ai,
                             from_edge: fall_src,

@@ -361,10 +361,7 @@ fn changed_targets(before: &TimingGraph, after: &TimingGraph) -> u64 {
     let words = |g: &TimingGraph, i: usize| -> Vec<[u64; 4]> {
         g.in_arcs_of_index(i)
             .iter()
-            .map(|&ai| {
-                let a = &g.arcs[ai as usize];
-                [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits)
-            })
+            .map(|&ai| g.delay_of(&g.arcs[ai as usize]).words())
             .collect()
     };
     (0..after.node_count())
