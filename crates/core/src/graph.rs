@@ -318,7 +318,6 @@ impl TimingGraph {
     /// stages are analyzed once and instanced by pin remap, with the
     /// flat per-root build as the verified fallback. The arc and row
     /// lists are bit-identical either way (DESIGN.md §16).
-    #[allow(clippy::too_many_arguments)]
     pub fn build_par(
         netlist: &Netlist,
         flow: &FlowAnalysis,
@@ -328,40 +327,6 @@ impl TimingGraph {
         source_resistance: f64,
         jobs: usize,
     ) -> Self {
-        crate::macromodel::build_spanned(
-            netlist,
-            flow,
-            qualification,
-            case,
-            model,
-            source_resistance,
-            jobs,
-            &flow.stages().structural_hashes(netlist),
-        )
-        .0
-        .graph
-    }
-
-    /// [`TimingGraph::build_par`] with a fault-injection hook called on
-    /// each root before its stage is built (tests exercise worker
-    /// isolation with a panicking hook; production callers pass `None`).
-    ///
-    /// A panic while building one stage is contained: that chunk is
-    /// rebuilt root-by-root, the panicking stage contributes no arcs, and
-    /// the omission lands in [`TimingGraph::diagnostics`]. Because a
-    /// panic on given inputs is deterministic, the surviving arc list is
-    /// still identical at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_isolated(
-        netlist: &Netlist,
-        flow: &FlowAnalysis,
-        qualification: &[Qualification],
-        case: PhaseCase,
-        model: DelayModel,
-        source_resistance: f64,
-        jobs: usize,
-        fault: Option<&(dyn Fn(NodeId) + Sync)>,
-    ) -> Self {
         let builder = GraphBuilder {
             netlist,
             flow,
@@ -369,96 +334,14 @@ impl TimingGraph {
             case,
             model,
         };
-        let roots = builder.roots();
-        let threads = jobs.max(1).min(roots.len().max(1));
-        let mut diagnostics: Vec<Diagnostic> = Vec::new();
-
-        // Fast path for one chunk of roots: any panic voids the whole
-        // chunk (Err), which the caller then recovers root-by-root.
-        let build_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<ArcBuf, ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut arcs = ArcBuf::default();
-                let mut scratch = BuildScratch::new(netlist.node_count());
-                for r in root_chunk {
-                    if let Some(hook) = fault {
-                        hook(r.0);
-                    }
-                    graph_build_fault_point();
-                    builder.build_root(r, source_resistance, &mut arcs, &mut scratch);
-                }
-                arcs
-            }))
-            .map_err(|_| ())
-        };
-        // Degraded path: per-root isolation. Each root builds into its
-        // own vector so a mid-stage panic discards only that stage. The
-        // scratch is fresh per root too — a panic can leave stale flags
-        // behind, and this path is rare enough not to optimize.
-        let recover_chunk = |root_chunk: &[(NodeId, RootKind)],
-                             diagnostics: &mut Vec<Diagnostic>|
-         -> ArcBuf {
-            let mut arcs = ArcBuf::default();
-            for r in root_chunk {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let mut part = ArcBuf::default();
-                    let mut scratch = BuildScratch::new(netlist.node_count());
-                    if let Some(hook) = fault {
-                        hook(r.0);
-                    }
-                    builder.build_root(r, source_resistance, &mut part, &mut scratch);
-                    part
-                }));
-                match attempt {
-                        Ok(part) => arcs.append(part),
-                        Err(_) => diagnostics.push(Diagnostic::error(
-                            codes::ANALYSIS_WORKER_PANIC,
-                            format!(
-                                "graph construction panicked for the stage rooted at node {:?}; stage omitted from analysis",
-                                netlist.node_name(r.0)
-                            ),
-                        )),
-                    }
-            }
-            arcs
-        };
-
-        let arcs: ArcBuf = if threads <= 1 || roots.len() < PAR_MIN_ROOTS {
-            match build_chunk(&roots) {
-                Ok(arcs) => arcs,
-                Err(()) => {
-                    diagnostics.push(degraded_build_note());
-                    recover_chunk(&roots, &mut diagnostics)
-                }
-            }
-        } else {
-            let chunk = roots.len().div_ceil(threads);
-            let parts: Vec<Result<ArcBuf, ()>> = std::thread::scope(|s| {
-                let handles: Vec<_> = roots
-                    .chunks(chunk)
-                    .map(|root_chunk| {
-                        let f = &build_chunk;
-                        s.spawn(move || f(root_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                    .collect()
-            });
-            if parts.iter().any(Result::is_err) {
-                diagnostics.push(degraded_build_note());
-            }
-            let mut arcs = ArcBuf::default();
-            for (root_chunk, part) in roots.chunks(chunk).zip(parts) {
-                match part {
-                    Ok(p) => arcs.append(p),
-                    Err(()) => arcs.append(recover_chunk(root_chunk, &mut diagnostics)),
-                }
-            }
-            arcs
-        };
-
-        finish_graph(netlist.node_count(), arcs, case, diagnostics)
+        crate::macromodel::build_spanned(
+            &builder,
+            source_resistance,
+            jobs,
+            &flow.stages().structural_hashes(netlist),
+        )
+        .0
+        .graph
     }
 
     /// Number of arcs.
@@ -545,9 +428,9 @@ impl TimingGraph {
 /// adjacency directions in two counting passes each (degree counts,
 /// prefix sums into offsets, then a cursor pass — iterating arcs in id
 /// order keeps each node's list ascending by arc id, the same order the
-/// old nested-Vec push loop produced), then the level schedule. Every
-/// build path — serial, parallel, isolated, spanned — funnels through
-/// here so the CSR layout is defined in exactly one place.
+/// old nested-Vec push loop produced), then the level schedule. The one
+/// graph builder (`macromodel::build_spanned`) calls it exactly once per
+/// build, so the CSR layout is defined in exactly one place.
 pub(crate) fn finish_graph(
     node_count: usize,
     buf: ArcBuf,
@@ -792,7 +675,7 @@ pub(crate) fn graph_build_fault_point() {
 
 /// The shared "a build worker panicked" note (also the telemetry point
 /// recording that a build degraded to per-stage isolation).
-fn degraded_build_note() -> Diagnostic {
+pub(crate) fn degraded_build_note() -> Diagnostic {
     tv_obs::incr(tv_obs::Counter::FaultDegraded);
     Diagnostic::warning(
         codes::ANALYSIS_WORKER_PANIC,
@@ -1731,68 +1614,6 @@ mod tests {
     }
 
     #[test]
-    fn panicked_stage_is_omitted_with_diagnostic_at_any_thread_count() {
-        let circuit = tv_gen::random::random_logic(
-            Tech::nmos4um(),
-            600,
-            0xDECAF,
-            tv_gen::random::RandomMix::default(),
-        );
-        let nl = &circuit.netlist;
-        let flow = analyze(nl, &RuleSet::all());
-        let q = qualify_with_flow(nl, &flow);
-        let clean = TimingGraph::build(
-            nl,
-            &flow,
-            &q,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-        );
-        assert!(clean.diagnostics.is_empty());
-        // Poison one mid-list stage root and require the rest to survive.
-        let builder = GraphBuilder {
-            netlist: nl,
-            flow: &flow,
-            qualification: &q,
-            case: PhaseCase::all_active(),
-            model: DelayModel::Elmore,
-        };
-        let roots = builder.roots();
-        let bad = roots[roots.len() / 2].0;
-        let hook = move |root: NodeId| {
-            if root == bad {
-                panic!("injected fault");
-            }
-        };
-        let build_at = |jobs: usize| {
-            TimingGraph::build_isolated(
-                nl,
-                &flow,
-                &q,
-                PhaseCase::all_active(),
-                DelayModel::Elmore,
-                1.0,
-                jobs,
-                Some(&hook),
-            )
-        };
-        let serial = build_at(1);
-        assert!(serial.arc_count() < clean.arc_count(), "stage was omitted");
-        assert!(serial
-            .diagnostics
-            .iter()
-            .any(|d| d.code == tv_netlist::codes::ANALYSIS_WORKER_PANIC));
-        let par = build_at(4);
-        assert_eq!(serial.arc_count(), par.arc_count());
-        for (a, b) in serial.arcs.iter().zip(&par.arcs) {
-            assert_eq!(a.from, b.from);
-            assert_eq!(a.to, b.to);
-            assert_eq!(serial.delay_of(a).words(), par.delay_of(b).words());
-        }
-    }
-
-    #[test]
     fn arc_topology_and_delay_rows_stay_packed() {
         assert_eq!(std::mem::size_of::<Arc>(), 16);
         assert_eq!(std::mem::size_of::<ArcDelay>(), 32);
@@ -1817,16 +1638,7 @@ mod tests {
         let mut scratch = BuildScratch::new(nl.node_count());
         // Splices root `k` against row spans bent by `bend`.
         let mut splice_with = |k: usize, bend: &dyn Fn(&mut Vec<u32>)| {
-            let (sb, _) = crate::macromodel::build_spanned(
-                nl,
-                &flow,
-                &q,
-                case,
-                DelayModel::Elmore,
-                1.0,
-                2,
-                &hashes,
-            );
+            let (sb, _) = crate::macromodel::build_spanned(&builder, 1.0, 2, &hashes);
             let mut graph = sb.graph;
             let mut spans = sb.spans.expect("clean build records spans");
             bend(&mut spans.rows);
@@ -1847,16 +1659,7 @@ mod tests {
             );
             (out, before == graph.delays)
         };
-        let (sb, _) = crate::macromodel::build_spanned(
-            nl,
-            &flow,
-            &q,
-            case,
-            DelayModel::Elmore,
-            1.0,
-            1,
-            &hashes,
-        );
+        let (sb, _) = crate::macromodel::build_spanned(&builder, 1.0, 1, &hashes);
         let rows = sb.spans.expect("clean build records spans").rows;
         let k = (0..sb.roots.len())
             .find(|&k| rows[k + 1] - rows[k] >= 2)

@@ -31,25 +31,25 @@
 //! assignment scans the trace in one fixed order, so pin `k` of an
 //! instance corresponds to pin `k` of its master by construction.
 //!
-//! Any panic anywhere in extraction degrades to the flat
-//! per-stage-isolated build (`TimingGraph::build_isolated`) — the
-//! same conservative fallback the spanned flat build used.
+//! This is the only graph builder. A flat build is the degenerate
+//! partition where every root is its own class with an opaque table, and
+//! that is exactly the fallback: any panic anywhere in extraction
+//! re-emits every root by direct build, with per-root isolation for any
+//! emission chunk that panics in turn.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, FlowAnalysis, NodeClass};
-use tv_netlist::{FxHasher, Netlist, NodeId};
+use tv_netlist::{codes, Diagnostic, FxHasher, NodeId};
 
 use crate::fingerprint::mix64;
 use crate::graph::{
-    finish_graph, graph_build_fault_point, pull_down_resistance_with, pull_up_resistance,
-    stage_inputs_into, Arc, ArcBuf, ArcDelay, ArcKind, BuildScratch, GraphBuilder, PhaseCase,
-    RootKind, RootSpans, SpannedBuild, StageInputKind, TimingGraph, PAR_MIN_ROOTS,
+    degraded_build_note, finish_graph, graph_build_fault_point, pull_down_resistance_with,
+    pull_up_resistance, stage_inputs_into, Arc, ArcBuf, ArcDelay, ArcKind, BuildScratch,
+    GraphBuilder, RootKind, RootSpans, SpannedBuild, StageInputKind, PAR_MIN_ROOTS,
 };
-use crate::options::DelayModel;
 
 /// What the extractor learned about one build: the class partition of
 /// the root set. Lives in the graph slot so a later parametric edit can
@@ -330,428 +330,445 @@ fn trace_hash(canon: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Per-chunk output of the signature phase.
-struct Sigs {
+/// Roots per signing block, the unit of phases A+B. A constant, never a
+/// function of `jobs`: a block's traces are the only all-roots canon the
+/// build ever holds at once, so at any thread count the retained canon is
+/// bounded by the master traces plus `threads` blocks. Small on purpose:
+/// at 1,024 the block buffers alone raised a served mips32 tenant's peak
+/// by about half a MiB (EXPERIMENTS.md P15).
+const SIGN_BLOCK: usize = 256;
+
+/// One signing worker's state, reused across waves: node-sized scratch
+/// plus the traces of the block it signed last.
+struct Signer {
+    scratch: BuildScratch,
+    ms: MacroScratch,
+    /// Per-root pin buffer: ordinals recorded in the canon are indices
+    /// into *this root's* pin table, so it must restart at zero for every
+    /// root (a running buffer would leak the root's position into its
+    /// canon and kill all sharing).
+    pin_buf: Vec<NodeId>,
     canon: Vec<u64>,
     pins: Vec<NodeId>,
     /// `(grouping key, canon word count, pin count)` per root.
     meta: Vec<(u64, u32, u32)>,
 }
 
-/// The hierarchical replacement for the flat spanned build: groups the
-/// root set into equivalence classes, analyzes one master per class,
-/// instances the rest, and finishes a graph whose arc and row lists are
-/// bit-identical to [`TimingGraph::build_par`]'s flat output at any
-/// thread count. `stage_hashes` is
-/// [`tv_flow::stage::Stages::structural_hashes`] of the same netlist and
-/// flow (a pure function of both, so one analysis computes it once for
-/// all its cases). Returns the per-root arc and row spans (for splicing)
-/// and the [`Extraction`] partition (for de-sharing); the extraction is
-/// `None` when a panic degraded the build to flat per-stage isolation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_spanned(
-    netlist: &Netlist,
-    flow: &FlowAnalysis,
-    qualification: &[Qualification],
-    case: PhaseCase,
-    model: DelayModel,
-    source_resistance: f64,
-    jobs: usize,
-    stage_hashes: &[u64],
-) -> (SpannedBuild, Option<Extraction>) {
-    let builder = GraphBuilder {
-        netlist,
-        flow,
-        qualification,
-        case,
-        model,
-    };
-    let roots = builder.roots();
-    match hier_build(&builder, &roots, source_resistance, jobs, stage_hashes) {
-        Some((arcs, spans, extraction)) => {
-            debug_assert_eq!(*spans.arcs.last().unwrap() as usize, arcs.arcs.len());
-            debug_assert_eq!(*spans.rows.last().unwrap() as usize, arcs.delays.len());
-            (
-                SpannedBuild {
-                    graph: finish_graph(netlist.node_count(), arcs, case, Vec::new()),
-                    roots,
-                    spans: Some(spans),
-                },
-                Some(extraction),
-            )
+impl Signer {
+    fn new(node_count: usize) -> Self {
+        Signer {
+            scratch: BuildScratch::new(node_count),
+            ms: MacroScratch::new(node_count),
+            pin_buf: Vec::new(),
+            canon: Vec::new(),
+            pins: Vec::new(),
+            meta: Vec::with_capacity(SIGN_BLOCK),
         }
-        None => {
-            // A stage build panicked during extraction: delegate to the
-            // isolated flat builder, which contains the fault per stage
-            // and records diagnostics. No spans, no sharing.
-            tv_obs::incr(tv_obs::Counter::FaultDegraded);
-            let graph = TimingGraph::build_isolated(
-                netlist,
-                flow,
-                qualification,
-                case,
-                model,
-                source_resistance,
-                jobs,
-                None,
+    }
+
+    /// Phase A for one block: every root's grouping key, canonical trace
+    /// and pin table, in root order.
+    fn sign(
+        &mut self,
+        b: &GraphBuilder<'_>,
+        block: &[(NodeId, RootKind)],
+        stage_hashes: &[u64],
+        fault: Fault<'_>,
+    ) {
+        self.canon.clear();
+        self.pins.clear();
+        self.meta.clear();
+        for r in block {
+            if let Some(hook) = fault {
+                hook(r.0);
+            }
+            graph_build_fault_point();
+            let c0 = self.canon.len();
+            self.pin_buf.clear();
+            root_canon(
+                b,
+                r,
+                &mut self.scratch,
+                &mut self.ms,
+                &mut self.canon,
+                &mut self.pin_buf,
             );
-            (
-                SpannedBuild {
-                    graph,
-                    roots,
-                    spans: None,
-                },
-                None,
-            )
+            let key = root_key(stage_hashes, b.flow, r);
+            self.meta.push((
+                key,
+                (self.canon.len() - c0) as u32,
+                self.pin_buf.len() as u32,
+            ));
+            self.pins.extend_from_slice(&self.pin_buf);
         }
     }
 }
 
-/// The four-phase extraction. Phases A (signatures) and D (emission)
-/// chunk the root set exactly like the flat parallel build, so the
-/// concatenated output is independent of `jobs`; phase B (grouping) is
-/// serial in root order; phase C parallelizes over class masters.
-fn hier_build(
+/// A test hook called on each root before it is signed or built flat
+/// (tests poison chosen stages with a panicking hook).
+type Fault<'a> = Option<&'a (dyn Fn(NodeId) + Sync)>;
+
+/// What phases A–C learn: the class partition, every root's pin table,
+/// and one macromodel table per class.
+struct Classes {
+    class_of: Vec<u32>,
+    class_len: Vec<u32>,
+    keys: Vec<u64>,
+    pins: Vec<NodeId>,
+    pin_starts: Vec<usize>,
+    tables: Vec<MacroTable>,
+}
+
+impl Classes {
+    /// Root `ri`'s shared table and pin table, or `None` when its class
+    /// is opaque and the root must be built flat.
+    fn shared(&self, ri: usize) -> Option<(&[MacroArc], &[ArcDelay], &[NodeId])> {
+        match &self.tables[self.class_of[ri] as usize] {
+            MacroTable::Arcs { arcs, rows } => Some((
+                arcs,
+                rows,
+                &self.pins[self.pin_starts[ri]..self.pin_starts[ri + 1]],
+            )),
+            MacroTable::Opaque => None,
+        }
+    }
+}
+
+/// `items` cut into at most `threads` contiguous chunks (one below
+/// [`PAR_MIN_ROOTS`], where thread startup dominates), each paired with
+/// its start offset.
+fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
+    let threads = if items.len() < PAR_MIN_ROOTS {
+        1
+    } else {
+        threads
+    };
+    let chunk = items.len().div_ceil(threads).max(1);
+    items
+        .chunks(chunk)
+        .enumerate()
+        .map(|(k, c)| (k * chunk, c))
+        .collect()
+}
+
+/// The hierarchical graph build: groups the root set into equivalence
+/// classes, analyzes one master per class, instances the rest, and
+/// finishes a graph whose arc and row lists are bit-identical to a
+/// serial flat build of every root at any thread count.
+/// `stage_hashes` is [`tv_flow::stage::Stages::structural_hashes`] of
+/// the same netlist and flow (a pure function of both, so one analysis
+/// computes it once for all its cases). Returns the per-root arc and row
+/// spans (for splicing) and the [`Extraction`] partition (for
+/// de-sharing); both are `None` when a panic degraded the build.
+pub(crate) fn build_spanned(
     builder: &GraphBuilder<'_>,
-    roots: &[(NodeId, RootKind)],
     source_resistance: f64,
     jobs: usize,
     stage_hashes: &[u64],
-) -> Option<(ArcBuf, RootSpans, Extraction)> {
-    let nl = builder.netlist;
-    let node_count = nl.node_count();
-    let n_roots = roots.len();
-    let threads = jobs.max(1).min(n_roots.max(1));
-    let serial = threads <= 1 || n_roots < PAR_MIN_ROOTS;
+) -> (SpannedBuild, Option<Extraction>) {
+    hier_build(builder, source_resistance, jobs, stage_hashes, None)
+}
 
-    // Phases A (signatures) and B (grouping): every root gets a key +
-    // canonical trace + pin table, then joins its class in
-    // deterministic root order. Classes are looked up by the grouping
-    // key mixed with a hash of the trace, so a bucket almost always
-    // holds at most one class; the exact trace comparison against each
+/// [`build_spanned`] with the test hook. Extraction (phases A–C) either
+/// completes or, on any panic, falls back to every root being its own
+/// class with an opaque table; emission (phase D) then builds every root
+/// flat. An emission chunk that panics is rebuilt root by root, each
+/// root with fresh scratch under its own isolation: a root that panics
+/// again contributes no arcs and is reported in the graph's
+/// diagnostics. A panic on given inputs is deterministic, so the
+/// surviving arc list is the same at any thread count.
+fn hier_build(
+    builder: &GraphBuilder<'_>,
+    source_resistance: f64,
+    jobs: usize,
+    stage_hashes: &[u64],
+    fault: Fault<'_>,
+) -> (SpannedBuild, Option<Extraction>) {
+    let nl = builder.netlist;
+    let roots = builder.roots();
+    let threads = jobs.max(1);
+    let classes = extract(
+        builder,
+        &roots,
+        source_resistance,
+        threads,
+        stage_hashes,
+        fault,
+    );
+    if classes.is_none() {
+        tv_obs::incr(tv_obs::Counter::FaultDegraded);
+    }
+    let (buf, spans, diagnostics) = emit(
+        builder,
+        &roots,
+        classes.as_ref(),
+        source_resistance,
+        threads,
+        fault,
+    );
+    // Consumed before `finish_graph`, so the pin tables never overlap
+    // the CSR arrays at peak.
+    let extraction = classes.filter(|_| diagnostics.is_empty()).map(account);
+    (
+        SpannedBuild {
+            graph: finish_graph(nl.node_count(), buf, builder.case, diagnostics),
+            roots,
+            spans: extraction.is_some().then_some(spans),
+        },
+        extraction,
+    )
+}
+
+/// Phases A–C: sign and group every root, then analyze one master per
+/// class into a pin-indexed table. `None` if any of it panicked.
+fn extract(
+    builder: &GraphBuilder<'_>,
+    roots: &[(NodeId, RootKind)],
+    source_resistance: f64,
+    threads: usize,
+    stage_hashes: &[u64],
+    fault: Fault<'_>,
+) -> Option<Classes> {
+    let node_count = builder.netlist.node_count();
+    let n_roots = roots.len();
+
+    // Phases A (signatures) and B (grouping), one block pipeline: each
+    // wave of up to `threads` blocks is signed in parallel, then every
+    // block joins its classes serially in root order. The block cover
+    // is a pure function of the root list, so the grouping is
+    // independent of `jobs`. Classes are looked up by the grouping key
+    // mixed with a hash of the trace, so a bucket almost always holds at
+    // most one class; the exact trace comparison against each
     // candidate's master stays as the collision check — equal lookup
     // keys with different traces stay separate classes. The first match
     // is the one a scan over every class of the grouping key would find
     // (at most one class per key has a given trace), so class ids and
-    // the partition do not depend on the lookup key.
-    let mut class_of = vec![0u32; n_roots];
+    // the partition do not depend on the lookup key. Only master traces
+    // outlive their block.
+    let mut class_of: Vec<u32> = Vec::with_capacity(n_roots);
     let mut masters: Vec<u32> = Vec::new();
     let mut class_len: Vec<u32> = Vec::new();
     let mut keys: Vec<u64> = Vec::with_capacity(n_roots);
-    let mut pins_all: Vec<NodeId> = Vec::new();
+    let mut pins: Vec<NodeId> = Vec::new();
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
     pin_starts.push(0);
+    let mut master_canon: Vec<u64> = Vec::new();
+    let mut master_canon_starts: Vec<usize> = vec![0];
     // The default (keyed) hasher stays: the lookup keys derive from
     // netlist content, which arrives from outside the program.
     let mut by_key: HashMap<u64, Vec<u32>> = HashMap::new();
-
-    if serial {
-        // Fused A+B: one pass, grouping each root as it is signed. A
-        // root's canon lives only for its own iteration unless it
-        // founds a class — the store holds master traces only, so the
-        // at-scale serial build never retains the all-roots canon
-        // stream (hundreds of MB at a million devices) that the staged
-        // parallel path trades for worker concurrency.
-        let mut master_canon: Vec<u64> = Vec::new();
-        let mut master_canon_starts: Vec<usize> = vec![0];
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = BuildScratch::new(node_count);
-            let mut ms = MacroScratch::new(node_count);
-            let mut canon_buf: Vec<u64> = Vec::new();
-            // Per-root pin buffer: ordinals recorded in the canon are
-            // indices into *this root's* pin table, so it must restart
-            // at zero for every root (a shared running buffer would
-            // leak the root's position into its canon and kill all
-            // sharing).
-            let mut pin_buf: Vec<NodeId> = Vec::new();
-            for (r, root) in roots.iter().enumerate() {
-                graph_build_fault_point();
-                canon_buf.clear();
-                pin_buf.clear();
-                root_canon(
-                    builder,
-                    root,
-                    &mut scratch,
-                    &mut ms,
-                    &mut canon_buf,
-                    &mut pin_buf,
-                );
-                keys.push(root_key(stage_hashes, builder.flow, root));
-                pins_all.extend_from_slice(&pin_buf);
-                pin_starts.push(pins_all.len());
-                let cands = by_key
-                    .entry(mix64(keys[r], trace_hash(&canon_buf)))
-                    .or_default();
+    let blocks: Vec<&[(NodeId, RootKind)]> = roots.chunks(SIGN_BLOCK).collect();
+    let mut signers: Vec<Signer> = (0..threads.min(blocks.len()))
+        .map(|_| Signer::new(node_count))
+        .collect();
+    for wave in blocks.chunks(signers.len().max(1)) {
+        let work: Vec<_> = wave.iter().zip(signers.iter_mut()).collect();
+        let signed = tv_fault::isolated_map(work, threads, |(block, signer)| {
+            signer.sign(builder, block, stage_hashes, fault)
+        });
+        for (done, signer) in signed.into_iter().zip(&signers) {
+            done.ok()?;
+            pins.extend_from_slice(&signer.pins);
+            let mut c0 = 0usize;
+            for &(key, cw, pw) in &signer.meta {
+                let r = keys.len() as u32;
+                keys.push(key);
+                pin_starts.push(pin_starts.last().unwrap() + pw as usize);
+                let canon = &signer.canon[c0..c0 + cw as usize];
+                c0 += cw as usize;
+                let cands = by_key.entry(mix64(key, trace_hash(canon))).or_default();
                 let hit = cands.iter().copied().find(|&cid| {
                     let c = cid as usize;
-                    master_canon[master_canon_starts[c]..master_canon_starts[c + 1]]
-                        == canon_buf[..]
+                    master_canon[master_canon_starts[c]..master_canon_starts[c + 1]] == *canon
                 });
                 match hit {
                     Some(cid) => {
-                        class_of[r] = cid;
+                        class_of.push(cid);
                         class_len[cid as usize] += 1;
                     }
                     None => {
                         let cid = masters.len() as u32;
-                        masters.push(r as u32);
+                        masters.push(r);
                         class_len.push(1);
-                        class_of[r] = cid;
+                        class_of.push(cid);
                         cands.push(cid);
-                        master_canon.extend_from_slice(&canon_buf);
+                        master_canon.extend_from_slice(canon);
                         master_canon_starts.push(master_canon.len());
                     }
                 }
             }
-        }))
-        .ok()?;
-    } else {
-        // Staged A then B: workers sign chunks of the root set in
-        // parallel — the chunk cover is a pure function of the root
-        // list, never of the schedule, so the merged root-ordered
-        // signature stream (and therefore the grouping) is independent
-        // of `jobs` and bit-identical to the fused path's.
-        let sign_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<Sigs, ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut scratch = BuildScratch::new(node_count);
-                let mut ms = MacroScratch::new(node_count);
-                // See the fused path: pin ordinals restart per root.
-                let mut pin_buf: Vec<NodeId> = Vec::new();
-                let mut sigs = Sigs {
-                    canon: Vec::new(),
-                    pins: Vec::new(),
-                    meta: Vec::with_capacity(root_chunk.len()),
-                };
-                for r in root_chunk {
-                    graph_build_fault_point();
-                    let c0 = sigs.canon.len();
-                    pin_buf.clear();
-                    root_canon(
-                        builder,
-                        r,
-                        &mut scratch,
-                        &mut ms,
-                        &mut sigs.canon,
-                        &mut pin_buf,
-                    );
-                    let key = root_key(stage_hashes, builder.flow, r);
-                    sigs.meta
-                        .push((key, (sigs.canon.len() - c0) as u32, pin_buf.len() as u32));
-                    sigs.pins.extend_from_slice(&pin_buf);
-                }
-                sigs
-            }))
-            .map_err(|_| ())
-        };
-        let chunk = n_roots.div_ceil(threads);
-        let parts: Vec<Result<Sigs, ()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk)
-                .map(|rc| {
-                    let f = &sign_chunk;
-                    s.spawn(move || f(rc))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
-        });
-        let mut sigs_parts: Vec<Sigs> = Vec::with_capacity(parts.len());
-        for part in parts {
-            sigs_parts.push(part.ok()?);
-        }
-        // Exact-capacity merge: these streams are large at scale, and
-        // growth doubling would copy them more than once.
-        let canon_total: usize = sigs_parts.iter().map(|p| p.canon.len()).sum();
-        let pin_total: usize = sigs_parts.iter().map(|p| p.pins.len()).sum();
-        let mut canon_all: Vec<u64> = Vec::with_capacity(canon_total);
-        let mut canon_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
-        canon_starts.push(0);
-        pins_all.reserve_exact(pin_total);
-        for sigs in sigs_parts {
-            canon_all.extend_from_slice(&sigs.canon);
-            pins_all.extend_from_slice(&sigs.pins);
-            for (key, cw, pw) in sigs.meta {
-                keys.push(key);
-                canon_starts.push(canon_starts.last().unwrap() + cw as usize);
-                pin_starts.push(pin_starts.last().unwrap() + pw as usize);
-            }
-        }
-        for r in 0..n_roots {
-            let c = &canon_all[canon_starts[r]..canon_starts[r + 1]];
-            let cands = by_key.entry(mix64(keys[r], trace_hash(c))).or_default();
-            let hit = cands.iter().copied().find(|&cid| {
-                let m = masters[cid as usize] as usize;
-                canon_all[canon_starts[m]..canon_starts[m + 1]] == *c
-            });
-            match hit {
-                Some(cid) => {
-                    class_of[r] = cid;
-                    class_len[cid as usize] += 1;
-                }
-                None => {
-                    let cid = masters.len() as u32;
-                    masters.push(r as u32);
-                    class_len.push(1);
-                    class_of[r] = cid;
-                    cands.push(cid);
-                }
-            }
         }
     }
-    drop(by_key);
+    drop((by_key, signers, master_canon, master_canon_starts));
 
     // Phase C: analyze one master per class into a pin-indexed table.
-    let n_classes = masters.len();
-    let analyze_chunk = |master_chunk: &[u32]| -> Result<Vec<MacroTable>, ()> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = BuildScratch::new(node_count);
-            let mut ms = MacroScratch::new(node_count);
-            // Cleared per master, so its row indices come out relative to
-            // the master's first row.
-            let mut buf = ArcBuf::default();
-            let mut tables = Vec::with_capacity(master_chunk.len());
-            for &m in master_chunk {
-                let m = m as usize;
-                buf.clear();
-                builder.build_root(&roots[m], source_resistance, &mut buf, &mut scratch);
-                let pins = &pins_all[pin_starts[m]..pin_starts[m + 1]];
-                ms.begin();
-                for (i, &p) in pins.iter().enumerate() {
-                    ms.mark[p.index()] = ms.epoch;
-                    ms.ord[p.index()] = i as u32;
-                }
-                let mut table = Vec::with_capacity(buf.arcs.len());
-                let mut complete = true;
-                for a in &buf.arcs {
-                    let (Some(from_pin), Some(to_pin)) = (ms.lookup(a.from), ms.lookup(a.to))
-                    else {
-                        complete = false;
-                        break;
-                    };
-                    table.push(MacroArc {
-                        from_pin,
-                        to_pin,
+    let analyze_chunk = |master_chunk: &[u32]| -> Vec<MacroTable> {
+        let mut scratch = BuildScratch::new(node_count);
+        let mut ms = MacroScratch::new(node_count);
+        // Cleared per master, so its row indices come out relative to
+        // the master's first row.
+        let mut buf = ArcBuf::default();
+        let mut tables = Vec::with_capacity(master_chunk.len());
+        for &m in master_chunk {
+            let m = m as usize;
+            buf.clear();
+            builder.build_root(&roots[m], source_resistance, &mut buf, &mut scratch);
+            ms.begin();
+            for (i, &p) in pins[pin_starts[m]..pin_starts[m + 1]].iter().enumerate() {
+                ms.mark[p.index()] = ms.epoch;
+                ms.ord[p.index()] = i as u32;
+            }
+            let table: Option<Vec<MacroArc>> = buf
+                .arcs
+                .iter()
+                .map(|a| {
+                    Some(MacroArc {
+                        from_pin: ms.lookup(a.from)?,
+                        to_pin: ms.lookup(a.to)?,
                         delay: a.delay,
                         inverting: a.inverting,
                         kind: a.kind,
-                    });
-                }
-                tables.push(if complete {
-                    MacroTable::Arcs {
-                        arcs: table,
-                        rows: buf.delays.clone(),
-                    }
-                } else {
-                    MacroTable::Opaque
-                });
-            }
-            tables
-        }))
-        .map_err(|_| ())
-    };
-    let table_parts: Vec<Result<Vec<MacroTable>, ()>> = if threads <= 1 || n_classes < PAR_MIN_ROOTS
-    {
-        vec![analyze_chunk(&masters)]
-    } else {
-        let chunk = n_classes.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = masters
-                .chunks(chunk)
-                .map(|mc| {
-                    let f = &analyze_chunk;
-                    s.spawn(move || f(mc))
+                    })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
-        })
+            tables.push(match table {
+                Some(arcs) => MacroTable::Arcs {
+                    arcs,
+                    rows: buf.delays.clone(),
+                },
+                None => MacroTable::Opaque,
+            });
+        }
+        tables
     };
-    let mut tables: Vec<MacroTable> = Vec::with_capacity(n_classes);
-    for part in table_parts {
+    let mut tables: Vec<MacroTable> = Vec::with_capacity(masters.len());
+    for part in tv_fault::isolated_map(chunked(&masters, threads), threads, |(_, mc)| {
+        analyze_chunk(mc)
+    }) {
         tables.extend(part.ok()?);
     }
+    Some(Classes {
+        class_of,
+        class_len,
+        keys,
+        pins,
+        pin_starts,
+        tables,
+    })
+}
 
-    // Phase D: emit every root in order — shared classes by pin remap
-    // and a rebased copy of the master's rows, opaque classes by direct
-    // flat build.
-    type EmitPart = (ArcBuf, Vec<(u32, u32)>);
-    let emit_chunk = |start: usize, root_chunk: &[(NodeId, RootKind)]| -> Result<EmitPart, ()> {
-        catch_unwind(AssertUnwindSafe(|| {
-            // Reserve the exact instanced totals upfront (opaque roots
-            // still grow, but they are the rare case): at a million
-            // devices the chunk emits tens of millions of arcs, and
-            // growth doubling would copy them repeatedly.
-            let (est_arcs, est_rows) = (0..root_chunk.len())
-                .map(|j| match &tables[class_of[start + j] as usize] {
-                    MacroTable::Arcs { arcs, rows } => (arcs.len(), rows.len()),
-                    MacroTable::Opaque => (0, 0),
-                })
-                .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
-            let mut buf = ArcBuf {
-                arcs: Vec::with_capacity(est_arcs),
-                delays: Vec::with_capacity(est_rows),
-            };
-            let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
-            let mut scratch = BuildScratch::new(node_count);
-            for (j, r) in root_chunk.iter().enumerate() {
-                let ri = start + j;
-                let (arcs_before, rows_before) = (buf.arcs.len(), buf.delays.len());
-                match &tables[class_of[ri] as usize] {
-                    MacroTable::Arcs { arcs, rows } => {
-                        let pins = &pins_all[pin_starts[ri]..pin_starts[ri + 1]];
-                        let base = rows_before as u32;
-                        buf.delays.extend_from_slice(rows);
-                        buf.arcs.extend(arcs.iter().map(|ma| Arc {
-                            from: pins[ma.from_pin as usize],
-                            to: pins[ma.to_pin as usize],
-                            delay: base + ma.delay,
-                            inverting: ma.inverting,
-                            kind: ma.kind,
-                        }));
-                    }
-                    MacroTable::Opaque => {
-                        builder.build_root(r, source_resistance, &mut buf, &mut scratch);
-                    }
-                }
-                counts.push((
-                    (buf.arcs.len() - arcs_before) as u32,
-                    (buf.delays.len() - rows_before) as u32,
-                ));
+/// Phase D: emits every root in order — shared classes by pin remap and
+/// a rebased copy of the master's rows, opaque classes (every root, when
+/// `classes` is `None`) by direct flat build — and returns the arcs, the
+/// per-root spans, and the diagnostics of any chunk that had to be
+/// rebuilt root by root.
+fn emit(
+    builder: &GraphBuilder<'_>,
+    roots: &[(NodeId, RootKind)],
+    classes: Option<&Classes>,
+    source_resistance: f64,
+    threads: usize,
+    fault: Fault<'_>,
+) -> (ArcBuf, RootSpans, Vec<Diagnostic>) {
+    let nl = builder.netlist;
+    let n_roots = roots.len();
+    let emit_root = |ri: usize, buf: &mut ArcBuf, scratch: &mut BuildScratch| match classes
+        .and_then(|c| c.shared(ri))
+    {
+        Some((arcs, rows, pins)) => {
+            let base = buf.delays.len() as u32;
+            buf.delays.extend_from_slice(rows);
+            buf.arcs.extend(arcs.iter().map(|ma| Arc {
+                from: pins[ma.from_pin as usize],
+                to: pins[ma.to_pin as usize],
+                delay: base + ma.delay,
+                inverting: ma.inverting,
+                kind: ma.kind,
+            }));
+        }
+        None => {
+            if let Some(hook) = fault {
+                hook(roots[ri].0);
             }
-            (buf, counts)
-        }))
-        .map_err(|_| ())
+            graph_build_fault_point();
+            builder.build_root(&roots[ri], source_resistance, buf, scratch);
+        }
     };
-    let emit_parts: Vec<Result<EmitPart, ()>> = if serial {
-        vec![emit_chunk(0, roots)]
-    } else {
-        let chunk = n_roots.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk)
-                .enumerate()
-                .map(|(k, rc)| {
-                    let f = &emit_chunk;
-                    s.spawn(move || f(k * chunk, rc))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
-        })
+    type EmitPart = (ArcBuf, Vec<(u32, u32)>);
+    let emit_chunk = |(start, root_chunk): (usize, &[(NodeId, RootKind)])| -> EmitPart {
+        // Reserve the exact instanced totals upfront (opaque roots still
+        // grow, but they are the rare case): at a million devices the
+        // chunk emits tens of millions of arcs, and growth doubling would
+        // copy them repeatedly.
+        let (est_arcs, est_rows) = (start..start + root_chunk.len())
+            .filter_map(|ri| classes.and_then(|c| c.shared(ri)))
+            .fold((0, 0), |(a, r), (arcs, rows, _)| {
+                (a + arcs.len(), r + rows.len())
+            });
+        let mut buf = ArcBuf {
+            arcs: Vec::with_capacity(est_arcs),
+            delays: Vec::with_capacity(est_rows),
+        };
+        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
+        let mut scratch = BuildScratch::new(nl.node_count());
+        for ri in start..start + root_chunk.len() {
+            let (arcs_before, rows_before) = (buf.arcs.len(), buf.delays.len());
+            emit_root(ri, &mut buf, &mut scratch);
+            counts.push((
+                (buf.arcs.len() - arcs_before) as u32,
+                (buf.delays.len() - rows_before) as u32,
+            ));
+        }
+        (buf, counts)
+    };
+    // Degraded path: per-root isolation. Each root builds into its own
+    // buffer with fresh scratch (a panic can leave stale flags behind),
+    // so a mid-stage panic discards only that stage.
+    let recover_chunk = |(start, root_chunk): (usize, &[(NodeId, RootKind)]),
+                         diagnostics: &mut Vec<Diagnostic>|
+     -> EmitPart {
+        let mut buf = ArcBuf::default();
+        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
+        let attempts =
+            tv_fault::isolated_map((start..start + root_chunk.len()).collect(), 1, |ri| {
+                let mut part = ArcBuf::default();
+                emit_root(ri, &mut part, &mut BuildScratch::new(nl.node_count()));
+                part
+            });
+        for (r, attempt) in root_chunk.iter().zip(attempts) {
+            match attempt {
+                Ok(part) => {
+                    counts.push((part.arcs.len() as u32, part.delays.len() as u32));
+                    buf.append(part);
+                }
+                Err(()) => {
+                    counts.push((0, 0));
+                    diagnostics.push(Diagnostic::error(
+                        codes::ANALYSIS_WORKER_PANIC,
+                        format!(
+                            "graph construction panicked for the stage rooted at node {:?}; stage omitted from analysis",
+                            nl.node_name(r.0)
+                        ),
+                    ));
+                }
+            }
+        }
+        (buf, counts)
     };
 
-    let mut parts_ok: Vec<EmitPart> = Vec::with_capacity(emit_parts.len());
-    for part in emit_parts {
-        parts_ok.push(part.ok()?);
+    let chunks = chunked(roots, threads);
+    let parts = tv_fault::isolated_map(chunks.clone(), threads, emit_chunk);
+    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+    if parts.iter().any(Result::is_err) {
+        diagnostics.push(degraded_build_note());
     }
-    let arc_total: usize = parts_ok.iter().map(|(b, _)| b.arcs.len()).sum();
-    let row_total: usize = parts_ok.iter().map(|(b, _)| b.delays.len()).sum();
+    let parts: Vec<EmitPart> = chunks
+        .into_iter()
+        .zip(parts)
+        .map(|(chunk, part)| part.unwrap_or_else(|()| recover_chunk(chunk, &mut diagnostics)))
+        .collect();
+    let arc_total: usize = parts.iter().map(|(b, _)| b.arcs.len()).sum();
+    let row_total: usize = parts.iter().map(|(b, _)| b.delays.len()).sum();
     let mut buf = ArcBuf::default();
     let mut spans = RootSpans {
         arcs: Vec::with_capacity(n_roots + 1),
@@ -761,7 +778,7 @@ fn hier_build(
     spans.rows.push(0);
     // The serial build produces one part: `append` takes its vectors
     // whole rather than copying ~GBs of arcs.
-    for (i, (part, counts)) in parts_ok.into_iter().enumerate() {
+    for (i, (part, counts)) in parts.into_iter().enumerate() {
         for (a, r) in counts {
             spans.arcs.push(spans.arcs.last().unwrap() + a);
             spans.rows.push(spans.rows.last().unwrap() + r);
@@ -772,13 +789,19 @@ fn hier_build(
             buf.delays.reserve_exact(row_total - buf.delays.len());
         }
     }
+    debug_assert_eq!(*spans.arcs.last().unwrap() as usize, buf.arcs.len());
+    debug_assert_eq!(*spans.rows.last().unwrap() as usize, buf.delays.len());
+    (buf, spans, diagnostics)
+}
 
-    // Work accounting: a class whose table shared counts one analysis
-    // and `len - 1` instancings; an opaque class analyzed every member.
+/// Work accounting for a clean build: a class whose table shared counts
+/// one analysis and `len - 1` instancings; an opaque class analyzed
+/// every member.
+fn account(c: Classes) -> Extraction {
     let mut analyzed: u64 = 0;
     let mut instanced: u64 = 0;
-    for (cid, &len) in class_len.iter().enumerate() {
-        match &tables[cid] {
+    for (table, &len) in c.tables.iter().zip(&c.class_len) {
+        match table {
             MacroTable::Arcs { .. } => {
                 analyzed += 1;
                 instanced += (len - 1) as u64;
@@ -786,74 +809,91 @@ fn hier_build(
             MacroTable::Opaque => analyzed += len as u64,
         }
     }
+    let n_classes = c.tables.len();
     tv_obs::add(tv_obs::Counter::MacroClasses, n_classes as u64);
     tv_obs::add(tv_obs::Counter::MacroAnalyzed, analyzed);
     tv_obs::add(tv_obs::Counter::MacroInstanced, instanced);
 
     let mut fp = 0x9c0d_e1a2_57a9_0e5d_u64;
-    for r in 0..n_roots {
-        fp = mix64(fp, keys[r]);
-        fp = mix64(fp, class_of[r] as u64);
+    for (&key, &cid) in c.keys.iter().zip(&c.class_of) {
+        fp = mix64(fp, key);
+        fp = mix64(fp, cid as u64);
     }
-
-    Some((
-        buf,
-        spans,
-        Extraction {
-            class_of,
-            class_len,
-            classes: n_classes,
-            analyzed,
-            instanced,
-            fp,
-        },
-    ))
+    Extraction {
+        class_of: c.class_of,
+        class_len: c.class_len,
+        classes: n_classes,
+        analyzed,
+        instanced,
+        fp,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{PhaseCase, TimingGraph};
     use crate::options::DelayModel;
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, RuleSet};
-    use tv_netlist::Tech;
+    use tv_netlist::{Netlist, Tech};
 
     fn spanned(nl: &Netlist, case: PhaseCase, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
         let hashes = flow.stages().structural_hashes(nl);
-        build_spanned(
-            nl,
-            &flow,
-            &qual,
+        build_spanned(&builder(nl, &flow, &qual, case), 1.0, jobs, &hashes)
+    }
+
+    fn builder<'a>(
+        nl: &'a Netlist,
+        flow: &'a FlowAnalysis,
+        qual: &'a [Qualification],
+        case: PhaseCase,
+    ) -> GraphBuilder<'a> {
+        GraphBuilder {
+            netlist: nl,
+            flow,
+            qualification: qual,
             case,
-            DelayModel::Elmore,
-            1.0,
-            jobs,
-            &hashes,
-        )
+            model: DelayModel::Elmore,
+        }
+    }
+
+    /// The flat reference: every root built directly, serially, into one
+    /// buffer — no classes, no threads, no isolation. Roots in `skip` are
+    /// left out.
+    fn flat_reference(b: &GraphBuilder<'_>, skip: &[NodeId]) -> TimingGraph {
+        let mut buf = ArcBuf::default();
+        let mut scratch = BuildScratch::new(b.netlist.node_count());
+        for r in b.roots().iter().filter(|r| !skip.contains(&r.0)) {
+            b.build_root(r, 1.0, &mut buf, &mut scratch);
+        }
+        finish_graph(b.netlist.node_count(), buf, b.case, Vec::new())
+    }
+
+    fn assert_same_graph(g: &TimingGraph, flat: &TimingGraph, what: &str) {
+        assert_eq!(g.arc_count(), flat.arc_count(), "{what}");
+        assert_eq!(g.delays.len(), flat.delays.len(), "{what}");
+        for (h, f) in g.arcs.iter().zip(flat.arcs.iter()) {
+            assert_eq!(h.from, f.from, "{what}");
+            assert_eq!(h.to, f.to, "{what}");
+            assert_eq!(h.kind, f.kind, "{what}");
+            assert_eq!(h.inverting, f.inverting, "{what}");
+            assert_eq!(h.delay, f.delay, "{what}");
+            assert_eq!(g.delay_of(h).words(), flat.delay_of(f).words(), "{what}");
+        }
     }
 
     fn assert_hier_matches_flat(nl: &Netlist, case: PhaseCase) -> Extraction {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let flat =
-            TimingGraph::build_isolated(nl, &flow, &qual, case, DelayModel::Elmore, 1.0, 1, None);
+        let flat = flat_reference(&builder(nl, &flow, &qual, case), &[]);
         let mut last = None;
         for jobs in [1usize, 2, 8] {
             let (sb, ex) = spanned(nl, case, jobs);
             let ex = ex.expect("clean build must extract");
-            let g = &sb.graph;
-            assert_eq!(g.arc_count(), flat.arc_count(), "jobs {jobs}");
-            assert_eq!(g.delays.len(), flat.delays.len(), "jobs {jobs}");
-            for (h, f) in g.arcs.iter().zip(flat.arcs.iter()) {
-                assert_eq!(h.from, f.from);
-                assert_eq!(h.to, f.to);
-                assert_eq!(h.kind, f.kind);
-                assert_eq!(h.inverting, f.inverting);
-                assert_eq!(h.delay, f.delay);
-                assert_eq!(g.delay_of(h).words(), flat.delay_of(f).words());
-            }
+            assert_same_graph(&sb.graph, &flat, &format!("jobs {jobs}"));
             assert_rows_owned(&sb);
             last = Some(ex);
         }
@@ -944,6 +984,52 @@ mod tests {
         let c = tv_gen::manchester::manchester_circuit(Tech::nmos4um(), 16, 4);
         for case in [PhaseCase::all_active(), PhaseCase::phase(0)] {
             assert_hier_matches_flat(&c.netlist, case);
+        }
+    }
+
+    #[test]
+    fn panicked_stage_is_omitted_with_diagnostic_at_any_thread_count() {
+        let nl = &tv_gen::mips_mc::t6_mips_mc(Tech::nmos4um(), 2).netlist;
+        let flow = analyze(nl, &RuleSet::all());
+        let qual = qualify_with_flow(nl, &flow);
+        let hashes = flow.stages().structural_hashes(nl);
+        let b = builder(nl, &flow, &qual, PhaseCase::all_active());
+        let (clean, ex) = build_spanned(&b, 1.0, 1, &hashes);
+        let ex = ex.expect("clean build must extract");
+        assert!(clean.graph.diagnostics.is_empty());
+        // One class master, one instanced root and one source root.
+        let roots = &clean.roots;
+        let shared = |r: usize| ex.class_len[ex.class_of[r] as usize] > 1;
+        let master = (0..roots.len())
+            .find(|&r| shared(r))
+            .expect("a shared class");
+        let instance = (master + 1..roots.len())
+            .find(|&r| ex.class_of[r] == ex.class_of[master])
+            .expect("the class has a second member");
+        let source = (0..roots.len())
+            .find(|&r| roots[r].1 == RootKind::Source)
+            .expect("a source root");
+        let bad = [roots[master].0, roots[instance].0, roots[source].0];
+        let hook = move |root: NodeId| {
+            if bad.contains(&root) {
+                panic!("injected fault");
+            }
+        };
+        let expected = flat_reference(&b, &bad);
+        for jobs in [1usize, 2, 4, 8] {
+            let (sb, ex) = hier_build(&b, 1.0, jobs, &hashes, Some(&hook));
+            assert!(sb.spans.is_none() && ex.is_none(), "jobs {jobs}");
+            assert_same_graph(&sb.graph, &expected, &format!("jobs {jobs}"));
+            let errors = sb
+                .graph
+                .diagnostics
+                .iter()
+                .filter(|d| {
+                    d.code == codes::ANALYSIS_WORKER_PANIC
+                        && d.severity == tv_netlist::Severity::Error
+                })
+                .count();
+            assert_eq!(errors, bad.len(), "jobs {jobs}");
         }
     }
 

@@ -801,6 +801,13 @@ fn graph_pass(
         flow_fp,
         qual_fp,
     ]);
+    let builder = GraphBuilder {
+        netlist: nl,
+        flow,
+        qualification: qual,
+        case,
+        model: options.model,
+    };
 
     // Splice attempt. Sound because (a) parametric edits cannot change
     // walk topology, stage membership, or the root set — those depend
@@ -862,13 +869,6 @@ fn graph_pass(
                 since: Some((prev_fp, Vec::new())),
             };
         }
-        let builder = GraphBuilder {
-            netlist: nl,
-            flow,
-            qualification: qual,
-            case,
-            model: options.model,
-        };
         let mut scratch = BuildScratch::new(nl.node_count());
         if let Ok(changed) = splice_roots(
             graph,
@@ -909,25 +909,9 @@ fn graph_pass(
     }
 
     let hashes = stage_hashes.get_or_insert_with(|| flow.stages().structural_hashes(nl));
-    let (sb, extraction) = build_spanned(
-        nl,
-        flow,
-        qual,
-        case,
-        options.model,
-        SOURCE_RESISTANCE,
-        jobs,
-        hashes,
-    );
+    let (sb, extraction) = build_spanned(&builder, SOURCE_RESISTANCE, jobs, hashes);
     let slot = if warm {
         let splice = sb.spans.map(|spans| {
-            let builder = GraphBuilder {
-                netlist: nl,
-                flow,
-                qualification: qual,
-                case,
-                model: options.model,
-            };
             let mut scratch = BuildScratch::new(nl.node_count());
             let (extent_starts, extent_roots) = builder.extents(&sb.roots, &mut scratch);
             SpliceIndex {

@@ -11,7 +11,7 @@
 //!    the maximum over its in-arcs, evaluated in ascending arc-id order.
 //!    Because the computation of one node reads only finished earlier
 //!    levels and writes only its own entry, a level can be fanned out
-//!    across [`std::thread::scope`] workers in disjoint chunks — and
+//!    across [`tv_fault::isolated_map`] workers in disjoint chunks — and
 //!    because per-node evaluation order is fixed by arc id, the result is
 //!    **bit-identical** to the serial walk at any thread count.
 //! 2. **Residue.** Nodes on or downstream of a combinational cycle never
@@ -745,55 +745,28 @@ pub(crate) fn propagate_full(
             jobs.min(width)
         };
         // First attempt: the fast path, whole level serially or chunked
-        // across scoped workers. Any panic is contained to its chunk and
+        // across workers. Any panic is contained to its chunk and
         // reported as `Err`, leaving the level to the degraded pass below.
-        let attempt: Result<usize, ()> = if threads <= 1 {
-            catch_unwind(AssertUnwindSafe(|| {
+        let chunk = width.div_ceil(threads);
+        let done = &*done;
+        let attempt: Result<usize, ()> = tv_fault::isolated_map(
+            level_out
+                .chunks_mut(chunk)
+                .zip(targets.chunks(chunk))
+                .collect(),
+            threads,
+            |(out_chunk, t_chunk): (&mut [Slot], &[u32])| {
                 let mut relaxed = 0usize;
-                for (out, &t) in level_out.iter_mut().zip(targets) {
+                for (out, &t) in out_chunk.iter_mut().zip(t_chunk) {
                     let (s, r) = compute_node(ctx, done, t);
                     *out = s;
                     relaxed += r as usize;
                 }
                 relaxed
-            }))
-            .map_err(|_| ())
-        } else {
-            let chunk = width.div_ceil(threads);
-            let done = &*done;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = level_out
-                    .chunks_mut(chunk)
-                    .zip(targets.chunks(chunk))
-                    .map(|(out_chunk, t_chunk)| {
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(move || {
-                                let mut relaxed = 0usize;
-                                for (out, &t) in out_chunk.iter_mut().zip(t_chunk) {
-                                    let (s, r) = compute_node(ctx, done, t);
-                                    *out = s;
-                                    relaxed += r as usize;
-                                }
-                                relaxed
-                            }))
-                        })
-                    })
-                    .collect();
-                let mut total = 0usize;
-                let mut clean = true;
-                for h in handles {
-                    match h.join().expect("worker panic is caught inside the closure") {
-                        Ok(r) => total += r,
-                        Err(_) => clean = false,
-                    }
-                }
-                if clean {
-                    Ok(total)
-                } else {
-                    Err(())
-                }
-            })
-        };
+            },
+        )
+        .into_iter()
+        .sum();
         match attempt {
             Ok(relaxed) => relaxations += relaxed,
             Err(()) => {

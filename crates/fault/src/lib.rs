@@ -11,6 +11,11 @@
 //! recompute) must restore the documented contract. `tv chaos` sweeps
 //! seeds over golden workloads and asserts exactly that.
 //!
+//! The recovery half of worker-panic isolation lives here too:
+//! [`isolated_map`] is the one fork-join primitive every panic-isolated
+//! fan-out in the workspace runs through, so scoped worker threads,
+//! per-item `catch_unwind` and in-order collection are written once.
+//!
 //! Design constraints, in order:
 //!
 //! * **Zero-cost disarmed.** Every hook is one relaxed atomic load and
@@ -248,6 +253,51 @@ pub fn panic_message(site: Site) -> String {
     format!("injected fault at {} (tv_fault)", site.name())
 }
 
+/// The workspace's one fork-join primitive: maps `f` over `items` on up
+/// to `threads` scoped workers, isolating every item under its own
+/// `catch_unwind`, and returns the results in item order. A panicking
+/// item yields `Err(())` in its own slot only; recovery (serial
+/// recompute, per-root rebuild, reparse) is the caller's, since only the
+/// caller knows what a degraded item means.
+///
+/// With `threads <= 1` or at most one item everything runs inline on
+/// the caller's thread, with no spawn. Otherwise each worker takes one
+/// contiguous run of items, so the item-to-worker cover is a pure
+/// function of `items.len()` and `threads`.
+pub fn isolated_map<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<Result<T, ()>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let run = |item: I| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|_| ());
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().map(run).collect();
+    }
+    let per = items.len().div_ceil(threads);
+    let mut items = items.into_iter();
+    let mut runs: Vec<Vec<I>> = Vec::with_capacity(threads);
+    loop {
+        let part: Vec<I> = items.by_ref().take(per).collect();
+        if part.is_empty() {
+            break;
+        }
+        runs.push(part);
+    }
+    let run = &run;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|part| s.spawn(move || part.into_iter().map(run).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("every item is panic-isolated"))
+            .collect()
+    })
+}
+
 /// The hook as an expression: `fault_point!(Site::GraphBuild)` is
 /// `true` exactly when the armed plan fires at this crossing.
 #[macro_export]
@@ -318,15 +368,11 @@ mod tests {
             after: 4,
         });
         let fired_count = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        if fire(Site::PropagateWorker) {
-                            fired_count.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
+        isolated_map((0..8).collect::<Vec<u32>>(), 8, |_| {
+            for _ in 0..100 {
+                if fire(Site::PropagateWorker) {
+                    fired_count.fetch_add(1, Ordering::SeqCst);
+                }
             }
         });
         assert_eq!(fired_count.load(Ordering::SeqCst), 1);
@@ -360,6 +406,32 @@ mod tests {
         assert!(e.to_string().contains("journal_write"));
         assert!(io_error(Site::JournalWrite).is_none(), "one-shot");
         disarm();
+    }
+
+    #[test]
+    fn isolated_map_keeps_item_order_and_isolates_panics() {
+        for threads in [1usize, 2, 8] {
+            for n in [0usize, 1, 3, 17] {
+                let items: Vec<usize> = (0..n).collect();
+                let out = isolated_map(items, threads, |i| i * 10);
+                let want: Vec<Result<usize, ()>> = (0..n).map(|i| Ok(i * 10)).collect();
+                assert_eq!(out, want, "threads {threads}, {n} items");
+            }
+            // Item 5 panics: its slot alone is `Err`.
+            let out = isolated_map((0..12usize).collect(), threads, |i| {
+                if i == 5 {
+                    panic!("poisoned item");
+                }
+                i
+            });
+            for (i, r) in out.iter().enumerate() {
+                assert_eq!(
+                    *r,
+                    if i == 5 { Err(()) } else { Ok(i) },
+                    "threads {threads}"
+                );
+            }
+        }
     }
 
     #[test]

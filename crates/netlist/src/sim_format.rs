@@ -53,7 +53,6 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::diag::{codes, Diagnostic, Diagnostics};
 use crate::intern::{Interner, Symbol};
@@ -932,43 +931,16 @@ fn parse_chunked(
         });
     }
 
-    // Scan: a worker pool pulls chunk indices off a shared counter.
-    // Each scan is wrapped in `catch_unwind` (the PR 2 panic-isolation
-    // pattern) so one poisoned chunk degrades, never crashes.
+    // Scan: each worker takes a contiguous run of chunks, every scan
+    // panic-isolated so one poisoned chunk degrades, never crashes.
     let retain = diags.max_errors();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(chunks.len());
-    let mut slots: Vec<Option<Result<ChunkOut, ()>>> = (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut mine: Vec<(usize, Result<ChunkOut, ()>)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        scan_chunk(chunks[i], retain)
-                    }));
-                    mine.push((i, r.map_err(|_| ())));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("scan worker is panic-isolated") {
-                slots[i] = Some(r);
-            }
-        }
-    });
+    let slots = tv_fault::isolated_map(chunks.to_vec(), jobs, |c| scan_chunk(c, retain));
 
     // Merge, strictly in chunk order.
     let mut line_base = 0u64;
     let mut dev_count = 0usize;
     for (ci, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every chunk was scanned") {
+        match slot {
             Ok(out) => {
                 // Interning local symbols in index order reproduces the
                 // serial first-seen node creation order.

@@ -81,8 +81,12 @@ echo "== extract smoke: hierarchical macromodels share and de-share =="
 # count), a parametric resize de-shares exactly one instance per phase
 # graph, and the report fingerprints stay bit-identical to the flat
 # path throughout.
-cargo run --release --offline --bin tv -- batch tests/data/extract_smoke.txt \
-  | diff -u tests/data/extract_smoke.golden -
+# The replay must hold at --jobs 1/2/8: the class partition and the
+# emitted arcs are independent of the thread count.
+for j in 1 2 8; do
+  cargo run -q --release --offline --bin tv -- batch tests/data/extract_smoke.txt --jobs "$j" \
+    | diff -u tests/data/extract_smoke.golden -
+done
 
 echo "== ingest smoke: chunked parse identity + zero reallocs =="
 # Generate a ~100k-device multi-core design with `tv gen`, parse it at
@@ -127,8 +131,14 @@ echo "== chaos smoke: tv chaos --seeds 64 vs golden =="
 # committed golden pins the per-site outcome tally — any escaped panic,
 # silent result divergence, or phantom recovery fails the diff and the
 # sweep's own exit code.
+# The same tally must hold at --jobs 2 and 8, where the worker-panic
+# sites degrade parallel fan-outs instead of the serial fast path.
 cargo run --release --offline --bin tv -- chaos --seeds 64 \
   | diff -u tests/data/chaos_smoke.golden -
+for j in 2 8; do
+  cargo run -q --release --offline --bin tv -- chaos --seeds 64 --jobs "$j" \
+    | diff -u tests/data/chaos_smoke.golden -
+done
 
 echo "== fault fuzz smoke: tv fuzz --faults =="
 # Randomized session scripts under seeded fault plans: every triggered

@@ -173,3 +173,73 @@ fn binary_fault_seed_metrics_write_recovers() {
     );
     let _ = std::fs::remove_file(&metrics);
 }
+
+/// A `graph_build` plan fired at the first, middle and last root: the
+/// panic voids extraction, every root is re-emitted by direct build, and
+/// the graph equals the clean build bit for bit at any jobs setting.
+#[test]
+fn graph_build_fault_at_any_root_rebuilds_the_clean_graph() {
+    use nmos_tv::clocks::qualify::qualify_with_flow;
+    use nmos_tv::core::{DelayModel, PhaseCase, TimingGraph};
+    use nmos_tv::flow::{analyze, RuleSet};
+
+    let _g = plane_lock();
+    let nl = nmos_tv::gen::random::random_logic(
+        nmos_tv::netlist::Tech::nmos4um(),
+        3000,
+        0xDECAF,
+        nmos_tv::gen::random::RandomMix::default(),
+    )
+    .netlist;
+    let flow = analyze(&nl, &RuleSet::all());
+    let q = qualify_with_flow(&nl, &flow);
+    let case = PhaseCase::all_active();
+    let build = |jobs| TimingGraph::build_par(&nl, &flow, &q, case, DelayModel::Elmore, 1.0, jobs);
+    let clean = build(1);
+    // Signing crosses the site once per root and a clean extraction
+    // crosses it nowhere else, so a plan fires exactly when `after` is
+    // below the root count.
+    let fires = |after: u64| {
+        nmos_tv::fault::arm(FaultPlan {
+            site: Site::GraphBuild,
+            after,
+        });
+        build(1);
+        let fired = nmos_tv::fault::fired();
+        nmos_tv::fault::disarm();
+        fired
+    };
+    let probe: Vec<u64> = (0..nl.node_count() as u64).collect();
+    let roots = probe.partition_point(|&k| fires(k)) as u64;
+    // More roots than one signing block, so jobs 2 and 8 sign in waves.
+    assert!(roots > 512, "the design has {roots} roots");
+    for after in [0, roots / 2, roots - 1] {
+        for jobs in [1usize, 2, 8] {
+            nmos_tv::fault::arm(FaultPlan {
+                site: Site::GraphBuild,
+                after,
+            });
+            let g = build(jobs);
+            assert!(nmos_tv::fault::fired(), "after {after}, jobs {jobs}");
+            nmos_tv::fault::disarm();
+            let what = format!("after {after}, jobs {jobs}");
+            assert!(g.diagnostics.is_empty(), "{what}");
+            assert_eq!(g.arc_count(), clean.arc_count(), "{what}");
+            for (a, b) in g.arcs.iter().zip(&clean.arcs) {
+                assert_eq!(
+                    (a.from, a.to, a.delay, a.inverting, a.kind),
+                    (b.from, b.to, b.delay, b.inverting, b.kind),
+                    "{what}"
+                );
+            }
+            let words = |t: &TimingGraph| t.delays.iter().map(|d| d.words()).collect::<Vec<_>>();
+            assert_eq!(words(&g), words(&clean), "{what}");
+            assert_eq!(g.schedule.order, clean.schedule.order, "{what}");
+            assert_eq!(
+                g.schedule.level_starts, clean.schedule.level_starts,
+                "{what}"
+            );
+            assert_eq!(g.schedule.residue, clean.schedule.residue, "{what}");
+        }
+    }
+}
