@@ -189,11 +189,7 @@ pub fn phase_sources(nl: &Netlist, latches: &[Latch], phase: u8) -> Vec<NodeId> 
 /// Endpoints for phase `p`: storage captured this phase, plus primary
 /// outputs.
 pub fn phase_endpoints(nl: &Netlist, latches: &[Latch], phase: u8) -> Vec<NodeId> {
-    let mut endpoints: Vec<NodeId> = latches
-        .iter()
-        .filter(|l| l.phase == phase)
-        .map(|l| l.storage)
-        .collect();
+    let mut endpoints = crate::hold::phase_storages(latches, phase);
     endpoints.extend(nl.outputs());
     endpoints
 }

@@ -375,11 +375,6 @@ impl TimingGraph {
         &self.out_arc_ids[self.out_starts[i] as usize..self.out_starts[i + 1] as usize]
     }
 
-    /// Arc indices leaving `node`, ascending by arc id.
-    pub fn out_arcs_of(&self, node: NodeId) -> &[u32] {
-        self.out_arcs_of_index(node.index())
-    }
-
     /// Extends `marked` to the forward closure of `seeds` over out-arcs:
     /// the fanout cone a change to the seed nodes can influence. Nodes
     /// already marked act as seeds too (their fanout is included); the

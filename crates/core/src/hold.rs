@@ -11,15 +11,17 @@
 //!
 //! The check runs on the per-phase timing graph: from every storage node
 //! of the active phase, can another storage node of the same phase be
-//! reached? The earliest possible arrival (minimum-delay propagation) is
-//! reported as the race margin.
-
-use std::collections::VecDeque;
+//! reached? The earliest possible arrival is reported as the race
+//! margin. It comes from the arrival engine's early lane
+//! ([`mod@crate::propagate`]), seeded with the phase's own storage nodes, so
+//! the setup and race checks of a case share one walk.
 
 use tv_clocks::latch::Latch;
 use tv_netlist::{Netlist, NodeId};
+use tv_rc::SlopeModel;
 
 use crate::graph::TimingGraph;
+use crate::propagate::{early_through, propagate_full, Arrivals, Guards, Workspace};
 
 /// A same-phase race-through hazard.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,100 +33,70 @@ pub struct RaceHazard {
     pub min_arrival: f64,
 }
 
-/// Minimum (earliest) arrival at every node from the given sources,
-/// `f64::INFINITY` where unreachable. Uses each arc's smaller finite
-/// delay — the best case the race needs.
-pub fn min_arrivals(netlist: &Netlist, graph: &TimingGraph, sources: &[NodeId]) -> Vec<f64> {
-    let n = netlist.node_count();
-    let mut arr = vec![f64::INFINITY; n];
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut queued = vec![false; n];
-    for &s in sources {
-        arr[s.index()] = 0.0;
-        if !queued[s.index()] {
-            queued[s.index()] = true;
-            queue.push_back(s);
-        }
-    }
-    // Monotone decreasing relaxation; terminates on any graph because
-    // values only decrease and are bounded below by 0.
-    let budget = 64 * (graph.arcs.len() + n).max(1);
-    let mut relaxations = 0usize;
-    while let Some(node) = queue.pop_front() {
-        queued[node.index()] = false;
-        if relaxations > budget {
-            break;
-        }
-        let here = arr[node.index()];
-        for &ai in graph.out_arcs_of(node) {
-            let arc = &graph.arcs[ai as usize];
-            let row = graph.delay_of(arc);
-            let d = row.rise_delay.min(row.fall_delay);
-            if !d.is_finite() {
-                continue;
-            }
-            let cand = here + d;
-            let to = arc.to.index();
-            relaxations += 1;
-            if cand < arr[to] - 1e-15 {
-                arr[to] = cand;
-                if !queued[to] {
-                    queued[to] = true;
-                    queue.push_back(arc.to);
-                }
-            }
-        }
-    }
-    arr
-}
-
 /// Finds same-phase race-through hazards in one phase's graph: storage
 /// nodes of `phase` reachable *through at least one arc* from storage
 /// nodes of the same phase. Results are sorted by margin (most dangerous
 /// first).
+///
+/// A standalone walk for harnesses; an analysis reads the same hazards
+/// off the case's own propagation.
 pub fn race_check(
     netlist: &Netlist,
     graph: &TimingGraph,
     latches: &[Latch],
     phase: u8,
 ) -> Vec<RaceHazard> {
-    let storages: Vec<NodeId> = latches
-        .iter()
-        .filter(|l| l.phase == phase)
-        .map(|l| l.storage)
-        .collect();
+    let storages = phase_storages(latches, phase);
     if storages.is_empty() {
         return Vec::new();
     }
-    let arr = min_arrivals(netlist, graph, &storages);
+    // No late sources: only the early lane moves, so the slope model is
+    // immaterial.
+    let result = propagate_full(
+        netlist,
+        graph,
+        &[],
+        &storages,
+        &[],
+        &SlopeModel::disabled(),
+        1,
+        Guards::default(),
+        &mut Workspace::new(),
+        None,
+    );
+    races(graph, &result.arrivals, &storages)
+}
 
-    // A storage node is both source (arrival 0) and potential victim; the
-    // racing arrival is the minimum over its *incoming* arcs.
-    let mut is_storage = vec![false; netlist.node_count()];
-    for &s in &storages {
-        is_storage[s.index()] = true;
-    }
-    let mut incoming_min = vec![f64::INFINITY; netlist.node_count()];
-    for arc in &graph.arcs {
-        let row = graph.delay_of(arc);
-        let d = row.rise_delay.min(row.fall_delay);
-        if !d.is_finite() {
-            continue;
-        }
-        let from_arr = arr[arc.from.index()];
-        if !from_arr.is_finite() {
-            continue;
-        }
-        let to = arc.to.index();
-        if is_storage[to] {
-            incoming_min[to] = incoming_min[to].min(from_arr + d);
-        }
-    }
+/// Storage captured during phase `p`: transparent while it is open, so
+/// both the early lane's sources and the nodes a race captures into.
+pub(crate) fn phase_storages(latches: &[Latch], phase: u8) -> Vec<NodeId> {
+    latches
+        .iter()
+        .filter(|l| l.phase == phase)
+        .map(|l| l.storage)
+        .collect()
+}
 
+/// The hazards a propagation whose early lane was seeded with
+/// `storages` shows. A storage node is both source (early arrival 0) and
+/// potential victim, so its racing arrival is the minimum over its
+/// *incoming* arcs.
+pub(crate) fn races(
+    graph: &TimingGraph,
+    arrivals: &Arrivals,
+    storages: &[NodeId],
+) -> Vec<RaceHazard> {
     let mut hazards: Vec<RaceHazard> = storages
         .iter()
         .filter_map(|&s| {
-            let m = incoming_min[s.index()];
+            let m = graph
+                .in_arcs_of(s)
+                .iter()
+                .map(|&ai| {
+                    let arc = &graph.arcs[ai as usize];
+                    early_through(arrivals.early[arc.from.index()], graph.delay_of(arc))
+                })
+                .fold(f64::INFINITY, f64::min);
             m.is_finite().then_some(RaceHazard {
                 capture: s,
                 min_arrival: m,
@@ -199,10 +171,35 @@ mod tests {
         assert!(hazards[0].min_arrival > 0.0);
     }
 
+    /// Propagates from input `a` in the all-active case with `a` as the
+    /// early lane's only source too.
+    fn from_a(nl: &Netlist, a: NodeId, endpoints: &[NodeId]) -> crate::PhaseResult {
+        let flow = analyze(nl, &RuleSet::all());
+        let q = qualify_with_flow(nl, &flow);
+        let g = TimingGraph::build(
+            nl,
+            &flow,
+            &q,
+            PhaseCase::all_active(),
+            DelayModel::Elmore,
+            1.0,
+        );
+        propagate_full(
+            nl,
+            &g,
+            &[a],
+            &[a],
+            endpoints,
+            &SlopeModel::calibrated(),
+            1,
+            Guards::default(),
+            &mut Workspace::new(),
+            None,
+        )
+    }
+
     #[test]
     fn min_arrivals_are_lower_than_max() {
-        use crate::propagate::propagate;
-        use tv_rc::SlopeModel;
         let mut b = NetlistBuilder::new(Tech::nmos4um());
         let a = b.input("a");
         let x = b.node("x");
@@ -212,23 +209,11 @@ mod tests {
         b.inverter("i2", x, y);
         b.inverter("i3", y, z);
         let nl = b.finish().unwrap();
-        let flow = analyze(&nl, &RuleSet::all());
-        let q = qualify_with_flow(&nl, &flow);
-        let g = TimingGraph::build(
-            &nl,
-            &flow,
-            &q,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-        );
-        let min = min_arrivals(&nl, &g, &[a]);
-        let max = propagate(&nl, &g, &[a], &[z], &SlopeModel::calibrated());
+        let r = from_a(&nl, a, &[z]);
         for node in [x, y, z] {
-            let lo = min[node.index()];
-            let hi = max.arrival(node).unwrap();
-            assert!(lo.is_finite());
-            assert!(lo <= hi + 1e-12, "min {lo} > max {hi}");
+            let lo = r.arrivals.early(node).expect("reached");
+            let hi = r.arrival(node).unwrap();
+            assert!(lo <= hi, "early {lo} > late {hi}");
             assert!(lo > 0.0);
         }
     }
@@ -243,18 +228,58 @@ mod tests {
         b.inverter("i1", a, x);
         b.inverter("i2", other, y);
         let nl = b.finish().unwrap();
-        let flow = analyze(&nl, &RuleSet::all());
-        let q = qualify_with_flow(&nl, &flow);
-        let g = TimingGraph::build(
-            &nl,
-            &flow,
-            &q,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-        );
-        let min = min_arrivals(&nl, &g, &[a]);
-        assert!(min[x.index()].is_finite());
-        assert!(min[y.index()].is_infinite());
+        let r = from_a(&nl, a, &[x, y]);
+        assert!(r.arrivals.early(x).is_some());
+        assert_eq!(r.arrivals.early(y), None);
+    }
+
+    /// A φ1 latch ring: `la(y→a)`, `i1(a→x)`, `lb(x→b)`, `i2(b→y)`.
+    fn latch_ring() -> Netlist {
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let phi1 = b.clock("phi1", 0);
+        b.clock("phi2", 1);
+        let a = b.node("a");
+        let x = b.node("x");
+        let bb = b.node("b");
+        let y = b.node("y");
+        b.dynamic_latch("la", phi1, y, a);
+        b.inverter("i1", a, x);
+        b.dynamic_latch("lb", phi1, x, bb);
+        b.inverter("i2", bb, y);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn races_are_found_through_a_diverging_residue() {
+        // Both storages race at these bits, captured from the separate
+        // min-delay walk this lane replaced.
+        const MARGIN: u64 = 0x3fe8_73b7_3837_7c14; // 0.7641254518492837 ns
+        let nl = latch_ring();
+        let want: Vec<(NodeId, u64)> = ["la_mem", "lb_mem"]
+            .iter()
+            .map(|n| (nl.node_by_name(n).unwrap(), MARGIN))
+            .collect();
+        let bits = |hs: &[RaceHazard]| -> Vec<(NodeId, u64)> {
+            hs.iter()
+                .map(|h| (h.capture, h.min_arrival.to_bits()))
+                .collect()
+        };
+
+        let (g, latches) = setup(&nl, 0);
+        assert_eq!(g.schedule.residue.len(), 6);
+        assert_eq!(bits(&race_check(&nl, &g, &latches, 0)), want);
+
+        for jobs in [1, 2, 8] {
+            let opts = crate::AnalysisOptions {
+                jobs,
+                ..crate::AnalysisOptions::default()
+            };
+            let report = crate::Analyzer::new(&nl).run(&opts);
+            let p0 = &report.phases[0];
+            assert!(p0.result.cyclic, "jobs {jobs}: the late lane must diverge");
+            assert_eq!(p0.result.completion, crate::Completion::BudgetExhausted);
+            assert_eq!(bits(&p0.races), want, "jobs {jobs}");
+            assert!(report.phases[1].races.is_empty());
+        }
     }
 }

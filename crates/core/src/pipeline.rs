@@ -504,29 +504,41 @@ impl PassManager {
         // device geometry without rerunning flow.
         let mut stage_hashes: Option<Vec<u64>> = None;
 
-        // --- combinational case ---
-        let comb_delta = graph_pass(
-            &mut self.graphs[0],
-            &mut self.trace,
-            self.warm,
-            nl,
-            flow,
-            qual,
-            PhaseCase::all_active(),
-            stamp,
-            design,
-            options,
-            flow_fp,
-            qual_fp,
-            jobs,
-            &mut stage_hashes,
-        );
-        let comb_slot = self.graphs[0]
-            .as_ref()
-            .ok_or(internal("graph pass left no combinational slot"))?;
-        if enforce_limits {
-            if let Some(limit) = options.max_arcs {
-                let count = comb_slot.graph.arc_count();
+        // --- cases: all-active, then each phase under case analysis ---
+        let mut cases = vec![None];
+        if options.case_analysis && !nl.clocks().is_empty() {
+            cases.extend([Some(0), Some(1)]);
+        }
+        let mut combinational = None;
+        let mut phases = Vec::new();
+        for active in cases {
+            let k = case_slot(active);
+            let delta = graph_pass(
+                &mut self.graphs[k],
+                &mut self.trace,
+                self.warm,
+                nl,
+                flow,
+                qual,
+                PhaseCase { active },
+                stamp,
+                design,
+                options,
+                flow_fp,
+                qual_fp,
+                jobs,
+                &mut stage_hashes,
+            );
+            let slot = self.graphs[k]
+                .as_ref()
+                .ok_or(internal("graph pass left no case slot"))?;
+            // The arc limit is checked on the combinational graph, before
+            // any arrival work.
+            let limit = options
+                .max_arcs
+                .filter(|_| enforce_limits && active.is_none());
+            if let Some(limit) = limit {
+                let count = slot.graph.arc_count();
                 if count > limit {
                     return Err(TvError::TooLarge {
                         what: "arcs",
@@ -535,107 +547,74 @@ impl PassManager {
                     });
                 }
             }
-        }
-        diagnostics.extend(comb_slot.graph.diagnostics.iter().cloned());
-        let comb_sources = external_sources(nl);
-        let comb_endpoints = endpoints_or_all(nl, nl.outputs());
-        let (combinational, outcome) = arrival_pass(
-            &mut self.arrivals[0],
-            self.warm,
-            &mut self.workspace,
-            nl,
-            &comb_slot.graph,
-            &comb_sources,
-            &comb_endpoints,
-            &options.slope,
-            jobs,
-            guards,
-            &comb_delta,
-        );
-        self.trace.push(PassEvent {
-            pass: PassId::Arrivals(None),
-            outcome,
-        });
-        diagnostics.extend(combinational.diagnostics.iter().cloned());
-        let combinational_paths = {
-            let _s = tv_obs::span("pass.paths");
-            critical_paths(&comb_slot.graph, &combinational, options.top_k)
-        };
-        // A one-shot run never reads a case's graph again once its
-        // arrivals, paths and races are done: free it before the next
-        // case builds, so at most one case graph is alive at a time.
-        if !self.warm {
-            self.graphs[0] = None;
-        }
-
-        // --- per-phase cases ---
-        let mut phases = Vec::new();
-        if options.case_analysis && !nl.clocks().is_empty() {
-            for p in 0..2u8 {
-                let delta = graph_pass(
-                    &mut self.graphs[1 + p as usize],
-                    &mut self.trace,
-                    self.warm,
-                    nl,
-                    flow,
-                    qual,
-                    PhaseCase::phase(p),
-                    stamp,
-                    design,
-                    options,
-                    flow_fp,
-                    qual_fp,
-                    jobs,
-                    &mut stage_hashes,
-                );
-                let slot = self.graphs[1 + p as usize]
-                    .as_ref()
-                    .ok_or(internal("graph pass left no phase slot"))?;
-                diagnostics.extend(slot.graph.diagnostics.iter().cloned());
-                let sources = phase_sources(nl, latches, p);
-                let endpoints = phase_endpoints(nl, latches, p);
-                let (result, outcome) = arrival_pass(
-                    &mut self.arrivals[1 + p as usize],
-                    self.warm,
-                    &mut self.workspace,
-                    nl,
-                    &slot.graph,
-                    &sources,
-                    &endpoints,
-                    &options.slope,
-                    jobs,
-                    guards,
-                    &delta,
-                );
-                self.trace.push(PassEvent {
-                    pass: PassId::Arrivals(Some(p)),
-                    outcome,
-                });
-                diagnostics.extend(result.diagnostics.iter().cloned());
-                let paths = {
-                    let _s = tv_obs::span("pass.paths");
-                    critical_paths(&slot.graph, &result, options.top_k)
-                };
-                let slack = result
-                    .critical_arrival()
-                    .map(|a| options.clock.width(p) - a);
-                let races = {
-                    let _s = tv_obs::span("pass.races");
-                    crate::hold::race_check(nl, &slot.graph, latches, p)
-                };
-                phases.push(PhaseAnalysis {
-                    phase: p,
-                    arcs: slot.graph.arc_count(),
-                    result,
-                    paths,
-                    slack,
-                    races,
-                });
-                if !self.warm {
-                    self.graphs[1 + p as usize] = None;
+            diagnostics.extend(slot.graph.diagnostics.iter().cloned());
+            // Late sources, early sources (the storages a race captures
+            // into), and endpoints.
+            let (sources, storages, endpoints) = match active {
+                None => (
+                    external_sources(nl),
+                    Vec::new(),
+                    endpoints_or_all(nl, nl.outputs()),
+                ),
+                Some(p) => (
+                    phase_sources(nl, latches, p),
+                    crate::hold::phase_storages(latches, p),
+                    phase_endpoints(nl, latches, p),
+                ),
+            };
+            let (result, outcome) = arrival_pass(
+                &mut self.arrivals[k],
+                self.warm,
+                &mut self.workspace,
+                nl,
+                &slot.graph,
+                &sources,
+                &storages,
+                &endpoints,
+                &options.slope,
+                jobs,
+                guards,
+                &delta,
+            );
+            self.trace.push(PassEvent {
+                pass: PassId::Arrivals(active),
+                outcome,
+            });
+            diagnostics.extend(result.diagnostics.iter().cloned());
+            let paths = {
+                let _s = tv_obs::span("pass.paths");
+                critical_paths(&slot.graph, &result, options.top_k)
+            };
+            match active {
+                None => combinational = Some((result, paths)),
+                Some(p) => {
+                    let slack = result
+                        .critical_arrival()
+                        .map(|a| options.clock.width(p) - a);
+                    let races = {
+                        let _s = tv_obs::span("pass.races");
+                        crate::hold::races(&slot.graph, &result.arrivals, &storages)
+                    };
+                    phases.push(PhaseAnalysis {
+                        phase: p,
+                        arcs: slot.graph.arc_count(),
+                        result,
+                        paths,
+                        slack,
+                        races,
+                    });
                 }
             }
+            // A one-shot run never reads a case's graph again once its
+            // arrivals, paths and races are done: free it before the
+            // next case builds, so at most one case graph is alive at a
+            // time.
+            if !self.warm {
+                self.graphs[k] = None;
+            }
         }
+        let (combinational, combinational_paths) =
+            combinational.ok_or(internal("no combinational case"))?;
 
         let min_cycle = if phases.len() == 2 {
             let a0 = phases[0].result.critical_arrival().unwrap_or(0.0);
@@ -980,6 +959,7 @@ fn arrival_pass(
     nl: &Netlist,
     graph: &TimingGraph,
     sources: &[NodeId],
+    early_sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
     jobs: usize,
@@ -987,7 +967,10 @@ fn arrival_pass(
     delta: &CaseDelta,
 ) -> (PhaseResult, PassOutcome) {
     let full = |ws: &mut Workspace| {
-        propagate_full(nl, graph, sources, endpoints, slope, jobs, guards, ws, None)
+        let (early, ends) = (early_sources, endpoints);
+        propagate_full(
+            nl, graph, sources, early, ends, slope, jobs, guards, ws, None,
+        )
     };
     if !warm {
         return (full(ws), PassOutcome::Computed);
@@ -1025,6 +1008,7 @@ fn arrival_pass(
             let result = propagate_cone(
                 graph,
                 sources,
+                early_sources,
                 endpoints,
                 slope,
                 &affected,

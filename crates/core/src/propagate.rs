@@ -1,4 +1,10 @@
-//! Worst-case arrival-time propagation over the timing graph.
+//! Arrival-time propagation over the timing graph.
+//!
+//! One walk carries two lanes per node: the **late lane** (worst-case
+//! rise/fall arrival, transition and predecessor) for setup and paths,
+//! and the **early lane** (earliest arrival from the early sources) for
+//! race-through ([`crate::hold`]). Every walk below updates both through
+//! one per-arc function, `relax`.
 //!
 //! # The levelized engine
 //!
@@ -18,7 +24,8 @@
 //!    level; they are finished by the original budgeted worklist
 //!    relaxation (seeded from the already-final leveled frontier), which
 //!    reports genuine cycles via [`PhaseResult::cyclic`] exactly as the
-//!    fully serial engine did.
+//!    fully serial engine did. The budget gates the late lane only; the
+//!    early lane always converges and is finished by a second worklist.
 //!
 //! Warm re-analyses of residue-free graphs use the only other engine,
 //! the **demand-driven cone engine** (`propagate_cone`): given the
@@ -66,11 +73,14 @@ pub(crate) struct Pred {
 
 /// Worst-case rise/fall arrival times at every node, measured from the
 /// analyzed phase's opening edge. `f64::NEG_INFINITY` means the
-/// transition never happens in this case.
+/// transition never happens in this case. Beside them, the earliest
+/// arrival from the early sources (`f64::INFINITY` where none reaches).
 #[derive(Debug, Clone)]
 pub struct Arrivals {
     pub(crate) rise: Vec<f64>,
     pub(crate) fall: Vec<f64>,
+    /// Earliest arrival over either edge from the early sources.
+    pub(crate) early: Vec<f64>,
     /// 10–90% transition time of the waveform achieving the worst rise.
     pub(crate) trans_rise: Vec<f64>,
     /// 10–90% transition time of the waveform achieving the worst fall.
@@ -88,6 +98,12 @@ impl Arrivals {
     /// Fall arrival at `node`, ns, if it can fall in this case.
     pub fn fall(&self, node: NodeId) -> Option<f64> {
         finite(self.fall[node.index()])
+    }
+
+    /// Earliest arrival at `node` from the early sources over either
+    /// edge, ns, if one reaches it.
+    pub fn early(&self, node: NodeId) -> Option<f64> {
+        finite(self.early[node.index()])
     }
 
     /// Worst (latest) arrival at `node` over both edges, ns.
@@ -146,8 +162,9 @@ pub struct Guards {
 pub enum Completion {
     /// Every node was resolved.
     Complete,
-    /// The residue relaxation budget ran out: arrivals on the listed
-    /// unresolved nodes are lower bounds, not converged values.
+    /// The residue relaxation budget ran out: late arrivals on the
+    /// listed unresolved nodes are lower bounds (too early), not
+    /// converged values. The early lane has no budget and converges.
     BudgetExhausted,
     /// The wall-clock deadline passed: the listed unresolved nodes were
     /// never computed and report no arrival at all.
@@ -173,7 +190,9 @@ pub struct PhaseResult {
     pub completion: Completion,
     /// Nodes whose values are partial or missing: the residue set when
     /// the budget ran out, uncomputed nodes when the deadline passed,
-    /// and any node whose evaluation panicked. Sorted by node id.
+    /// and any node whose evaluation panicked. Sorted by node id. A
+    /// partial late arrival is a lower bound (too early); a partial
+    /// early arrival is an upper bound (too late), or absent.
     pub unresolved: Vec<NodeId>,
     /// Engine diagnostics: guard exhaustion and degraded (panicked)
     /// workers. Empty — and unallocated — on a clean run.
@@ -199,6 +218,7 @@ impl PhaseResult {
 struct Slot {
     rise: f64,
     fall: f64,
+    early: f64,
     trans_rise: f64,
     trans_fall: f64,
     pred_rise: Option<Pred>,
@@ -206,11 +226,14 @@ struct Slot {
 }
 
 impl Slot {
-    fn init(source: bool) -> Slot {
+    /// A node's value before any in-arc: late sources arrive at 0 on
+    /// both edges, early sources at 0 in the early lane.
+    fn init(source: bool, early_source: bool) -> Slot {
         let t0 = if source { 0.0 } else { f64::NEG_INFINITY };
         Slot {
             rise: t0,
             fall: t0,
+            early: if early_source { 0.0 } else { f64::INFINITY },
             trans_rise: 0.0,
             trans_fall: 0.0,
             pred_rise: None,
@@ -227,6 +250,7 @@ impl Slot {
 #[derive(Debug, Default)]
 pub struct Workspace {
     is_source: Vec<bool>,
+    is_early: Vec<bool>,
     slot_of: Vec<u32>,
     slots: Vec<Slot>,
     in_residue: Vec<bool>,
@@ -249,6 +273,7 @@ struct Ctx<'a> {
     /// Node index → slot index (level order, then residue).
     slot_of: &'a [u32],
     is_source: &'a [bool],
+    is_early: &'a [bool],
     /// Fault-injection hook (tests only); called before each evaluation.
     fault: Option<&'a (dyn Fn(u32) + Sync)>,
 }
@@ -280,7 +305,58 @@ fn candidates(arc: &Arc, d: &ArcDelay, from: &Slot, slope: &SlopeModel) -> (f64,
     }
 }
 
-/// Evaluates one leveled node: the max over its in-arcs in ascending
+/// The earliest arrival an arc with delay row `d` offers its target:
+/// the source's earliest arrival plus the arc's faster edge.
+#[inline]
+pub(crate) fn early_through(from_early: f64, d: &ArcDelay) -> f64 {
+    from_early + d.rise_delay.min(d.fall_delay)
+}
+
+/// The per-arc update every walk shares: relaxes arc `ai` from `from`
+/// into `to`. The late lane keeps the latest [`candidates`] with their
+/// transitions and predecessors (unless `late` is false), the early lane
+/// the earliest arrival. Returns whether the late and the early lane moved.
+#[inline]
+fn relax(
+    ai: u32,
+    arc: &Arc,
+    d: &ArcDelay,
+    from: &Slot,
+    to: &mut Slot,
+    slope: &SlopeModel,
+    late: bool,
+) -> (bool, bool) {
+    let mut late_moved = false;
+    if late {
+        let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, d, from, slope);
+        if cand_rise.is_finite() && cand_rise > to.rise {
+            to.rise = cand_rise;
+            to.trans_rise = slope.output_transition(d.rise_tau);
+            to.pred_rise = Some(Pred {
+                arc: ai,
+                from_edge: rise_src,
+            });
+            late_moved = true;
+        }
+        if cand_fall.is_finite() && cand_fall > to.fall {
+            to.fall = cand_fall;
+            to.trans_fall = slope.output_transition(d.fall_tau);
+            to.pred_fall = Some(Pred {
+                arc: ai,
+                from_edge: fall_src,
+            });
+            late_moved = true;
+        }
+    }
+    let early = early_through(from.early, d);
+    let early_moved = early < to.early;
+    if early_moved {
+        to.early = early;
+    }
+    (late_moved, early_moved)
+}
+
+/// Evaluates one leveled node: both lanes over its in-arcs in ascending
 /// arc-id order. Pure in the finished prefix, so the result does not
 /// depend on how the level was chunked across workers.
 fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
@@ -297,29 +373,13 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
         );
     }
     let ni = node as usize;
-    let mut s = Slot::init(ctx.is_source[ni]);
+    let mut s = Slot::init(ctx.is_source[ni], ctx.is_early[ni]);
     let mut relaxed = 0u32;
     for &ai in ctx.graph.in_arcs_of_index(ni) {
         let arc = &ctx.graph.arcs[ai as usize];
         let d = ctx.graph.delay_of(arc);
         let from = &done[ctx.slot_of[arc.from.index()] as usize];
-        let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, d, from, ctx.slope);
-        if cand_rise.is_finite() && cand_rise > s.rise {
-            s.rise = cand_rise;
-            s.trans_rise = ctx.slope.output_transition(d.rise_tau);
-            s.pred_rise = Some(Pred {
-                arc: ai,
-                from_edge: rise_src,
-            });
-        }
-        if cand_fall.is_finite() && cand_fall > s.fall {
-            s.fall = cand_fall;
-            s.trans_fall = ctx.slope.output_transition(d.fall_tau);
-            s.pred_fall = Some(Pred {
-                arc: ai,
-                from_edge: fall_src,
-            });
-        }
+        relax(ai, arc, d, from, &mut s, ctx.slope, true);
         relaxed += 1;
     }
     (s, relaxed)
@@ -345,7 +405,9 @@ fn arc_transitions(arc: &Arc, d: &ArcDelay) -> [Option<(usize, usize)>; 2] {
     ]
 }
 
-/// Decides whether the budgeted residue relaxation can terminate at all.
+/// Decides whether the budgeted residue relaxation of the late lane can
+/// terminate at all. (The early lane always can: it is min-propagation
+/// over non-negative delays.)
 ///
 /// The residue is relaxed by monotone max-propagation, so it diverges
 /// exactly when a finite arrival reaches a cycle of the *waveform state
@@ -456,6 +518,15 @@ fn residue_diverges(
     peeled < total
 }
 
+/// Resets `flags` to `n` clear entries, then sets the listed indices.
+fn mark(flags: &mut Vec<bool>, n: usize, nodes: impl IntoIterator<Item = usize>) {
+    flags.clear();
+    flags.resize(n, false);
+    for i in nodes {
+        flags[i] = true;
+    }
+}
+
 /// Minimum level width before fanning a level out across threads;
 /// narrower levels are cheaper to finish inline than to dispatch.
 /// Public so the bench crate's work-span model mirrors the engine.
@@ -463,7 +534,9 @@ pub const PAR_MIN_WIDTH: usize = 128;
 
 /// Propagates worst-case arrivals from `sources` (arrival 0 on both
 /// edges, step transitions) through the graph, serially. `endpoints`
-/// selects which nodes are reported as capture points.
+/// selects which nodes are reported as capture points. The early lane
+/// has no sources here: [`crate::race_check`] is the public entry that
+/// seeds it.
 ///
 /// Slope handling follows TV: each arc's delay is padded with
 /// `k_slope × input_transition`, and the output transition is
@@ -528,6 +601,7 @@ pub fn propagate_guarded(
         netlist,
         graph,
         sources,
+        &[],
         endpoints,
         slope,
         jobs,
@@ -538,12 +612,14 @@ pub fn propagate_guarded(
 }
 
 /// Demand-driven cone engine: re-relaxes only the nodes marked
-/// `affected`, in level order, over the previous run's arrivals.
+/// `affected`, in level order, over the previous run's arrivals (both
+/// lanes: an early arrival depends on the same in-arcs as a late one).
 /// `snapshot` is advanced in place to the new arrivals, and the result
 /// carries a copy.
 ///
 /// Preconditions (the caller — the pass pipeline's arrival pass —
-/// enforces all three): the graph's schedule has no residue, the
+/// enforces all three, and passes the sources the snapshot was taken
+/// with): the graph's schedule has no residue, the
 /// `affected` set is forward-closed over out-arcs, and no wall-clock
 /// deadline is armed. Under them the result is **bit-identical** to the
 /// full walk: a node's predecessors sit at strictly lower levels, so by
@@ -551,9 +627,11 @@ pub fn propagate_guarded(
 /// recomputed if the predecessor is itself affected, the snapshot value
 /// otherwise — and the per-node evaluation reproduces
 /// [`compute_node`]'s arithmetic arc for arc.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_cone(
     graph: &TimingGraph,
     sources: &[NodeId],
+    early_sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
     affected: &[bool],
@@ -569,12 +647,8 @@ pub(crate) fn propagate_cone(
     );
     debug_assert_eq!(snapshot.rise.len(), n);
 
-    let is_source = &mut ws.is_source;
-    is_source.clear();
-    is_source.resize(n, false);
-    for &s in sources {
-        is_source[s.index()] = true;
-    }
+    mark(&mut ws.is_source, n, sources.iter().map(|s| s.index()));
+    mark(&mut ws.is_early, n, early_sources.iter().map(|s| s.index()));
 
     // The snapshot's predecessor arc ids are still valid: it was taken
     // on an arc-for-arc identical graph (same fingerprint) or on one a
@@ -589,40 +663,25 @@ pub(crate) fn propagate_cone(
             continue;
         }
         cone_nodes += 1;
-        let mut s = Slot::init(is_source[ni]);
+        let mut s = Slot::init(ws.is_source[ni], ws.is_early[ni]);
         for &ai in graph.in_arcs_of_index(ni) {
             let arc = &graph.arcs[ai as usize];
-            let d = graph.delay_of(arc);
             let fi = arc.from.index();
             let from = Slot {
                 rise: arr.rise[fi],
                 fall: arr.fall[fi],
+                early: arr.early[fi],
                 trans_rise: arr.trans_rise[fi],
                 trans_fall: arr.trans_fall[fi],
                 pred_rise: None,
                 pred_fall: None,
             };
-            let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, d, &from, slope);
-            if cand_rise.is_finite() && cand_rise > s.rise {
-                s.rise = cand_rise;
-                s.trans_rise = slope.output_transition(d.rise_tau);
-                s.pred_rise = Some(Pred {
-                    arc: ai,
-                    from_edge: rise_src,
-                });
-            }
-            if cand_fall.is_finite() && cand_fall > s.fall {
-                s.fall = cand_fall;
-                s.trans_fall = slope.output_transition(d.fall_tau);
-                s.pred_fall = Some(Pred {
-                    arc: ai,
-                    from_edge: fall_src,
-                });
-            }
+            relax(ai, arc, graph.delay_of(arc), &from, &mut s, slope, true);
             cone_relax += 1;
         }
         arr.rise[ni] = s.rise;
         arr.fall[ni] = s.fall;
+        arr.early[ni] = s.early;
         arr.trans_rise[ni] = s.trans_rise;
         arr.trans_fall[ni] = s.trans_fall;
         arr.pred_rise[ni] = s.pred_rise;
@@ -668,6 +727,7 @@ pub(crate) fn propagate_full(
     netlist: &Netlist,
     graph: &TimingGraph,
     sources: &[NodeId],
+    early_sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
     jobs: usize,
@@ -682,17 +742,15 @@ pub(crate) fn propagate_full(
 
     let Workspace {
         is_source,
+        is_early,
         slot_of,
         slots,
         in_residue,
         queued,
         queue,
     } = ws;
-    is_source.clear();
-    is_source.resize(n, false);
-    for &s in sources {
-        is_source[s.index()] = true;
-    }
+    mark(is_source, n, sources.iter().map(|s| s.index()));
+    mark(is_early, n, early_sources.iter().map(|s| s.index()));
 
     // Slot permutation: leveled nodes in level order, then residue.
     slot_of.clear();
@@ -700,8 +758,9 @@ pub(crate) fn propagate_full(
     slots.clear();
     slots.reserve(n);
     for (slot, &nd) in sched.order.iter().chain(sched.residue.iter()).enumerate() {
-        slot_of[nd as usize] = slot as u32;
-        slots.push(Slot::init(is_source[nd as usize]));
+        let ni = nd as usize;
+        slot_of[ni] = slot as u32;
+        slots.push(Slot::init(is_source[ni], is_early[ni]));
     }
 
     let ctx = Ctx {
@@ -709,6 +768,7 @@ pub(crate) fn propagate_full(
         slope,
         slot_of: slot_of.as_slice(),
         is_source: is_source.as_slice(),
+        is_early: is_early.as_slice(),
         fault,
     };
 
@@ -791,7 +851,8 @@ pub(crate) fn propagate_full(
                             relaxations += r as usize;
                         }
                         Err(_) => {
-                            *out = Slot::init(ctx.is_source[t as usize]);
+                            let ti = t as usize;
+                            *out = Slot::init(ctx.is_source[ti], ctx.is_early[ti]);
                             panicked.push(t);
                         }
                     }
@@ -800,48 +861,57 @@ pub(crate) fn propagate_full(
         }
     }
 
-    // Residue: the budgeted serial worklist, seeded with residue sources
-    // and every node feeding a residue node (their slots are final).
+    // Residue: a serial worklist per lane, seeded with residue sources
+    // and every node feeding a residue node (their slots are final). The
+    // early lane's runs whatever became of the late one's, needs no
+    // budget (min-propagation over non-negative delays converges to an
+    // order-independent fixpoint), and is not counted in the counters.
     let mut cyclic = false;
     let mut residue_deadline_hit = false;
     if !sched.residue.is_empty() && deadline_hit_at.is_none() {
-        in_residue.clear();
-        in_residue.resize(n, false);
-        for &r in &sched.residue {
-            in_residue[r as usize] = true;
-        }
-        if residue_diverges(graph, slots, slot_of, in_residue, &sched.residue) {
-            // A finite arrival reaches a positive-delay cycle: max-
-            // relaxation has no fixpoint, every lap raises the cycle's
-            // arrivals further. Flag the cycle immediately instead of
-            // grinding through the relaxation budget accumulating
-            // unbounded arrivals; residue nodes keep their seed values
-            // (sources at 0, everything else "no arrival").
-            cyclic = true;
-        } else {
+        mark(in_residue, n, sched.residue.iter().map(|&r| r as usize));
+        queued.clear();
+        queued.resize(n, false);
+        let enqueue = |node: usize, queue: &mut VecDeque<u32>, queued: &mut [bool]| {
+            if !queued[node] {
+                queued[node] = true;
+                queue.push_back(node as u32);
+            }
+        };
+        for late in [true, false] {
+            if late && residue_diverges(graph, slots, slot_of, in_residue, &sched.residue) {
+                // A finite arrival reaches a positive-delay cycle: max-
+                // relaxation has no fixpoint, every lap raises the
+                // cycle's arrivals further. Flag the cycle immediately
+                // instead of grinding through the relaxation budget
+                // accumulating unbounded arrivals; residue nodes keep
+                // their seed values (sources at 0, everything else "no
+                // arrival").
+                cyclic = true;
+                continue;
+            }
+            if residue_deadline_hit {
+                break;
+            }
             queue.clear();
-            queued.clear();
-            queued.resize(n, false);
-            let enqueue = |node: usize, queue: &mut VecDeque<u32>, queued: &mut [bool]| {
-                if !queued[node] {
-                    queued[node] = true;
-                    queue.push_back(node as u32);
-                }
-            };
+            queued.fill(false);
+            let early_reached = |i: usize| slots[slot_of[i] as usize].early.is_finite();
             for &r in &sched.residue {
-                if is_source[r as usize] {
-                    enqueue(r as usize, queue, queued);
+                let ri = r as usize;
+                if (late && is_source[ri]) || (!late && early_reached(ri)) {
+                    enqueue(ri, queue, queued);
                 }
             }
             for a in &graph.arcs {
-                if in_residue[a.to.index()] {
+                if in_residue[a.to.index()] && (late || early_reached(a.from.index())) {
                     enqueue(a.from.index(), queue, queued);
                 }
             }
-
-            let budget = guards
-                .relax_budget
-                .unwrap_or_else(|| 64 * (graph.arcs.len() + n).max(1));
+            let budget = match guards.relax_budget {
+                _ if !late => usize::MAX,
+                Some(b) => b,
+                None => 64 * (graph.arcs.len() + n).max(1),
+            };
             let mut residue_relax = 0usize;
             let mut pops = 0u64;
             while let Some(nidx) = queue.pop_front() {
@@ -852,49 +922,28 @@ pub(crate) fn propagate_full(
                     break;
                 }
                 pops += 1;
-                if pops.is_multiple_of(1024) {
-                    if let Some(dl) = guards.deadline {
-                        if Instant::now() >= dl {
-                            residue_deadline_hit = true;
-                            break;
-                        }
-                    }
+                if pops.is_multiple_of(1024)
+                    && guards.deadline.is_some_and(|dl| Instant::now() >= dl)
+                {
+                    residue_deadline_hit = true;
+                    break;
                 }
                 let from = slots[slot_of[ni] as usize];
                 for &ai in graph.out_arcs_of_index(ni) {
                     let arc = &graph.arcs[ai as usize];
-                    let d = graph.delay_of(arc);
                     let to = arc.to.index();
-                    let (cand_rise, rise_src, cand_fall, fall_src) =
-                        candidates(arc, d, &from, slope);
                     let target = &mut slots[slot_of[to] as usize];
-                    let mut improved = false;
-                    if cand_rise.is_finite() && cand_rise > target.rise {
-                        target.rise = cand_rise;
-                        target.trans_rise = slope.output_transition(d.rise_tau);
-                        target.pred_rise = Some(Pred {
-                            arc: ai,
-                            from_edge: rise_src,
-                        });
-                        improved = true;
-                    }
-                    if cand_fall.is_finite() && cand_fall > target.fall {
-                        target.fall = cand_fall;
-                        target.trans_fall = slope.output_transition(d.fall_tau);
-                        target.pred_fall = Some(Pred {
-                            arc: ai,
-                            from_edge: fall_src,
-                        });
-                        improved = true;
-                    }
+                    let moved = relax(ai, arc, graph.delay_of(arc), &from, target, slope, late);
                     residue_relax += 1;
-                    if improved {
+                    if moved.0 || (!late && moved.1) {
                         enqueue(to, queue, queued);
                     }
                 }
             }
-            relaxations += residue_relax;
-            tv_obs::add(tv_obs::Counter::PropagateResiduePops, pops);
+            if late {
+                relaxations += residue_relax;
+                tv_obs::add(tv_obs::Counter::PropagateResiduePops, pops);
+            }
         }
     }
     tv_obs::add(tv_obs::Counter::PropagateRelaxations, relaxations as u64);
@@ -905,6 +954,7 @@ pub(crate) fn propagate_full(
     let mut arr = Arrivals {
         rise: vec![f64::NEG_INFINITY; n],
         fall: vec![f64::NEG_INFINITY; n],
+        early: vec![f64::INFINITY; n],
         trans_rise: vec![0.0; n],
         trans_fall: vec![0.0; n],
         pred_rise: vec![None; n],
@@ -914,6 +964,7 @@ pub(crate) fn propagate_full(
         let s = &slots[slot_of[node] as usize];
         arr.rise[node] = s.rise;
         arr.fall[node] = s.fall;
+        arr.early[node] = s.early;
         arr.trans_rise[node] = s.trans_rise;
         arr.trans_fall[node] = s.trans_fall;
         arr.pred_rise[node] = s.pred_rise;
@@ -1231,6 +1282,7 @@ mod tests {
             &nl,
             &g,
             &[a, u],
+            &[],
             &[y, v],
             &SlopeModel::calibrated(),
             1,
@@ -1274,6 +1326,7 @@ mod tests {
                 &nl,
                 &g,
                 &[kick],
+                &[],
                 &[n2],
                 &SlopeModel::calibrated(),
                 jobs,

@@ -88,6 +88,18 @@ for j in 1 2 8; do
     | diff -u tests/data/extract_smoke.golden -
 done
 
+echo "== race smoke: same-phase race-through vs golden =="
+# The committed .sim holds a same-phase series pair in each phase and a
+# same-phase latch ring whose latest-arrival relaxation diverges. Its
+# `analyze --check` render and exit status must match the golden at
+# --jobs 1/2/8: races come from the arrival walk's early lane, which
+# converges even where the late lane exhausts its budget.
+for j in 1 2 8; do
+  { cargo run -q --release --offline --bin tv -- analyze tests/data/race_smoke.sim --check \
+      --jobs "$j" 2>&1 && echo "exit: 0" || echo "exit: $?"; } \
+    | diff -u tests/data/race_smoke.golden -
+done
+
 echo "== ingest smoke: chunked parse identity + zero reallocs =="
 # Generate a ~100k-device multi-core design with `tv gen`, parse it at
 # --jobs 1/2/8, and require byte-identical reports, diagnostics, and

@@ -414,3 +414,29 @@ fn oversized_input_is_refused_with_max_nodes() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("too large"), "{err}");
 }
+
+#[test]
+fn race_smoke_replays_to_golden_at_every_job_count() {
+    // Races into both storages of a same-phase latch ring are reported
+    // even though that phase's latest-arrival relaxation diverges (and
+    // exits 1 on the exhausted budget), identically at every job count.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let golden = std::fs::read_to_string(dir.join("race_smoke.golden")).expect("read golden");
+    for jobs in [1, 2, 8] {
+        let out = tv()
+            .arg("analyze")
+            .arg(dir.join("race_smoke.sim"))
+            .arg("--check")
+            .args(["--jobs", &jobs.to_string()])
+            .output()
+            .expect("run tv analyze");
+        let replay = format!(
+            "{}{}exit: {}\n",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+            out.status.code().expect("exit code")
+        );
+        assert_eq!(golden, replay, "race smoke differs at --jobs {jobs}");
+    }
+    assert_eq!(golden.matches("RACE:").count(), 4);
+}

@@ -8,10 +8,10 @@
 //!    run the full engine (never the cone against a stale snapshot) and
 //!    the rebuilt fingerprints match a cold run exactly.
 //! 2. **Bit-identity under randomized edits** — for arbitrary edit
-//!    sequences, the cone engine's arrivals, predecessor records, and
-//!    golden report fingerprints equal the full walk's at `--jobs`
-//!    1/2/8, and the cone's relaxation work never exceeds the full
-//!    walk's.
+//!    sequences, the cone engine's arrivals, predecessor records, race
+//!    lists, and golden report fingerprints equal the full walk's at
+//!    `--jobs` 1/2/8, and the cone's relaxation work never exceeds the
+//!    full walk's.
 //! 3. **Certificate exactness** — the cone seeds a splice certifies are
 //!    exactly the nodes whose in-arc delay words differ between cold
 //!    graph builds before and after the edit.
@@ -27,10 +27,11 @@ use std::sync::Mutex;
 use nmos_tv::clocks::qualify::qualify_with_flow;
 use nmos_tv::core::{
     report_fingerprint, AnalysisOptions, Analyzer, PassId, PassManager, PassOutcome, PhaseCase,
-    TimingGraph,
+    TimingGraph, TimingReport,
 };
 use nmos_tv::flow::RuleSet;
 use nmos_tv::gen::datapath::{datapath, DatapathConfig};
+use nmos_tv::gen::random;
 use nmos_tv::gen::rng::Rng64;
 use nmos_tv::netlist::{Design, DeviceId, DeviceKind, NodeId, NodeRole, Tech};
 use nmos_tv::obs::Counter;
@@ -42,6 +43,26 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 fn small_design() -> Design {
     let dp = datapath(Tech::nmos4um(), DatapathConfig::small());
     Design::new(dp.netlist)
+}
+
+/// The committed workload with same-phase races (56 in φ1).
+fn random_800() -> Design {
+    let c = random::random_logic(Tech::nmos4um(), 800, 0xA11CE, random::RandomMix::default());
+    Design::new(c.netlist)
+}
+
+/// Every phase's race list, margins as bits.
+fn race_bits(report: &TimingReport) -> Vec<Vec<(NodeId, u64)>> {
+    report
+        .phases
+        .iter()
+        .map(|p| {
+            p.races
+                .iter()
+                .map(|h| (h.capture, h.min_arrival.to_bits()))
+                .collect()
+        })
+        .collect()
 }
 
 fn editable_nodes(design: &Design) -> Vec<NodeId> {
@@ -171,12 +192,25 @@ fn mid_splice_shape_mismatch_rebuilds_and_matches_cold() {
 fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
     let _guard = OBS_LOCK.lock().unwrap();
     nmos_tv::obs::counters::set_enabled(true);
+    random_edits_match_cold(small_design, 200);
+    // Races ride the arrival pass's early lane, so a cone-served phase
+    // must reproduce the cold race list bit for bit.
+    let cone_races = random_edits_match_cold(random_800, 60);
+    assert!(
+        cone_races > 0,
+        "no cone-served phase of random-800 carried a race"
+    );
+}
 
+/// Applies `steps` random edits to three lockstep copies of `make()`'s
+/// design and checks every warm report against a cold one-shot run.
+/// Returns how many cone-served phases had a non-empty race list.
+fn random_edits_match_cold(make: fn() -> Design, steps: usize) -> usize {
     // Three pipelines over three lockstep copies of the design, one per
     // worker count; every iteration applies the same random edit to all
     // three and checks each warm report against a cold one-shot run.
     const JOBS: [usize; 3] = [1, 2, 8];
-    let mut designs: Vec<Design> = (0..JOBS.len()).map(|_| small_design()).collect();
+    let mut designs: Vec<Design> = (0..JOBS.len()).map(|_| make()).collect();
     let mut pms: Vec<PassManager> = (0..JOBS.len()).map(|_| PassManager::new()).collect();
     let opts_for = |jobs: usize| AnalysisOptions {
         jobs,
@@ -188,7 +222,8 @@ fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
 
     let mut rng = Rng64::new(0xC0DE_CAFE);
     let mut cone_runs = 0usize;
-    for step in 0..200 {
+    let mut cone_races = 0usize;
+    for step in 0..steps {
         // One random edit, replicated across the lockstep designs.
         let devs = device_ids(&designs[0]);
         let nodes = editable_nodes(&designs[0]);
@@ -255,6 +290,18 @@ fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
             report_fingerprint(designs[0].netlist(), &cold),
             "edit #{step}: warm jobs-1 report diverged from cold analysis"
         );
+        assert_eq!(
+            race_bits(&warm0),
+            race_bits(&cold),
+            "edit #{step}: warm race list diverged from cold analysis"
+        );
+        for p in &warm0.phases {
+            let served = matches!(
+                trace_outcome(&pms[0], PassId::Arrivals(Some(p.phase))),
+                Some(PassOutcome::Cone { .. })
+            );
+            cone_races += (served && !p.races.is_empty()) as usize;
+        }
         let warm_relax = after_warm.since(&before).get(Counter::PropagateRelaxations);
         let cold_relax = after_cold
             .since(&after_warm)
@@ -275,8 +322,9 @@ fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
     }
     assert!(
         cone_runs > 0,
-        "200 random edits never exercised the cone engine"
+        "{steps} random edits never exercised the cone engine"
     );
+    cone_races
 }
 
 #[test]
