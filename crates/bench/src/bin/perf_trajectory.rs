@@ -464,7 +464,9 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
 /// analyze` invocation does — parse the `.sim` text, analyze, render
 /// the report — and the warm figures include the edit itself and the
 /// full re-analysis (splice or rebuild, propagation, paths, checks) —
-/// exactly what one `analyze` reply costs a session.
+/// exactly what one `analyze` reply costs a session. The last two
+/// entries time whole session requests: a no-op `analyze` and a
+/// `paths` query.
 fn session_suite(tech: &Tech) -> Vec<Entry> {
     use tv_core::PassManager;
     use tv_netlist::{sim_format, Design, DeviceKind};
@@ -620,6 +622,40 @@ fn session_suite(tech: &Tech) -> Vec<Entry> {
         edit_loop(&mut design, &mut pm)
     });
     out.push(entry(s, counted(|| edit_loop(&mut design, &mut pm))));
+
+    // The session protocol's warm requests, through `Session::eval` as
+    // `tv session` answers them: a no-op `analyze` (every pass reused,
+    // the reply read off the pass slots) and a `paths` query over the
+    // cached all-active graph, between the endpoint of a φ1 critical
+    // path and the node before it (downstream of every all-active loop).
+    let mut session = tv_serve::session::Session::new(opts.clone(), tv_netlist::DEFAULT_MAX_ERRORS);
+    // A session turns the counter plane on; the timed loops run with it
+    // off, like every other bench here.
+    tv_obs::counters::set_enabled(false);
+    let mut eval = move |line: &str| {
+        let (reply, ok) = session.eval(line).expect("a command replies");
+        assert!(ok, "{line}: {reply}");
+        reply.len()
+    };
+    eval("demo mips32");
+    eval("analyze");
+    let mut noop = || eval("analyze");
+    let s = bench("session/mips32-noop", 200, &mut noop);
+    out.push(entry(s, counted(&mut noop)));
+
+    let query = {
+        let report = Analyzer::new(&dp.netlist).run(&opts);
+        let p = &report.phases[0].paths[0];
+        let name = |n| dp.netlist.node_name(n).to_string();
+        format!(
+            "paths {} {}",
+            name(p.steps[p.len() - 2].node),
+            name(p.endpoint())
+        )
+    };
+    let mut paths = || eval(&query);
+    let s = bench("session/mips32-paths", 50, &mut paths);
+    out.push(entry(s, counted(&mut paths)));
 
     out
 }

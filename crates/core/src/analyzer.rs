@@ -7,17 +7,15 @@
 //! a [`tv_netlist::Design`] instead when you re-analyze after edits.
 
 use tv_clocks::latch::Latch;
-use tv_clocks::qualify::qualify_with_flow;
 use tv_flow::{Census, FlowReport};
 use tv_netlist::{Diagnostic, Netlist, NodeId, NodeRole};
 
 use crate::checks::CheckIssue;
 use crate::error::TvError;
-use crate::graph::{PhaseCase, TimingGraph};
 use crate::hold::RaceHazard;
 use crate::options::AnalysisOptions;
 use crate::paths::TimingPath;
-use crate::propagate::{propagate, Completion, PhaseResult};
+use crate::propagate::{Completion, PhaseResult};
 
 /// Assumed driver resistance of primary inputs, kΩ (a strong pad driver).
 pub const SOURCE_RESISTANCE: f64 = 1.0;
@@ -198,27 +196,16 @@ impl<'a> Analyzer<'a> {
     /// Point-to-point query: the worst-case path from `from` to `to` in
     /// the all-active (combinational) view — TV's interactive "why is
     /// this slow" mode. Returns `None` when `to` is unreachable from
-    /// `from`.
+    /// `from`. Builds the all-active graph on a throwaway pass manager;
+    /// a session asks its own [`crate::PassManager::path_query`], which
+    /// reuses the cached graph.
     pub fn path_query(
         &self,
         from: NodeId,
         to: NodeId,
         options: &AnalysisOptions,
     ) -> Option<crate::paths::TimingPath> {
-        let nl = self.netlist;
-        let flow = tv_flow::analyze(nl, &options.rules);
-        let qual = qualify_with_flow(nl, &flow);
-        let graph = TimingGraph::build(
-            nl,
-            &flow,
-            &qual,
-            PhaseCase::all_active(),
-            options.model,
-            SOURCE_RESISTANCE,
-        );
-        let result = propagate(nl, &graph, &[from], &[to], &options.slope);
-        let edge = result.arrivals.worst_edge(to)?;
-        crate::paths::backtrack(&graph, &result.arrivals, to, edge)
+        crate::pipeline::path_query_cold(self.netlist, from, to, options)
     }
 }
 

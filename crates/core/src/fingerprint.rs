@@ -22,7 +22,9 @@ use tv_flow::{Direction, FlowAnalysis, NodeClass, Rule};
 use tv_netlist::Netlist;
 
 use crate::analyzer::TimingReport;
-use crate::propagate::{Completion, Edge};
+use crate::hold::RaceHazard;
+use crate::paths::TimingPath;
+use crate::propagate::{Completion, Edge, PhaseResult};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -77,7 +79,7 @@ impl Fnv {
     }
 }
 
-fn hash_phase_result(h: &mut Fnv, nl: &Netlist, r: &crate::propagate::PhaseResult) {
+fn hash_phase_result(h: &mut Fnv, nl: &Netlist, r: &PhaseResult) {
     for id in nl.node_ids() {
         h.opt_f64(r.arrivals.rise(id));
         h.opt_f64(r.arrivals.fall(id));
@@ -95,7 +97,7 @@ fn hash_phase_result(h: &mut Fnv, nl: &Netlist, r: &crate::propagate::PhaseResul
     h.u64(r.unresolved.len() as u64);
 }
 
-fn hash_paths(h: &mut Fnv, paths: &[crate::paths::TimingPath]) {
+fn hash_paths(h: &mut Fnv, paths: &[TimingPath]) {
     h.u64(paths.len() as u64);
     for p in paths {
         h.u64(p.len() as u64);
@@ -113,33 +115,83 @@ fn hash_paths(h: &mut Fnv, paths: &[crate::paths::TimingPath]) {
 /// fingerprints in `tests/integration_layout.rs` and the `fingerprint`
 /// field of session `analyze` replies.
 pub fn report_fingerprint(nl: &Netlist, report: &TimingReport) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(nl.node_count() as u64);
-    h.u64(nl.device_count() as u64);
-    for id in nl.node_ids() {
-        h.bytes(nl.node_name(id).as_bytes());
-        h.f64(nl.node_cap(id));
+    ReportParts {
+        combinational: &report.combinational,
+        combinational_paths: &report.combinational_paths,
+        phases: report
+            .phases
+            .iter()
+            .map(|p| PhaseParts {
+                phase: p.phase,
+                arcs: p.arcs,
+                slack: p.slack,
+                result: &p.result,
+                paths: &p.paths,
+                races: &p.races,
+            })
+            .collect(),
+        latches: report.latches.len(),
+        checks: report.checks.len(),
+        diagnostics: report.diagnostics.len(),
+        min_cycle: report.min_cycle,
     }
-    hash_phase_result(&mut h, nl, &report.combinational);
-    hash_paths(&mut h, &report.combinational_paths);
-    h.u64(report.phases.len() as u64);
-    for p in &report.phases {
-        h.u64(p.phase as u64);
-        h.u64(p.arcs as u64);
-        h.opt_f64(p.slack);
-        hash_phase_result(&mut h, nl, &p.result);
-        hash_paths(&mut h, &p.paths);
-        h.u64(p.races.len() as u64);
-        for race in &p.races {
-            h.u64(race.capture.index() as u64);
-            h.f64(race.min_arrival);
+    .fingerprint(nl)
+}
+
+/// The fields of a report the golden fingerprint reads, borrowed from
+/// wherever they live: an owned [`TimingReport`], or the pass slots of a
+/// [`crate::PassManager`] that answers a session without assembling one.
+pub(crate) struct ReportParts<'a> {
+    pub combinational: &'a PhaseResult,
+    pub combinational_paths: &'a [TimingPath],
+    pub phases: Vec<PhaseParts<'a>>,
+    pub latches: usize,
+    pub checks: usize,
+    pub diagnostics: usize,
+    pub min_cycle: Option<f64>,
+}
+
+/// One phase case's share of [`ReportParts`].
+pub(crate) struct PhaseParts<'a> {
+    pub phase: u8,
+    pub arcs: usize,
+    pub slack: Option<f64>,
+    pub result: &'a PhaseResult,
+    pub paths: &'a [TimingPath],
+    pub races: &'a [RaceHazard],
+}
+
+impl ReportParts<'_> {
+    /// The one traversal behind every golden report fingerprint.
+    pub(crate) fn fingerprint(&self, nl: &Netlist) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(nl.node_count() as u64);
+        h.u64(nl.device_count() as u64);
+        for id in nl.node_ids() {
+            h.bytes(nl.node_name(id).as_bytes());
+            h.f64(nl.node_cap(id));
         }
+        hash_phase_result(&mut h, nl, self.combinational);
+        hash_paths(&mut h, self.combinational_paths);
+        h.u64(self.phases.len() as u64);
+        for p in &self.phases {
+            h.u64(p.phase as u64);
+            h.u64(p.arcs as u64);
+            h.opt_f64(p.slack);
+            hash_phase_result(&mut h, nl, p.result);
+            hash_paths(&mut h, p.paths);
+            h.u64(p.races.len() as u64);
+            for race in p.races {
+                h.u64(race.capture.index() as u64);
+                h.f64(race.min_arrival);
+            }
+        }
+        h.u64(self.latches as u64);
+        h.u64(self.checks as u64);
+        h.u64(self.diagnostics as u64);
+        h.opt_f64(self.min_cycle);
+        h.0
     }
-    h.u64(report.latches.len() as u64);
-    h.u64(report.checks.len() as u64);
-    h.u64(report.diagnostics.len() as u64);
-    h.opt_f64(report.min_cycle);
-    h.0
 }
 
 /// Hashes a full flow analysis: per-device direction, resolving rule,

@@ -715,6 +715,7 @@ pub(crate) struct WalkNode {
 /// than hash sets, and the old per-root `vec![false; node_count]` in
 /// the pull-down scan (quadratic over the whole netlist) becomes one
 /// shared array whose flags the DFS resets on unwind.
+#[derive(Default)]
 pub(crate) struct BuildScratch {
     /// Epoch-stamped visited marks, one per node; `mark[i] == epoch`
     /// means node `i` was seen in the current traversal.
@@ -743,6 +744,16 @@ impl BuildScratch {
             controls: Vec::new(),
             inputs: Vec::new(),
             frontier: Vec::new(),
+        }
+    }
+
+    /// Grows the node-indexed arrays to cover `node_count` nodes, so one
+    /// scratch can serve a design across structural edits. New marks
+    /// start at 0, which no live epoch equals.
+    pub(crate) fn fit(&mut self, node_count: usize) {
+        if self.mark.len() < node_count {
+            self.mark.resize(node_count, 0);
+            self.on_path.resize(node_count, false);
         }
     }
 

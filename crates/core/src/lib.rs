@@ -76,7 +76,7 @@ pub use hold::{race_check, RaceHazard};
 pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};
-pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, PASS_TABLE};
+pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, ReportSummary, PASS_TABLE};
 pub use propagate::{
     propagate, propagate_guarded, propagate_with, Arrivals, Completion, Guards, PhaseResult,
     PAR_MIN_WIDTH,

@@ -21,7 +21,7 @@
 //! | `qualify` | flow, topology |
 //! | `latches` | flow, qualify, topology |
 //! | `graph(case)` | topology, geometry, caps, tech, delay model, flow, qualify |
-//! | `arrivals(case)` | graph(case), slope model |
+//! | `arrivals(case)` | graph(case), slope model, relaxation budget, top-K |
 //! | `checks` | topology, geometry, caps, tech, flow, qualify |
 //!
 //! So a capacitance edit cannot re-run flow (flow's inputs don't
@@ -36,9 +36,20 @@
 //! edits cannot change arc structure. The splice reports exactly which
 //! nodes' in-arc delay words changed, and the arrival pass re-relaxes
 //! their fanout cone over the previous run's arrivals (the cone engine)
-//! instead of walking the whole graph. Every reuse path is bit-identical
-//! to a cold run; the golden fingerprints in `tests/integration_layout.rs`
-//! and the session-vs-oneshot tests in `tests/integration_session.rs`
+//! instead of walking the whole graph.
+//!
+//! Each case slot keeps its latest result with its critical paths and
+//! races, so an unchanged case — cyclic or not — is served without a
+//! walk. Two projections read the slots: the owned [`TimingReport`]
+//! ([`PassManager::analyze`], and [`crate::Analyzer::run`], which moves
+//! the results out) and the [`ReportSummary`] a session reply needs
+//! ([`PassManager::try_summarize`]), which renders and clones nothing
+//! and hashes the report only when a pass re-ran. Queries
+//! ([`PassManager::path_query`], [`PassManager::flow_summary`]) read the
+//! slots while they reflect the design. Every reuse path is
+//! bit-identical to a cold run; the golden fingerprints in
+//! `tests/integration_layout.rs` and the session-vs-oneshot tests in
+//! `tests/integration_session.rs` and `tests/integration_warm.rs`
 //! enforce it.
 
 use std::time::Instant;
@@ -46,8 +57,8 @@ use std::time::Instant;
 use tv_clocks::latch::{find_latches, Latch};
 use tv_clocks::qualify::{qualify_with_flow, Qualification};
 use tv_clocks::ClockConstraints;
-use tv_flow::FlowAnalysis;
-use tv_netlist::{Design, DesignStamp, DirtySince, Netlist, NodeId, Revision};
+use tv_flow::{Census, FlowAnalysis, FlowReport};
+use tv_netlist::{codes, Design, DesignStamp, Diagnostic, DirtySince, Netlist, NodeId, Revision};
 use tv_rc::SlopeModel;
 
 use crate::analyzer::{
@@ -56,15 +67,16 @@ use crate::analyzer::{
 };
 use crate::checks::{check_electrical, CheckIssue};
 use crate::error::TvError;
-use crate::fingerprint::{flow_fingerprint, hash_words, mix64};
+use crate::fingerprint::{flow_fingerprint, hash_words, mix64, PhaseParts, ReportParts};
 use crate::graph::{
     splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpliceIndex, TimingGraph,
 };
+use crate::hold::RaceHazard;
 use crate::macromodel::{build_spanned, Extraction};
 use crate::options::AnalysisOptions;
-use crate::paths::critical_paths;
+use crate::paths::{backtrack, critical_paths, TimingPath};
 use crate::propagate::{
-    propagate_cone, propagate_full, Arrivals, Completion, Guards, PhaseResult, Workspace,
+    propagate_cone, propagate_full, Completion, Guards, PhaseResult, Workspace,
 };
 
 /// Names a pass instance. Graph and arrival passes are per case:
@@ -83,7 +95,8 @@ pub enum PassId {
     Extract(Option<u8>),
     /// Timing-graph construction for one case.
     Graph(Option<u8>),
-    /// Arrival propagation for one case.
+    /// Arrival propagation for one case, with the case's critical paths
+    /// and races.
     Arrivals(Option<u8>),
     /// Electrical rule checks.
     Checks,
@@ -149,7 +162,7 @@ pub const PASS_TABLE: &[PassInfo] = &[
     },
     PassInfo {
         name: "arrivals",
-        inputs: &["graph", "slope"],
+        inputs: &["graph", "slope", "budget", "top_k"],
     },
     PassInfo {
         name: "checks",
@@ -175,8 +188,8 @@ pub enum PassOutcome {
     /// arc.
     Revalidated,
     /// Arrival pass only: the demand-driven cone engine re-relaxed just
-    /// the affected fanout cone over a cached snapshot (bit-identical to
-    /// the full walk).
+    /// the affected fanout cone of the kept result (bit-identical to the
+    /// full walk).
     Cone {
         /// Number of nodes the cone re-relaxed.
         recomputed: usize,
@@ -199,11 +212,47 @@ impl PassEvent {
     }
 }
 
+/// What a session reply reports about an analysis, read off the pass
+/// slots by [`PassManager::try_summarize`] without assembling a
+/// [`TimingReport`]: no case result is cloned and no diagnostic is
+/// rendered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReportSummary {
+    /// [`crate::report_fingerprint`] of the report
+    /// [`PassManager::try_analyze`] would return.
+    pub fingerprint: u64,
+    /// [`TimingReport::is_complete`].
+    pub complete: bool,
+    /// Number of latches found.
+    pub latches: usize,
+    /// Number of electrical check issues.
+    pub checks: usize,
+    /// [`TimingReport::min_cycle`].
+    pub min_cycle: Option<f64>,
+    /// Critical arrival of the all-active case.
+    pub critical: Option<f64>,
+    /// Whether a graph-build or propagation worker panicked (the report
+    /// carries a `TV0303` diagnostic).
+    pub worker_panic: bool,
+    /// Whether a case's propagation ran past its deadline.
+    pub deadline_exceeded: bool,
+}
+
 /// A cached pass result with its input and output fingerprints.
 struct Slot<T> {
     input_fp: u64,
     output_fp: u64,
     value: T,
+}
+
+/// The flow pass's result, with the report fields derived from it: they
+/// read only the flow analysis and the netlist topology, so they are
+/// built once per flow run instead of once per report.
+struct FlowOutput {
+    analysis: FlowAnalysis,
+    report: FlowReport,
+    census: Census,
+    diagnostics: Vec<Diagnostic>,
 }
 
 /// A cached timing graph for one case.
@@ -227,12 +276,34 @@ struct GraphSlot {
     extraction: Option<Extraction>,
 }
 
-/// The arrivals of one case's last complete, residue-free propagation,
-/// kept as the next run's starting point.
-struct ArrivalSlot {
-    /// Graph-pass input fingerprint the arrivals were computed under.
-    graph_fp: u64,
-    arrivals: Arrivals,
+/// One case's latest arrival result and what the report derives from
+/// it. The only copy: the cone engine advances `result` in place, and a
+/// report either clones it (session) or moves it out (one-shot).
+#[derive(Clone)]
+struct CaseSlot {
+    /// `(graph-pass input fingerprint, options digest)` the result was
+    /// computed under, while it may serve a later run; `None` once it
+    /// must not (a deadline cut it short, a worker panicked, or the
+    /// certificate was corrupted).
+    key: Option<(u64, u64)>,
+    /// Arc count and construction diagnostics of the case graph, kept
+    /// here because a one-shot run frees the graph before the report is
+    /// assembled.
+    arcs: usize,
+    graph_diagnostics: Vec<Diagnostic>,
+    result: PhaseResult,
+    /// Top-K critical paths of `result`, latest first.
+    paths: Vec<TimingPath>,
+    /// Same-phase races of `result` (empty for the all-active case).
+    races: Vec<RaceHazard>,
+}
+
+impl CaseSlot {
+    /// Whether the cone engine may start from this result: it finished
+    /// with every node resolved (the graph must also be residue-free).
+    fn complete(&self) -> bool {
+        self.result.completion == Completion::Complete && self.result.unresolved.is_empty()
+    }
 }
 
 /// What the graph pass certifies about a case's arcs, handed to the
@@ -255,31 +326,39 @@ struct CaseDelta {
 /// loaded design) and call [`PassManager::analyze`] after each batch of
 /// edits; only the passes whose declared inputs changed re-run, and the
 /// graph passes splice rather than rebuild when the edit was
-/// parametric. Reports are bit-identical to a fresh
-/// [`crate::Analyzer::run`] on the same netlist.
+/// parametric. Every pass output lives in one slot, read by two
+/// projections: the owned report of [`PassManager::analyze`], and the
+/// [`ReportSummary`] of [`PassManager::try_summarize`]. Reports are
+/// bit-identical to a fresh [`crate::Analyzer::run`] on the same
+/// netlist.
 #[derive(Default)]
 pub struct PassManager {
     /// Whether this manager keeps state for warm re-analysis: graph
-    /// builds record spans/extents for splicing and arrival passes keep
-    /// snapshots for the cone engine. Costs a little time and memory;
-    /// the throwaway one-shot path skips both, and frees each case's
-    /// graph as soon as the case is done.
+    /// builds record spans/extents for splicing and case results serve
+    /// the next run. Costs a little time and memory; the throwaway
+    /// one-shot path skips both, frees each case's graph as soon as the
+    /// case is done, and moves the results into its report.
     warm: bool,
-    flow: Option<Slot<FlowAnalysis>>,
+    flow: Option<Slot<FlowOutput>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
     /// Graph slots: `[comb, phase 0, phase 1]`.
     graphs: [Option<GraphSlot>; 3],
-    /// Arrival snapshots, indexed like `graphs`.
-    arrivals: [Option<ArrivalSlot>; 3],
-    /// Slope-model digest the snapshots were computed under. Slope
-    /// handling acts at propagation time, below every graph fingerprint,
-    /// so this key is the only guard against serving a stale snapshot
-    /// after a slope change.
-    slope_key: Option<u64>,
+    /// Case results, indexed like `graphs`.
+    cases: [Option<CaseSlot>; 3],
     checks: Option<Slot<Vec<CheckIssue>>>,
+    /// Design stamp and options digest of the last run that finished:
+    /// until the next run starts, every slot reflects exactly them, so
+    /// queries may read the slots.
+    current: Option<(DesignStamp, u64)>,
+    /// Golden fingerprint of the report the slots project, once a
+    /// summary has hashed it. A run keeps it only when it reuses every
+    /// pass: every design counter and option digest feeds some pass key.
+    fingerprint: Option<u64>,
     /// Propagation scratch, reused across cases and runs.
     workspace: Workspace,
+    /// Graph-build scratch for splices and extents, reused across runs.
+    scratch: BuildScratch,
     trace: Vec<PassEvent>,
 }
 
@@ -294,8 +373,8 @@ impl PassManager {
     }
 
     /// A throwaway manager for the one-shot `Analyzer` path: no splice
-    /// index or arrival snapshots, and each case graph is dropped once
-    /// the case's arrivals, paths and races are done.
+    /// index and no reuse, and each case graph is dropped once the
+    /// case's arrivals, paths and races are done.
     pub(crate) fn one_shot() -> Self {
         PassManager::default()
     }
@@ -306,8 +385,14 @@ impl PassManager {
     /// enforce limits (and to receive a violated pipeline invariant as
     /// [`TvError::Internal`] instead of a panic).
     pub fn analyze(&mut self, design: &Design, options: &AnalysisOptions) -> TimingReport {
-        self.analyze_design(design, options, false)
-            .expect("unguarded analyze: limits are off and pipeline invariants hold")
+        self.analyze_inner(
+            design.netlist(),
+            design.stamp(),
+            Some(design),
+            options,
+            false,
+        )
+        .expect("unguarded analyze: limits are off and pipeline invariants hold")
     }
 
     /// [`PassManager::analyze`] with [`AnalysisOptions::max_nodes`] and
@@ -318,7 +403,86 @@ impl PassManager {
         design: &Design,
         options: &AnalysisOptions,
     ) -> Result<TimingReport, TvError> {
-        self.analyze_design(design, options, true)
+        self.analyze_inner(
+            design.netlist(),
+            design.stamp(),
+            Some(design),
+            options,
+            true,
+        )
+    }
+
+    /// [`PassManager::try_analyze`] for a caller that needs the reply
+    /// figures rather than the report: the same passes run, and the
+    /// summary is read off their slots. When every pass was reused, the
+    /// previous summary's fingerprint is returned without hashing the
+    /// report again.
+    pub fn try_summarize(
+        &mut self,
+        design: &Design,
+        options: &AnalysisOptions,
+    ) -> Result<ReportSummary, TvError> {
+        let nl = design.netlist();
+        self.run(nl, design.stamp(), Some(design), options, true)?;
+        let (parts, worker_panic, deadline_exceeded) = self.parts(nl, options)?;
+        let fingerprint = self.fingerprint.unwrap_or_else(|| parts.fingerprint(nl));
+        let summary = ReportSummary {
+            fingerprint,
+            complete: std::iter::once(parts.combinational)
+                .chain(parts.phases.iter().map(|p| p.result))
+                .all(|r| r.completion == Completion::Complete),
+            latches: parts.latches,
+            checks: parts.checks,
+            min_cycle: parts.min_cycle,
+            critical: parts.combinational.critical_arrival(),
+            worker_panic,
+            deadline_exceeded,
+        };
+        self.fingerprint = Some(fingerprint);
+        Ok(summary)
+    }
+
+    /// Point-to-point query: the worst-case path from `from` to `to` in
+    /// the all-active view, `None` when `to` is unreachable. Propagates
+    /// from `from` alone over the cached all-active graph when the slots
+    /// reflect `design` under `options` (the last analyze saw exactly
+    /// this state), and otherwise over a graph built by a throwaway
+    /// manager, as [`crate::Analyzer::path_query`] does.
+    pub fn path_query(
+        &mut self,
+        design: &Design,
+        from: NodeId,
+        to: NodeId,
+        options: &AnalysisOptions,
+    ) -> Option<TimingPath> {
+        let nl = design.netlist();
+        if self.current == Some((design.stamp(), options_fp(options))) {
+            if let Some(slot) = &self.graphs[case_slot(None)] {
+                return point_to_point(
+                    nl,
+                    &slot.graph,
+                    from,
+                    to,
+                    &options.slope,
+                    &mut self.workspace,
+                );
+            }
+        }
+        path_query_cold(nl, from, to, options)
+    }
+
+    /// Flow-resolution statistics and [`crate::flow_fingerprint`] of
+    /// `design`: from the flow slot when the slots reflect `design` under
+    /// `options`, and otherwise from a flow pass run outside this
+    /// manager, so its slots and pass trace stay as they were.
+    pub fn flow_summary(&self, design: &Design, options: &AnalysisOptions) -> (FlowReport, u64) {
+        if self.current == Some((design.stamp(), options_fp(options))) {
+            if let Some(s) = &self.flow {
+                return (s.value.report.clone(), s.output_fp);
+            }
+        }
+        let s = flow_pass(design.netlist(), DesignStamp::unique(), options);
+        (s.value.report, s.output_fp)
     }
 
     /// The pass trace of the most recent `analyze`, in execution order.
@@ -355,26 +519,11 @@ impl PassManager {
             .and_then(|s| s.extraction.as_ref())
     }
 
-    fn analyze_design(
-        &mut self,
-        design: &Design,
-        options: &AnalysisOptions,
-        enforce_limits: bool,
-    ) -> Result<TimingReport, TvError> {
-        self.analyze_inner(
-            design.netlist(),
-            design.stamp(),
-            Some(design),
-            options,
-            enforce_limits,
-        )
-    }
-
-    /// The pipeline body shared by the session path and the one-shot
-    /// `Analyzer` facade. `stamp` is the design's counter snapshot (a
-    /// [`DesignStamp::unique`] snapshot on the one-shot path, so nothing
-    /// ever falsely matches); `design` enables dirty-set queries for
-    /// splicing.
+    /// Runs the passes and assembles the owned report: the session path
+    /// and the one-shot `Analyzer` facade share it. `stamp` is the
+    /// design's counter snapshot (a [`DesignStamp::unique`] snapshot on
+    /// the one-shot path, so nothing ever falsely matches); `design`
+    /// enables dirty-set queries for splicing.
     pub(crate) fn analyze_inner(
         &mut self,
         nl: &Netlist,
@@ -383,8 +532,24 @@ impl PassManager {
         options: &AnalysisOptions,
         enforce_limits: bool,
     ) -> Result<TimingReport, TvError> {
+        self.run(nl, stamp, design, options, enforce_limits)?;
+        self.report(nl, options)
+    }
+
+    /// The pipeline body: brings every slot up to date with `stamp` under
+    /// `options`, recording the pass trace.
+    fn run(
+        &mut self,
+        nl: &Netlist,
+        stamp: DesignStamp,
+        design: Option<&Design>,
+        options: &AnalysisOptions,
+        enforce_limits: bool,
+    ) -> Result<(), TvError> {
         let _span = tv_obs::span("analyze");
         self.trace.clear();
+        self.current = None;
+        let fingerprint = self.fingerprint.take();
         // Fault plane: pipeline entry is a trust boundary — a forced
         // internal error here must surface as a typed `TvError`, which
         // the session supervisor retries once against a reset pipeline.
@@ -409,62 +574,21 @@ impl PassManager {
             relax_budget: options.relax_budget,
             deadline: options.deadline.map(|d| Instant::now() + d),
         };
-        let slope = hash_words(&[
-            options.slope.k_slope.to_bits(),
-            options.slope.k_transition.to_bits(),
-        ]);
-        if self.slope_key != Some(slope) {
-            self.arrivals = Default::default();
-            self.slope_key = Some(slope);
-        }
+        let opts_fp = options_fp(options);
 
-        // --- flow ---
-        let flow_in = hash_words(&[stamp.design, stamp.topo, rules_fp(options)]);
-        let flow_reran = match &self.flow {
-            Some(s) if s.input_fp == flow_in => false,
-            _ => {
-                let _s = tv_obs::span("pass.flow");
-                let value = tv_flow::analyze(nl, &options.rules);
-                let output_fp = flow_fingerprint(nl, &value);
-                self.flow = Some(Slot {
-                    input_fp: flow_in,
-                    output_fp,
-                    value,
-                });
-                true
-            }
-        };
-        push(&mut self.trace, PassId::Flow, flow_reran);
-        let flow_slot = self
+        let (flow_fp, qual_fp) = self.front(nl, stamp, options)?;
+        let flow = &self
             .flow
             .as_ref()
-            .ok_or(internal("flow pass left no result"))?;
-        let flow_fp = flow_slot.output_fp;
-        let flow = &flow_slot.value;
-
-        // --- qualify ---
-        let qual_in = hash_words(&[stamp.design, stamp.topo, flow_fp]);
-        let qual_reran = match &self.qual {
-            Some(s) if s.input_fp == qual_in => false,
-            _ => {
-                let _s = tv_obs::span("pass.qualify");
-                let value = qualify_with_flow(nl, flow);
-                let output_fp = qual_content_fp(&value);
-                self.qual = Some(Slot {
-                    input_fp: qual_in,
-                    output_fp,
-                    value,
-                });
-                true
-            }
-        };
-        push(&mut self.trace, PassId::Qualify, qual_reran);
-        let qual_slot = self
+            .ok_or(internal("flow pass left no result"))?
+            .value
+            .analysis;
+        let qual = self
             .qual
             .as_ref()
-            .ok_or(internal("qualify pass left no result"))?;
-        let qual_fp = qual_slot.output_fp;
-        let qual = qual_slot.value.as_slice();
+            .ok_or(internal("qualify pass left no result"))?
+            .value
+            .as_slice();
 
         // --- latches ---
         let latch_in = hash_words(&[stamp.design, stamp.topo, flow_fp, qual_fp]);
@@ -490,13 +614,6 @@ impl PassManager {
             .value
             .as_slice();
 
-        // Derived views are recomputed every run — they are cheap
-        // projections of the cached analyses, and keeping them out of
-        // the slots keeps the invalidation story small.
-        let flow_report = flow.report(nl);
-        let census = flow.census();
-        let mut diagnostics = flow.diagnostics(nl);
-
         // The macromodel grouping keys depend only on the netlist and the
         // flow result, so every case's full build shares one computation
         // (made on first need: a run that splices or reuses every case
@@ -505,17 +622,12 @@ impl PassManager {
         let mut stage_hashes: Option<Vec<u64>> = None;
 
         // --- cases: all-active, then each phase under case analysis ---
-        let mut cases = vec![None];
-        if options.case_analysis && !nl.clocks().is_empty() {
-            cases.extend([Some(0), Some(1)]);
-        }
-        let mut combinational = None;
-        let mut phases = Vec::new();
-        for active in cases {
+        for &active in case_list(nl, options) {
             let k = case_slot(active);
             let delta = graph_pass(
                 &mut self.graphs[k],
                 &mut self.trace,
+                &mut self.scratch,
                 self.warm,
                 nl,
                 flow,
@@ -529,16 +641,17 @@ impl PassManager {
                 jobs,
                 &mut stage_hashes,
             );
-            let slot = self.graphs[k]
+            let graph = &self.graphs[k]
                 .as_ref()
-                .ok_or(internal("graph pass left no case slot"))?;
+                .ok_or(internal("graph pass left no case slot"))?
+                .graph;
             // The arc limit is checked on the combinational graph, before
             // any arrival work.
             let limit = options
                 .max_arcs
                 .filter(|_| enforce_limits && active.is_none());
             if let Some(limit) = limit {
-                let count = slot.graph.arc_count();
+                let count = graph.arc_count();
                 if count > limit {
                     return Err(TvError::TooLarge {
                         what: "arcs",
@@ -547,31 +660,15 @@ impl PassManager {
                     });
                 }
             }
-            diagnostics.extend(slot.graph.diagnostics.iter().cloned());
-            // Late sources, early sources (the storages a race captures
-            // into), and endpoints.
-            let (sources, storages, endpoints) = match active {
-                None => (
-                    external_sources(nl),
-                    Vec::new(),
-                    endpoints_or_all(nl, nl.outputs()),
-                ),
-                Some(p) => (
-                    phase_sources(nl, latches, p),
-                    crate::hold::phase_storages(latches, p),
-                    phase_endpoints(nl, latches, p),
-                ),
-            };
-            let (result, outcome) = arrival_pass(
-                &mut self.arrivals[k],
+            let outcome = case_pass(
+                &mut self.cases[k],
                 self.warm,
                 &mut self.workspace,
                 nl,
-                &slot.graph,
-                &sources,
-                &storages,
-                &endpoints,
-                &options.slope,
+                graph,
+                latches,
+                options,
+                opts_fp,
                 jobs,
                 guards,
                 &delta,
@@ -580,31 +677,6 @@ impl PassManager {
                 pass: PassId::Arrivals(active),
                 outcome,
             });
-            diagnostics.extend(result.diagnostics.iter().cloned());
-            let paths = {
-                let _s = tv_obs::span("pass.paths");
-                critical_paths(&slot.graph, &result, options.top_k)
-            };
-            match active {
-                None => combinational = Some((result, paths)),
-                Some(p) => {
-                    let slack = result
-                        .critical_arrival()
-                        .map(|a| options.clock.width(p) - a);
-                    let races = {
-                        let _s = tv_obs::span("pass.races");
-                        crate::hold::races(&slot.graph, &result.arrivals, &storages)
-                    };
-                    phases.push(PhaseAnalysis {
-                        phase: p,
-                        arcs: slot.graph.arc_count(),
-                        result,
-                        paths,
-                        slack,
-                        races,
-                    });
-                }
-            }
             // A one-shot run never reads a case's graph again once its
             // arrivals, paths and races are done: free it before the
             // next case builds, so at most one case graph is alive at a
@@ -613,16 +685,6 @@ impl PassManager {
                 self.graphs[k] = None;
             }
         }
-        let (combinational, combinational_paths) =
-            combinational.ok_or(internal("no combinational case"))?;
-
-        let min_cycle = if phases.len() == 2 {
-            let a0 = phases[0].result.critical_arrival().unwrap_or(0.0);
-            let a1 = phases[1].result.critical_arrival().unwrap_or(0.0);
-            Some(ClockConstraints::new(options.clock).min_cycle(a0, a1))
-        } else {
-            None
-        };
 
         // --- checks ---
         let checks_in = hash_words(&[
@@ -649,13 +711,6 @@ impl PassManager {
             }
         };
         push(&mut self.trace, PassId::Checks, checks_reran);
-        let checks = self
-            .checks
-            .as_ref()
-            .ok_or(internal("checks pass left no result"))?
-            .value
-            .clone();
-        diagnostics.extend(checks.iter().map(|c| c.diagnostic(nl)));
 
         // Pass outcomes into the observability counters (the trace is
         // the single source; `add` is a no-op when the plane is off).
@@ -685,17 +740,185 @@ impl PassManager {
         tv_obs::add(tv_obs::Counter::PassRevalidated, revalidated);
         tv_obs::add(tv_obs::Counter::GraphRootsSpliced, roots);
 
+        // Every pass reused: the report is the one last hashed.
+        if reused == self.trace.len() as u64 {
+            self.fingerprint = fingerprint;
+        }
+        self.current = Some((stamp, opts_fp));
+        Ok(())
+    }
+
+    /// The flow and qualify passes, which every later pass reads. Returns
+    /// their output fingerprints.
+    fn front(
+        &mut self,
+        nl: &Netlist,
+        stamp: DesignStamp,
+        options: &AnalysisOptions,
+    ) -> Result<(u64, u64), TvError> {
+        // --- flow ---
+        let flow_reran = match &self.flow {
+            Some(s) if s.input_fp == flow_input(stamp, options) => false,
+            _ => {
+                self.flow = Some(flow_pass(nl, stamp, options));
+                true
+            }
+        };
+        push(&mut self.trace, PassId::Flow, flow_reran);
+        let flow_slot = self
+            .flow
+            .as_ref()
+            .ok_or(internal("flow pass left no result"))?;
+        let flow_fp = flow_slot.output_fp;
+
+        // --- qualify ---
+        let qual_in = hash_words(&[stamp.design, stamp.topo, flow_fp]);
+        let qual_reran = match &self.qual {
+            Some(s) if s.input_fp == qual_in => false,
+            _ => {
+                let _s = tv_obs::span("pass.qualify");
+                let value = qualify_with_flow(nl, &flow_slot.value.analysis);
+                let output_fp = qual_content_fp(&value);
+                self.qual = Some(Slot {
+                    input_fp: qual_in,
+                    output_fp,
+                    value,
+                });
+                true
+            }
+        };
+        push(&mut self.trace, PassId::Qualify, qual_reran);
+        let qual_fp = self
+            .qual
+            .as_ref()
+            .ok_or(internal("qualify pass left no result"))?
+            .output_fp;
+        Ok((flow_fp, qual_fp))
+    }
+
+    /// The owned projection: a [`TimingReport`] assembled from the slots
+    /// of the run just finished. A one-shot manager moves every result
+    /// out (nothing reads its slots again); a session manager clones.
+    fn report(&mut self, nl: &Netlist, options: &AnalysisOptions) -> Result<TimingReport, TvError> {
+        let take = !self.warm;
+        let flow = self
+            .flow
+            .as_mut()
+            .ok_or(internal("flow pass left no result"))?;
+        let (flow_report, census) = (flow.value.report.clone(), flow.value.census.clone());
+        let mut diagnostics = out(&mut flow.value.diagnostics, take);
+        let latches = out(
+            &mut self
+                .latches
+                .as_mut()
+                .ok_or(internal("latch pass left no result"))?
+                .value,
+            take,
+        );
+        let checks = out(
+            &mut self
+                .checks
+                .as_mut()
+                .ok_or(internal("checks pass left no result"))?
+                .value,
+            take,
+        );
+        let mut combinational = None;
+        let mut phases = Vec::new();
+        for &active in case_list(nl, options) {
+            let case = out(&mut self.cases[case_slot(active)], take)
+                .ok_or(internal("a case left no result"))?;
+            diagnostics.extend(case.graph_diagnostics);
+            diagnostics.extend(case.result.diagnostics.iter().cloned());
+            match active {
+                None => combinational = Some((case.result, case.paths)),
+                Some(p) => phases.push(PhaseAnalysis {
+                    phase: p,
+                    arcs: case.arcs,
+                    slack: slack(options, p, &case.result),
+                    result: case.result,
+                    paths: case.paths,
+                    races: case.races,
+                }),
+            }
+        }
+        let (combinational, combinational_paths) =
+            combinational.ok_or(internal("no combinational case"))?;
+        diagnostics.extend(checks.iter().map(|c| c.diagnostic(nl)));
+        let min_cycle = min_cycle(options, phases.iter().map(|p| &p.result));
         Ok(TimingReport {
             flow_report,
             census,
             combinational,
             combinational_paths,
             phases,
-            latches: latches.to_vec(),
+            latches,
             checks,
             min_cycle,
             diagnostics,
         })
+    }
+
+    /// The borrowed projection: the report's fingerprinted fields read in
+    /// place, plus whether a worker panicked and whether a deadline cut a
+    /// case short.
+    fn parts(
+        &self,
+        nl: &Netlist,
+        options: &AnalysisOptions,
+    ) -> Result<(ReportParts<'_>, bool, bool), TvError> {
+        let flow = self
+            .flow
+            .as_ref()
+            .ok_or(internal("flow pass left no result"))?;
+        let latches = self
+            .latches
+            .as_ref()
+            .ok_or(internal("latch pass left no result"))?;
+        let checks = self
+            .checks
+            .as_ref()
+            .ok_or(internal("checks pass left no result"))?;
+        let mut diagnostics = flow.value.diagnostics.len() + checks.value.len();
+        let (mut worker_panic, mut deadline_exceeded) = (false, false);
+        let mut combinational = None;
+        let mut phases = Vec::new();
+        for &active in case_list(nl, options) {
+            let case = self.cases[case_slot(active)]
+                .as_ref()
+                .ok_or(internal("a case left no result"))?;
+            let r = &case.result;
+            diagnostics += case.graph_diagnostics.len() + r.diagnostics.len();
+            worker_panic |= case
+                .graph_diagnostics
+                .iter()
+                .chain(&r.diagnostics)
+                .any(|d| d.code == codes::ANALYSIS_WORKER_PANIC);
+            deadline_exceeded |= r.completion == Completion::DeadlineExceeded;
+            match active {
+                None => combinational = Some(case),
+                Some(p) => phases.push(PhaseParts {
+                    phase: p,
+                    arcs: case.arcs,
+                    slack: slack(options, p, r),
+                    result: r,
+                    paths: &case.paths,
+                    races: &case.races,
+                }),
+            }
+        }
+        let combinational = combinational.ok_or(internal("no combinational case"))?;
+        let min_cycle = min_cycle(options, phases.iter().map(|p| p.result));
+        let parts = ReportParts {
+            combinational: &combinational.result,
+            combinational_paths: &combinational.paths,
+            phases,
+            latches: latches.value.len(),
+            checks: checks.value.len(),
+            diagnostics,
+            min_cycle,
+        };
+        Ok((parts, worker_panic, deadline_exceeded))
     }
 }
 
@@ -708,6 +931,99 @@ pub(crate) fn oneshot(
     enforce_limits: bool,
 ) -> Result<TimingReport, TvError> {
     PassManager::one_shot().analyze_inner(nl, DesignStamp::unique(), None, options, enforce_limits)
+}
+
+/// [`PassManager::path_query`] on a throwaway manager: runs the flow,
+/// qualify and all-active graph passes cold, then the same
+/// point-to-point propagation.
+pub(crate) fn path_query_cold(
+    nl: &Netlist,
+    from: NodeId,
+    to: NodeId,
+    options: &AnalysisOptions,
+) -> Option<TimingPath> {
+    let mut pm = PassManager::one_shot();
+    let stamp = DesignStamp::unique();
+    let (flow_fp, qual_fp) = pm.front(nl, stamp, options).ok()?;
+    let PassManager {
+        flow,
+        qual,
+        graphs,
+        trace,
+        scratch,
+        workspace,
+        ..
+    } = &mut pm;
+    let k = case_slot(None);
+    graph_pass(
+        &mut graphs[k],
+        trace,
+        scratch,
+        false,
+        nl,
+        &flow.as_ref()?.value.analysis,
+        &qual.as_ref()?.value,
+        PhaseCase::all_active(),
+        stamp,
+        None,
+        options,
+        flow_fp,
+        qual_fp,
+        options.effective_jobs(),
+        &mut None,
+    );
+    point_to_point(
+        nl,
+        &graphs[k].as_ref()?.graph,
+        from,
+        to,
+        &options.slope,
+        workspace,
+    )
+}
+
+/// The worst path from `from` to `to` over `graph`: a serial walk with
+/// `from` as the only source, backtracked from `to`'s worst edge.
+fn point_to_point(
+    nl: &Netlist,
+    graph: &TimingGraph,
+    from: NodeId,
+    to: NodeId,
+    slope: &SlopeModel,
+    ws: &mut Workspace,
+) -> Option<TimingPath> {
+    let _span = tv_obs::span("pass.paths");
+    let result = propagate_full(
+        nl,
+        graph,
+        &[from],
+        &[],
+        &[to],
+        slope,
+        1,
+        Guards::default(),
+        ws,
+        None,
+    );
+    let edge = result.arrivals.worst_edge(to)?;
+    backtrack(graph, &result.arrivals, to, edge)
+}
+
+/// The flow pass: the analysis, its content fingerprint and the report
+/// fields derived from it.
+fn flow_pass(nl: &Netlist, stamp: DesignStamp, options: &AnalysisOptions) -> Slot<FlowOutput> {
+    let _s = tv_obs::span("pass.flow");
+    let analysis = tv_flow::analyze(nl, &options.rules);
+    Slot {
+        input_fp: flow_input(stamp, options),
+        output_fp: flow_fingerprint(nl, &analysis),
+        value: FlowOutput {
+            report: analysis.report(nl),
+            census: analysis.census(),
+            diagnostics: analysis.diagnostics(nl),
+            analysis,
+        },
+    }
 }
 
 /// The graph pass for one case: reuse on a clean input fingerprint,
@@ -726,6 +1042,7 @@ pub(crate) fn oneshot(
 fn graph_pass(
     slot_opt: &mut Option<GraphSlot>,
     trace: &mut Vec<PassEvent>,
+    scratch: &mut BuildScratch,
     warm: bool,
     nl: &Netlist,
     flow: &FlowAnalysis,
@@ -848,7 +1165,7 @@ fn graph_pass(
                 since: Some((prev_fp, Vec::new())),
             };
         }
-        let mut scratch = BuildScratch::new(nl.node_count());
+        scratch.fit(nl.node_count());
         if let Ok(changed) = splice_roots(
             graph,
             &builder,
@@ -856,7 +1173,7 @@ fn graph_pass(
             roots,
             idx,
             &affected,
-            &mut scratch,
+            scratch,
         ) {
             let prev_fp = *slot_in;
             *slot_in = input_fp;
@@ -882,17 +1199,19 @@ fn graph_pass(
                 since: Some((prev_fp, changed)),
             };
         }
-        // Shape mismatch mid-splice: the graph is partially overwritten
-        // and must be discarded. Fall through to the full rebuild,
-        // which replaces the slot wholesale.
+        // Shape mismatch (or a contained panic) mid-splice: the graph is
+        // partially overwritten and must be discarded, and the scratch
+        // may hold a half-finished walk. Fall through to the full
+        // rebuild, which replaces the slot wholesale.
+        *scratch = BuildScratch::default();
     }
 
     let hashes = stage_hashes.get_or_insert_with(|| flow.stages().structural_hashes(nl));
     let (sb, extraction) = build_spanned(&builder, SOURCE_RESISTANCE, jobs, hashes);
     let slot = if warm {
         let splice = sb.spans.map(|spans| {
-            let mut scratch = BuildScratch::new(nl.node_count());
-            let (extent_starts, extent_roots) = builder.extents(&sb.roots, &mut scratch);
+            scratch.fit(nl.node_count());
+            let (extent_starts, extent_roots) = builder.extents(&sb.roots, scratch);
             SpliceIndex {
                 spans,
                 extent_starts,
@@ -934,117 +1253,203 @@ fn graph_pass(
     }
 }
 
-/// The arrival pass for one case, with its trace outcome. On a `warm`
-/// manager it starts from the case's snapshot whenever `delta`
-/// certifies what changed since it was taken:
+/// The arrival pass for one case, with the case's paths and races, and
+/// its trace outcome. On a `warm` manager the case slot's kept result
+/// serves the run whenever its key still holds:
 ///
-/// * taken under the current graph fingerprint — nothing changed, so
-///   the zero-seed cone serves it as-is (outcome `Reused`);
-/// * taken under the fingerprint `delta.since` names — only the listed
-///   nodes' in-arc words changed, so the cone engine re-relaxes their
-///   fanout closure (`Cone`, or `Reused` when the list is empty).
+/// * computed under the current graph fingerprint and options digest —
+///   nothing changed, so it is used as is (outcome `Reused`, no walk),
+///   whatever its completion: a cyclic case that exhausted its budget
+///   would exhaust it again identically;
+/// * complete over a residue-free graph, under the fingerprint
+///   `delta.since` names — only the listed nodes' in-arc words changed,
+///   so the cone engine re-relaxes their fanout closure in place
+///   (`Cone`, or `Reused` when the list is empty).
 ///
 /// Everything else runs the full walk (`Computed`): a cold or rebuilt
-/// graph, a cyclic residue, a cone over half the graph (the chunkable
-/// walk is at least as fast), or an armed deadline (which needs the
-/// walk's level-boundary checks). Both cut-offs depend only on the
-/// certified edit, never on `jobs`, so the work counters stay
-/// schedule-independent. A complete, residue-free result becomes the
-/// next snapshot.
+/// graph, a cyclic residue after an edit, a cone over half the graph
+/// (the chunkable walk is at least as fast), or an armed deadline (which
+/// needs the walk's level-boundary checks). Both cut-offs depend only on
+/// the certified edit, never on `jobs`, so the work counters stay
+/// schedule-independent. A walked result is kept for reuse unless a
+/// deadline cut it short or a worker panicked.
 #[allow(clippy::too_many_arguments)]
-fn arrival_pass(
-    slot: &mut Option<ArrivalSlot>,
+fn case_pass(
+    slot: &mut Option<CaseSlot>,
     warm: bool,
     ws: &mut Workspace,
     nl: &Netlist,
     graph: &TimingGraph,
-    sources: &[NodeId],
-    early_sources: &[NodeId],
-    endpoints: &[NodeId],
-    slope: &SlopeModel,
+    latches: &[Latch],
+    options: &AnalysisOptions,
+    opts_fp: u64,
     jobs: usize,
     guards: Guards,
     delta: &CaseDelta,
-) -> (PhaseResult, PassOutcome) {
-    let full = |ws: &mut Workspace| {
-        let (early, ends) = (early_sources, endpoints);
-        propagate_full(
-            nl, graph, sources, early, ends, slope, jobs, guards, ws, None,
-        )
-    };
-    if !warm {
-        return (full(ws), PassOutcome::Computed);
-    }
+) -> PassOutcome {
     let n = graph.node_count();
-
-    // Fault plane: a forced certificate corruption. Dropping the
-    // snapshot forces the full walk, whose result is bit-identical —
-    // corruption degrades cost, never answers.
-    if tv_fault::fault_point!(tv_fault::Site::CertLookup) {
+    let key = (delta.graph_fp, opts_fp);
+    // Fault plane: a forced certificate corruption. Dropping the key
+    // forces the full walk, whose result is bit-identical — corruption
+    // degrades cost, never answers.
+    if warm && tv_fault::fault_point!(tv_fault::Site::CertLookup) {
         tv_obs::incr(tv_obs::Counter::FaultInjected);
         tv_obs::incr(tv_obs::Counter::FaultDegraded);
-        *slot = None;
+        if let Some(s) = slot.as_mut() {
+            s.key = None;
+        }
+    }
+    let hit = warm && slot.as_ref().is_some_and(|s| s.key == Some(key));
+    if hit && guards.deadline.is_none() {
+        tv_obs::incr(tv_obs::Counter::CacheCaseHits);
+        tv_obs::add(tv_obs::Counter::CacheNodesReused, n as u64);
+        return PassOutcome::Reused;
     }
 
-    // The nodes whose in-arc words changed since the snapshot, when the
-    // graph pass certifies them. Only a residue-free graph leaves a
-    // snapshot, and a certificate pins the arc structure, so a
-    // certified case is residue-free too.
-    let hit = slot.as_ref().is_some_and(|s| s.graph_fp == delta.graph_fp);
+    let (sources, storages, endpoints) = match graph.case.active {
+        None => (
+            external_sources(nl),
+            Vec::new(),
+            endpoints_or_all(nl, nl.outputs()),
+        ),
+        Some(p) => (
+            phase_sources(nl, latches, p),
+            crate::hold::phase_storages(latches, p),
+            phase_endpoints(nl, latches, p),
+        ),
+    };
+    // The nodes whose in-arc words changed since the kept result, when
+    // the cone engine may start from it.
     let seeds: Option<&[u32]> = match (slot.as_ref(), &delta.since) {
+        (Some(s), _) if !s.complete() || !graph.schedule.residue.is_empty() => None,
         _ if hit => Some(&[]),
-        (Some(s), Some((prev_fp, changed))) if s.graph_fp == *prev_fp => Some(changed),
+        (Some(s), Some((prev_fp, changed))) if s.key == Some((*prev_fp, opts_fp)) => Some(changed),
         _ => None,
     };
-    if let Some(seeds) = seeds {
-        let mut affected = vec![false; n];
-        for &i in seeds {
-            affected[i as usize] = true;
-        }
-        graph.fanout_closure(&mut affected, seeds.iter().map(|&i| i as usize).collect());
-        let recomputed = affected.iter().filter(|&&d| d).count();
+    if let (Some(seeds), Some(s)) = (seeds, slot.as_mut()) {
+        let recomputed = ws.mark_cone(graph, seeds);
         if guards.deadline.is_none() && recomputed * 2 <= n {
-            let snapshot = slot.as_mut().expect("a certified case has a snapshot");
-            let result = propagate_cone(
+            propagate_cone(
                 graph,
-                sources,
-                early_sources,
-                endpoints,
-                slope,
-                &affected,
-                &mut snapshot.arrivals,
+                &sources,
+                &storages,
+                &endpoints,
+                &options.slope,
+                &mut s.result,
                 ws,
             );
-            snapshot.graph_fp = delta.graph_fp;
-            if hit {
-                tv_obs::incr(tv_obs::Counter::CacheCaseHits);
-            } else {
-                tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
-                tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
-            }
+            (s.paths, s.races) = derive(graph, &s.result, &storages, options.top_k);
+            s.key = Some(key);
+            tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+            tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
             tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
             tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
-            let outcome = if recomputed == 0 {
+            return if recomputed == 0 {
                 PassOutcome::Reused
             } else {
                 PassOutcome::Cone { recomputed }
             };
-            return (result, outcome);
         }
         tv_obs::incr(tv_obs::Counter::ConeFallbacks);
     }
 
-    let result = full(ws);
-    tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
-    tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
-    let keep = graph.schedule.residue.is_empty()
-        && result.completion == Completion::Complete
-        && result.unresolved.is_empty();
-    *slot = keep.then(|| ArrivalSlot {
-        graph_fp: delta.graph_fp,
-        arrivals: result.arrivals.clone(),
+    // The old result is not read again: free it before the walk builds
+    // the new one.
+    *slot = None;
+    let result = propagate_full(
+        nl,
+        graph,
+        &sources,
+        &storages,
+        &endpoints,
+        &options.slope,
+        jobs,
+        guards,
+        ws,
+        None,
+    );
+    if warm {
+        tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+        tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
+    }
+    let keep = result.completion != Completion::DeadlineExceeded
+        && !result
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::ANALYSIS_WORKER_PANIC);
+    let (paths, races) = derive(graph, &result, &storages, options.top_k);
+    *slot = Some(CaseSlot {
+        key: keep.then_some(key),
+        arcs: graph.arc_count(),
+        graph_diagnostics: graph.diagnostics.clone(),
+        result,
+        paths,
+        races,
     });
-    (result, PassOutcome::Computed)
+    PassOutcome::Computed
+}
+
+/// What the report derives from a case's fresh result: its top-K
+/// critical paths and, for a phase case, its races.
+fn derive(
+    graph: &TimingGraph,
+    result: &PhaseResult,
+    storages: &[NodeId],
+    top_k: usize,
+) -> (Vec<TimingPath>, Vec<RaceHazard>) {
+    let paths = {
+        let _s = tv_obs::span("pass.paths");
+        critical_paths(graph, result, top_k)
+    };
+    let races = if graph.case.active.is_some() {
+        let _s = tv_obs::span("pass.races");
+        crate::hold::races(graph, &result.arrivals, storages)
+    } else {
+        Vec::new()
+    };
+    (paths, races)
+}
+
+/// The cases a run analyzes: all-active, then each phase when case
+/// analysis applies.
+fn case_list(nl: &Netlist, options: &AnalysisOptions) -> &'static [Option<u8>] {
+    if options.case_analysis && !nl.clocks().is_empty() {
+        &[None, Some(0), Some(1)]
+    } else {
+        &[None]
+    }
+}
+
+/// Setup slack of phase `p`'s worst endpoint against its clock width.
+fn slack(options: &AnalysisOptions, p: u8, result: &PhaseResult) -> Option<f64> {
+    result
+        .critical_arrival()
+        .map(|a| options.clock.width(p) - a)
+}
+
+/// Smallest two-phase cycle accommodating both phases' critical
+/// arrivals; `None` unless both phases ran.
+fn min_cycle<'a>(
+    options: &AnalysisOptions,
+    phases: impl Iterator<Item = &'a PhaseResult>,
+) -> Option<f64> {
+    let a: Vec<f64> = phases
+        .map(|r| r.critical_arrival().unwrap_or(0.0))
+        .collect();
+    match a[..] {
+        [a0, a1] => Some(ClockConstraints::new(options.clock).min_cycle(a0, a1)),
+        _ => None,
+    }
+}
+
+/// Moves a slot's value out (one-shot: nothing reads it again) or
+/// clones it (session: it serves the next run).
+fn out<T: Clone + Default>(value: &mut T, take: bool) -> T {
+    if take {
+        std::mem::take(value)
+    } else {
+        value.clone()
+    }
 }
 
 fn case_slot(case: Option<u8>) -> usize {
@@ -1074,10 +1479,40 @@ fn internal(what: &'static str) -> TvError {
 
 const SEED: u64 = 0xcbf29ce484222325;
 
+/// The flow pass's input fingerprint: design identity, topology, rules.
+fn flow_input(stamp: DesignStamp, options: &AnalysisOptions) -> u64 {
+    hash_words(&[stamp.design, stamp.topo, rules_fp(options)])
+}
+
 fn rules_fp(options: &AnalysisOptions) -> u64 {
     format!("{:?}", options.rules)
         .bytes()
         .fold(SEED, |h, b| mix64(h, b as u64))
+}
+
+/// Digest of every option a report depends on beyond the design. The
+/// case results are keyed by it: slope model, relaxation budget and
+/// top-K act below every graph fingerprint, and the clock (slack and
+/// minimum cycle) would otherwise move no pass key, so a run that
+/// reuses every pass could serve a stale cached fingerprint. Queries
+/// read the slots only under the digest they were built with. `jobs`
+/// and the size limits never change a result; a deadline never lets a
+/// result be reused.
+fn options_fp(options: &AnalysisOptions) -> u64 {
+    let clock = &options.clock;
+    hash_words(&[
+        rules_fp(options),
+        options.model as u64,
+        options.case_analysis as u64,
+        options.top_k as u64,
+        options.slope.k_slope.to_bits(),
+        options.slope.k_transition.to_bits(),
+        options.relax_budget.is_some() as u64,
+        options.relax_budget.unwrap_or(0) as u64,
+        clock.width(0).to_bits(),
+        clock.width(1).to_bits(),
+        clock.gap().to_bits(),
+    ])
 }
 
 fn qual_content_fp(qual: &[Qualification]) -> u64 {
@@ -1348,28 +1783,213 @@ mod tests {
         assert_eq!(fingerprint(&design, &r), fingerprint(&design, &cold));
     }
 
+    fn small_datapath() -> Design {
+        let dp = datapath::datapath(Tech::nmos4um(), datapath::DatapathConfig::small());
+        Design::new(dp.netlist)
+    }
+
+    fn arrival_outcomes(pm: &PassManager) -> Vec<PassOutcome> {
+        pm.last_trace()
+            .iter()
+            .filter(|e| matches!(e.pass, PassId::Arrivals(_)))
+            .map(|e| e.outcome)
+            .collect()
+    }
+
     #[test]
     fn armed_deadline_forces_full_walk() {
         // A deadline needs the full walk's level-boundary checks, so even
-        // an unchanged re-analysis walks instead of serving the snapshot.
+        // an unchanged re-analysis walks instead of serving a kept result
+        // — on a cyclic design too, and after a run without a deadline
+        // kept every case.
         let c = chains::inverter_chain(Tech::nmos4um(), 5, 1);
-        let design = Design::new(c.netlist);
+        for design in [Design::new(c.netlist), small_datapath()] {
+            let mut pm = PassManager::new();
+            let opts = AnalysisOptions {
+                deadline: Some(std::time::Duration::from_secs(3600)),
+                ..AnalysisOptions::default()
+            };
+            let primed = pm.analyze(&design, &AnalysisOptions::default());
+            for _ in 0..2 {
+                let warm = pm.analyze(&design, &opts);
+                assert_eq!(
+                    trace_outcome(&pm, PassId::Graph(None)),
+                    Some(PassOutcome::Reused)
+                );
+                let walked = arrival_outcomes(&pm);
+                assert!(
+                    walked.iter().all(|&o| o == PassOutcome::Computed),
+                    "{walked:?}"
+                );
+                assert_eq!(fingerprint(&design, &primed), fingerprint(&design, &warm));
+            }
+        }
+    }
+
+    #[test]
+    fn results_a_deadline_cut_short_are_never_kept() {
+        let design = small_datapath();
         let mut pm = PassManager::new();
-        let opts = AnalysisOptions {
-            deadline: Some(std::time::Duration::from_secs(3600)),
+        let expired = AnalysisOptions {
+            deadline: Some(std::time::Duration::ZERO),
             ..AnalysisOptions::default()
         };
-        let cold = pm.analyze(&design, &opts);
-        let warm = pm.analyze(&design, &opts);
-        assert_eq!(
-            trace_outcome(&pm, PassId::Graph(None)),
-            Some(PassOutcome::Reused)
+        let cut = pm.try_summarize(&design, &expired).expect("within limits");
+        assert!(cut.deadline_exceeded && !cut.complete);
+        // The deadline is no cache key: only the keep rule stops the
+        // partial results from serving the unguarded run.
+        let opts = AnalysisOptions::default();
+        let warm = pm.try_summarize(&design, &opts).expect("within limits");
+        let walked = arrival_outcomes(&pm);
+        assert!(
+            walked.iter().all(|&o| o == PassOutcome::Computed),
+            "{walked:?}"
         );
+        let cold = crate::Analyzer::new(design.netlist()).run(&opts);
+        assert_eq!(warm.fingerprint, fingerprint(&design, &cold));
+        assert!(!warm.deadline_exceeded);
+    }
+
+    #[test]
+    fn noop_on_a_cyclic_design_reuses_every_case_without_a_walk() {
+        // The demo datapath's all-active view is cyclic and exhausts its
+        // relaxation budget, so it never qualified for the cone engine;
+        // an unchanged re-analysis still serves it from its slot.
+        let design = small_datapath();
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions::default();
+        let first = pm.try_summarize(&design, &opts).expect("within limits");
+        assert!(!first.complete, "the all-active case exhausts its budget");
+        let cold = crate::Analyzer::new(design.netlist()).run(&opts);
+        assert_eq!(first.fingerprint, fingerprint(&design, &cold));
+        tv_obs::counters::set_enabled(true);
+        // The counters are process-global and other tests propagate
+        // concurrently: some no-op must be seen adding no case at all.
+        let quiet = (0..50).any(|_| {
+            let before = tv_obs::snapshot();
+            let again = pm.try_summarize(&design, &opts).expect("within limits");
+            let cases = tv_obs::snapshot()
+                .since(&before)
+                .get(tv_obs::Counter::PropagateCases);
+            assert_eq!(again, first);
+            for e in pm.last_trace() {
+                assert_eq!(e.outcome, PassOutcome::Reused, "{:?}", e.pass);
+            }
+            cases == 0
+        });
+        assert!(quiet, "every no-op added to propagate.cases");
         assert_eq!(
-            trace_outcome(&pm, PassId::Arrivals(None)),
-            Some(PassOutcome::Computed)
+            fingerprint(&design, &pm.analyze(&design, &opts)),
+            first.fingerprint
         );
-        assert_eq!(fingerprint(&design, &cold), fingerprint(&design, &warm));
+    }
+
+    /// An input NAND-ed with one side of a cross-coupled pair no finite
+    /// arrival reaches: the residue converges, so the relaxation budget
+    /// decides whether the all-active case completes.
+    fn converging_residue() -> Design {
+        let mut b = tv_netlist::NetlistBuilder::new(Tech::nmos4um());
+        let a = b.input("a");
+        let x = b.node("x");
+        let y = b.node("y");
+        let z = b.node("z");
+        let out = b.output("out");
+        b.inverter("ixy", x, y);
+        b.inverter("iyx", y, x);
+        b.nand("nz", &[a, y], z);
+        b.inverter("iout", z, out);
+        Design::new(b.finish().expect("valid netlist"))
+    }
+
+    #[test]
+    fn option_changes_on_an_unchanged_design_are_never_served_from_cache() {
+        // Each variant differs from the base options in one cache key
+        // only, and runs right after the base: a key missing from the
+        // case slots or the cached fingerprint would serve the base run's
+        // result.
+        let base = AnalysisOptions::default();
+        let variants = [
+            AnalysisOptions {
+                slope: SlopeModel::disabled(),
+                ..base.clone()
+            },
+            AnalysisOptions {
+                relax_budget: Some(1),
+                ..base.clone()
+            },
+            AnalysisOptions {
+                top_k: 1,
+                ..base.clone()
+            },
+            AnalysisOptions {
+                clock: tv_clocks::TwoPhaseClock::symmetric(40.0, 1.0),
+                ..base.clone()
+            },
+        ];
+        let designs = [small_datapath(), converging_residue()];
+        let colds: Vec<Vec<u64>> = designs
+            .iter()
+            .map(|d| {
+                std::iter::once(&base)
+                    .chain(&variants)
+                    .map(|o| fingerprint(d, &crate::Analyzer::new(d.netlist()).run(o)))
+                    .collect()
+            })
+            .collect();
+        for (v, opts) in variants.iter().enumerate() {
+            assert!(
+                colds.iter().any(|c| c[v + 1] != c[0]),
+                "variant {v} changes no report: {opts:?}"
+            );
+        }
+        for (design, cold) in designs.iter().zip(&colds) {
+            let mut pm = PassManager::new();
+            for (v, opts) in variants.iter().enumerate() {
+                for (opts, want) in [(&base, cold[0]), (opts, cold[v + 1])] {
+                    let summary = pm.try_summarize(design, opts).expect("within limits");
+                    assert_eq!(summary.fingerprint, want, "variant {v}: {opts:?}");
+                    let report = pm.analyze(design, opts);
+                    assert_eq!(fingerprint(design, &report), want, "variant {v}: {opts:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn queries_read_the_slots_only_while_they_reflect_the_design() {
+        let mut design = small_datapath();
+        let opts = AnalysisOptions::default();
+        let mut pm = PassManager::new();
+        // The last arc of a critical path: the all-active view is cyclic,
+        // but this pair lies downstream of every loop.
+        let (from, to) = {
+            let cold = crate::Analyzer::new(design.netlist()).run(&opts);
+            let p = &cold.phases[0].paths[0];
+            (p.steps[p.len() - 2].node, p.endpoint())
+        };
+        let cold_flow = |d: &Design| {
+            let f = tv_flow::analyze(d.netlist(), &opts.rules);
+            (f.report(d.netlist()), flow_fingerprint(d.netlist(), &f))
+        };
+        let cold_path = |d: &Design| crate::Analyzer::new(d.netlist()).path_query(from, to, &opts);
+        assert!(cold_path(&design).is_some());
+        // Before any analyze, and after an edit the slots have not seen,
+        // the queries answer cold — and leave the pipeline untouched.
+        assert_eq!(pm.flow_summary(&design, &opts), cold_flow(&design));
+        assert_eq!(pm.path_query(&design, from, to, &opts), cold_path(&design));
+        assert!(pm.flow.is_none() && pm.graphs.iter().all(Option::is_none));
+        pm.analyze(&design, &opts);
+        assert!(pm.current.is_some());
+        assert_eq!(pm.flow_summary(&design, &opts), cold_flow(&design));
+        assert_eq!(pm.path_query(&design, from, to, &opts), cold_path(&design));
+        let dev = design.netlist().devices().next().unwrap().id;
+        design.add_node("probe", tv_netlist::NodeRole::Internal);
+        design.remove_device(dev);
+        assert_eq!(pm.flow_summary(&design, &opts), cold_flow(&design));
+        assert_eq!(pm.path_query(&design, from, to, &opts), cold_path(&design));
+        pm.analyze(&design, &opts);
+        assert_eq!(pm.flow_summary(&design, &opts), cold_flow(&design));
+        assert_eq!(pm.path_query(&design, from, to, &opts), cold_path(&design));
     }
 
     #[test]

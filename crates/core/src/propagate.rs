@@ -243,8 +243,9 @@ impl Slot {
 }
 
 /// Reusable scratch buffers for repeated propagation runs: the slot
-/// permutation, the per-node slot array, and the residue worklist. One
-/// instance serves every case of a report, so after the first case at a
+/// permutation, the per-node slot array, the residue worklist, and the
+/// cone engine's affected set. One instance serves every case of a
+/// report (and, in a session, every run), so after the first case at a
 /// given netlist size a propagation run allocates only the [`Arrivals`]
 /// it returns (which the caller keeps) — everything transient is reused.
 #[derive(Debug, Default)]
@@ -256,12 +257,27 @@ pub struct Workspace {
     in_residue: Vec<bool>,
     queued: Vec<bool>,
     queue: VecDeque<u32>,
+    /// The nodes [`propagate_cone`] re-relaxes, set by
+    /// [`Workspace::mark_cone`].
+    affected: Vec<bool>,
 }
 
 impl Workspace {
     /// An empty workspace; buffers grow to the netlist size on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Marks the fanout closure of `seeds` in `graph` as the affected set
+    /// of the next [`propagate_cone`], and returns its size.
+    pub(crate) fn mark_cone(&mut self, graph: &TimingGraph, seeds: &[u32]) -> usize {
+        let n = graph.node_count();
+        mark(&mut self.affected, n, seeds.iter().map(|&i| i as usize));
+        graph.fanout_closure(
+            &mut self.affected,
+            seeds.iter().map(|&i| i as usize).collect(),
+        );
+        self.affected.iter().filter(|&&a| a).count()
     }
 }
 
@@ -611,22 +627,23 @@ pub fn propagate_guarded(
     )
 }
 
-/// Demand-driven cone engine: re-relaxes only the nodes marked
-/// `affected`, in level order, over the previous run's arrivals (both
-/// lanes: an early arrival depends on the same in-arcs as a late one).
-/// `snapshot` is advanced in place to the new arrivals, and the result
-/// carries a copy.
+/// Demand-driven cone engine: re-relaxes only the nodes of the
+/// workspace's affected set ([`Workspace::mark_cone`]), in level order,
+/// over the previous run's arrivals (both lanes: an early arrival
+/// depends on the same in-arcs as a late one). `result` — that previous
+/// run's complete result — is advanced in place, so the kept result is
+/// the only copy of the arrivals.
 ///
 /// Preconditions (the caller — the pass pipeline's arrival pass —
-/// enforces all three, and passes the sources the snapshot was taken
-/// with): the graph's schedule has no residue, the
-/// `affected` set is forward-closed over out-arcs, and no wall-clock
-/// deadline is armed. Under them the result is **bit-identical** to the
-/// full walk: a node's predecessors sit at strictly lower levels, so by
-/// induction every value an affected node reads is final — freshly
-/// recomputed if the predecessor is itself affected, the snapshot value
-/// otherwise — and the per-node evaluation reproduces
-/// [`compute_node`]'s arithmetic arc for arc.
+/// enforces all three, and passes the sources `result` was computed
+/// with): the graph's schedule has no residue, the affected set is
+/// forward-closed over out-arcs, and no wall-clock deadline is armed.
+/// Under them the result is **bit-identical** to the full walk: a node's
+/// predecessors sit at strictly lower levels, so by induction every
+/// value an affected node reads is final — freshly recomputed if the
+/// predecessor is itself affected, the previous value otherwise — and
+/// the per-node evaluation reproduces [`compute_node`]'s arithmetic arc
+/// for arc.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_cone(
     graph: &TimingGraph,
@@ -634,10 +651,9 @@ pub(crate) fn propagate_cone(
     early_sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
-    affected: &[bool],
-    snapshot: &mut Arrivals,
+    result: &mut PhaseResult,
     ws: &mut Workspace,
-) -> PhaseResult {
+) {
     let _span = tv_obs::span("propagate");
     let n = graph.node_count();
     let sched = &graph.schedule;
@@ -645,15 +661,16 @@ pub(crate) fn propagate_cone(
         sched.residue.is_empty(),
         "cone propagation requires a fully leveled graph"
     );
-    debug_assert_eq!(snapshot.rise.len(), n);
+    debug_assert_eq!(result.arrivals.rise.len(), n);
 
     mark(&mut ws.is_source, n, sources.iter().map(|s| s.index()));
     mark(&mut ws.is_early, n, early_sources.iter().map(|s| s.index()));
 
-    // The snapshot's predecessor arc ids are still valid: it was taken
+    // The previous predecessor arc ids are still valid: they were taken
     // on an arc-for-arc identical graph (same fingerprint) or on one a
     // splice changed only in delay words.
-    let arr = snapshot;
+    let arr = &mut result.arrivals;
+    let affected = &ws.affected;
 
     let mut cone_nodes = 0u64;
     let mut cone_relax = 0u64;
@@ -695,27 +712,19 @@ pub(crate) fn propagate_cone(
     tv_obs::incr(tv_obs::Counter::PropagateCases);
     tv_obs::add(tv_obs::Counter::ConeNodes, cone_nodes);
 
-    let mut eps: Vec<(NodeId, f64)> = endpoints
-        .iter()
-        .filter_map(|&e| arr.arrival(e).map(|t| (e, t)))
-        .collect();
-    eps.sort_by(|a, b| b.1.total_cmp(&a.1));
-
-    PhaseResult {
-        case: graph.case,
-        arrivals: arr.clone(),
-        endpoints: eps,
-        cyclic: false,
-        // Charge-equivalent, not actual: `PhaseResult::relaxations`
-        // feeds the frozen report fingerprint, and the full walk of a
-        // residue-free graph relaxes every in-arc exactly once — one per
-        // arc in total. The obs counters above record what the cone
-        // really did.
-        relaxations: graph.arcs.len(),
-        completion: Completion::Complete,
-        unresolved: Vec::new(),
-        diagnostics: Vec::new(),
-    }
+    let arr = &result.arrivals;
+    result.endpoints.clear();
+    result.endpoints.extend(
+        endpoints
+            .iter()
+            .filter_map(|&e| arr.arrival(e).map(|t| (e, t))),
+    );
+    result.endpoints.sort_by(|a, b| b.1.total_cmp(&a.1));
+    // Charge-equivalent, not actual: `PhaseResult::relaxations` feeds
+    // the frozen report fingerprint, and the full walk of a residue-free
+    // graph relaxes every in-arc exactly once — one per arc in total.
+    // The obs counters above record what the cone really did.
+    result.relaxations = graph.arcs.len();
 }
 
 /// The full engine: the levelized (optionally parallel) walk, then the
@@ -748,6 +757,7 @@ pub(crate) fn propagate_full(
         in_residue,
         queued,
         queue,
+        ..
     } = ws;
     mark(is_source, n, sources.iter().map(|s| s.index()));
     mark(is_early, n, early_sources.iter().map(|s| s.index()));

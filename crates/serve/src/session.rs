@@ -36,23 +36,21 @@
 //! panic. The exit code of the whole run is 1 if any command failed, 0
 //! otherwise.
 //!
-//! The `analyze` reply's `fingerprint` is [`report_fingerprint`] — the
-//! same golden FNV the equivalence suite pins — and `passes` lists every
-//! pass with how it was satisfied (`computed`, `reused`, `revalidated`,
-//! `spliced` with a root count, or `cone` with the recomputed-node
-//! count), so a transcript documents both the result bits and how
-//! little work the pipeline did to get them.
+//! The `analyze` reply's `fingerprint` is [`tv_core::report_fingerprint`]
+//! — the same golden FNV the equivalence suite pins — and `passes` lists
+//! every pass with how it was satisfied (`computed`, `reused`,
+//! `revalidated`, `spliced` with a root count, or `cone` with the
+//! recomputed-node count), so a transcript documents both the result
+//! bits and how little work the pipeline did to get them. The reply is
+//! read off the pipeline's pass slots ([`PassManager::try_summarize`]),
+//! and `paths` and `flow` answer from the same slots while they reflect
+//! the current design revision.
 
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-use tv_core::propagate::Completion;
-use tv_core::{
-    flow_fingerprint, report_fingerprint, AnalysisOptions, Analyzer, PassManager, PassOutcome,
-    TvError,
-};
-use tv_flow::analyze as flow_analyze;
+use tv_core::{AnalysisOptions, PassManager, PassOutcome, TvError};
 use tv_gen::datapath::{datapath, DatapathConfig};
 use tv_netlist::{codes, sim_format, Design, DeviceKind, Diagnostics, EditClass, NodeRole, Tech};
 
@@ -448,8 +446,8 @@ impl Session {
             return Err("analyze takes no operands".into());
         }
         let design = self.design.as_ref().ok_or("no design loaded")?;
-        let report = match self.passes.try_analyze(design, &self.options) {
-            Ok(report) => report,
+        let summary = match self.passes.try_summarize(design, &self.options) {
+            Ok(summary) => summary,
             Err(e) => {
                 if matches!(e, TvError::Internal { .. }) {
                     self.retry_hint = Some("internal");
@@ -462,19 +460,11 @@ impl Session {
         // the fingerprint), or the deadline clock fired early and the
         // propagation is incomplete. Both are one-shot conditions worth
         // a single retry against a cold pipeline.
-        if report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == codes::ANALYSIS_WORKER_PANIC)
-        {
+        if summary.worker_panic {
             self.retry_hint = Some("worker_panic");
-        } else if std::iter::once(&report.combinational)
-            .chain(report.phases.iter().map(|p| &p.result))
-            .any(|r| r.completion == Completion::DeadlineExceeded)
-        {
+        } else if summary.deadline_exceeded {
             self.retry_hint = Some("deadline");
         }
-        let fp = report_fingerprint(design.netlist(), &report);
         let mut passes = String::new();
         for (i, ev) in self.passes.last_trace().iter().enumerate() {
             if i > 0 {
@@ -498,12 +488,12 @@ impl Session {
         Ok(format!(
             r#"{{"ok":true,"cmd":"analyze","revision":{},"fingerprint":"{:#018x}","complete":{},"latches":{},"checks":{},"min_cycle":{},"critical":{},"passes":[{}]}}"#,
             design.revision().0,
-            fp,
-            report.is_complete(),
-            report.latches.len(),
-            report.checks.len(),
-            json_opt_f64(report.min_cycle),
-            json_opt_f64(report.combinational.critical_arrival()),
+            summary.fingerprint,
+            summary.complete,
+            summary.latches,
+            summary.checks,
+            json_opt_f64(summary.min_cycle),
+            json_opt_f64(summary.critical),
             passes
         ))
     }
@@ -516,7 +506,7 @@ impl Session {
         let f = node_named(design, from)?;
         let t = node_named(design, to)?;
         let nl = design.netlist();
-        match Analyzer::new(nl).path_query(f, t, &self.options) {
+        match self.passes.path_query(design, f, t, &self.options) {
             Some(path) => {
                 let mut steps = String::new();
                 for (i, s) in path.steps.iter().enumerate() {
@@ -550,9 +540,7 @@ impl Session {
             return Err("flow takes no operands".into());
         }
         let design = self.design.as_ref().ok_or("no design loaded")?;
-        let nl = design.netlist();
-        let flow = flow_analyze(nl, &self.options.rules);
-        let r = flow.report(nl);
+        let (r, fingerprint) = self.passes.flow_summary(design, &self.options);
         Ok(format!(
             r#"{{"ok":true,"cmd":"flow","devices":{},"pass_devices":{},"oriented":{},"bidirectional":{},"unresolved":{},"stages":{},"fingerprint":"{:#018x}"}}"#,
             r.devices,
@@ -561,7 +549,7 @@ impl Session {
             r.bidirectional,
             r.unresolved,
             r.stages,
-            flow_fingerprint(nl, &flow)
+            fingerprint
         ))
     }
 

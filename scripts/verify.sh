@@ -53,26 +53,36 @@ cargo run --release --offline -p tv-bench --bin perf_trajectory -- --check BENCH
 echo "== batch smoke: tv batch vs golden transcript =="
 # The committed session script must replay to its committed transcript
 # byte for byte: pins the session protocol, the report fingerprints, and
-# the pass-pipeline invalidation trace in one diff.
-cargo run --release --offline --bin tv -- batch tests/data/session_smoke.txt \
-  | diff -u tests/data/session_smoke.golden -
+# the pass-pipeline invalidation trace in one diff. Replayed at --jobs
+# 1/2/8: a warm reply read off the pass slots must not depend on the
+# thread count that filled them.
+for j in 1 2 8; do
+  cargo run -q --release --offline --bin tv -- batch tests/data/session_smoke.txt --jobs "$j" \
+    | diff -u tests/data/session_smoke.golden -
+done
 
 echo "== metrics smoke: deterministic counter golden =="
 # The committed metrics script replays to its committed transcript byte
 # for byte: pins the `metrics` reply shape and the counter values for a
 # fixed edit sequence — including that the warm marks' work plane
 # shrinks against the cold one once the demand-driven cone engine
-# engages (the cone.* counters in the golden record by how much).
-cargo run --release --offline --bin tv -- batch tests/data/metrics_smoke.txt \
-  | diff -u tests/data/metrics_smoke.golden -
+# engages (the cone.* counters in the golden record by how much), and
+# that a no-op re-analysis walks no case at all. The counters are
+# schedule-independent, so the replay holds at --jobs 1/2/8.
+for j in 1 2 8; do
+  cargo run -q --release --offline --bin tv -- batch tests/data/metrics_smoke.txt --jobs "$j" \
+    | diff -u tests/data/metrics_smoke.golden -
+done
 
 echo "== cone smoke: warm edits are O(affected cone) =="
 # The committed MIPS-class transcript is the acceptance evidence for
 # demand-driven cone propagation: the warm single-resize re-analysis
 # records under 10% of the cold run's propagate.relaxations, with every
-# report fingerprint bit-identical to the full walk's.
-cargo run --release --offline --bin tv -- batch tests/data/cone_smoke.txt \
-  | diff -u tests/data/cone_smoke.golden -
+# report fingerprint bit-identical to the full walk's, at --jobs 1/2/8.
+for j in 1 2 8; do
+  cargo run -q --release --offline --bin tv -- batch tests/data/cone_smoke.txt --jobs "$j" \
+    | diff -u tests/data/cone_smoke.golden -
+done
 
 echo "== extract smoke: hierarchical macromodels share and de-share =="
 # The committed transcript pins hierarchical extraction (DESIGN.md §16):

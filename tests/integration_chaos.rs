@@ -243,3 +243,64 @@ fn graph_build_fault_at_any_root_rebuilds_the_clean_graph() {
         }
     }
 }
+
+/// A case result a fault degraded — cut short by the exhausted deadline
+/// clock, or carrying a worker-panic diagnostic — is never kept: the
+/// next, fault-free analyze of the unchanged design walks that case
+/// again instead of reusing it, and its report matches a cold run.
+#[test]
+fn fault_degraded_case_results_are_never_kept() {
+    use nmos_tv::core::{report_fingerprint, Analyzer, PassId, PassManager, PassOutcome};
+    use nmos_tv::gen::datapath::{datapath, DatapathConfig};
+    use nmos_tv::netlist::{codes, Design, Tech};
+
+    let _g = plane_lock();
+    let design = Design::new(datapath(Tech::nmos4um(), DatapathConfig::small()).netlist);
+    let opts = AnalysisOptions::default();
+    let cold = report_fingerprint(
+        design.netlist(),
+        &Analyzer::new(design.netlist()).run(&opts),
+    );
+    for (site, code) in [
+        (Site::ExhaustClock, codes::ANALYSIS_DEADLINE),
+        (Site::PropagateWorker, codes::ANALYSIS_WORKER_PANIC),
+    ] {
+        let mut pm = PassManager::new();
+        // The first walk is the all-active case's.
+        nmos_tv::fault::arm(FaultPlan { site, after: 0 });
+        let degraded = pm.analyze(&design, &opts);
+        assert!(nmos_tv::fault::fired(), "{site:?} never fired");
+        nmos_tv::fault::disarm();
+        assert!(
+            degraded
+                .combinational
+                .diagnostics
+                .iter()
+                .any(|d| d.code == code),
+            "{site:?}: {:?}",
+            degraded.combinational.diagnostics
+        );
+        let again = pm.analyze(&design, &opts);
+        let outcome = |pass| {
+            pm.last_trace()
+                .iter()
+                .find(|e| e.pass == pass)
+                .map(|e| e.outcome)
+        };
+        assert_eq!(
+            outcome(PassId::Arrivals(None)),
+            Some(PassOutcome::Computed),
+            "{site:?}"
+        );
+        assert_eq!(
+            outcome(PassId::Arrivals(Some(0))),
+            Some(PassOutcome::Reused),
+            "{site:?}"
+        );
+        assert_eq!(
+            report_fingerprint(design.netlist(), &again),
+            cold,
+            "{site:?}"
+        );
+    }
+}

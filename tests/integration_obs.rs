@@ -212,8 +212,8 @@ fn warm_session_analyses_report_less_work_than_cold() {
         get(&works[1], "propagate.relaxations"),
         get(&works[0], "propagate.relaxations"),
     );
-    // Fully-warm mark: everything reuses; the zero-seed cone relaxes
-    // nothing, so even less work than the warm edit.
+    // Fully-warm mark: everything reuses and no case walks, so even
+    // less work than the warm edit.
     assert!(
         get(&works[2], "propagate.relaxations") <= get(&works[1], "propagate.relaxations"),
         "fully-warm did more work than warm edit"
