@@ -358,10 +358,11 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
 }
 
 /// The P8 ingest suite: the serial T5-scale parse (always — it is the
-/// figure the 1.5x gate in `check` pins) and the electrical checks on
-/// the same netlist, plus, at scale, the million-device T6 multi-core
-/// design with the parse/build/checks/propagate split measured
-/// separately at jobs=1.
+/// figure the 1.5x gate in `check` pins), the electrical checks and the
+/// cold three-case analysis on the same netlist, plus, at scale, the
+/// million-device T6 multi-core design with the parse/build/checks/
+/// propagate split measured separately at jobs=1 and its whole cold
+/// analysis.
 fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     use tv_clocks::latch::find_latches;
     use tv_clocks::qualify::qualify_with_flow;
@@ -406,6 +407,15 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     let mut checks_work = || check_electrical(&t5.netlist, &flow, &qual).len();
     let s = bench("checks/t5-102k", 5, &mut checks_work);
     out.push(entry(s, devices, counted(&mut checks_work)));
+
+    // The cold three-case analysis of the same netlist: flow, clocks,
+    // the all-active and both phase graphs, arrivals, checks. Random
+    // logic changes no build root under φ1, so that case reads the
+    // all-active graph instead of building its own.
+    let opts = AnalysisOptions::default();
+    let mut analyze_work = || Analyzer::new(&t5.netlist).run(&opts).phases.len();
+    let s = bench("analyze/t5-102k", 5, &mut analyze_work);
+    out.push(entry(s, devices, counted(&mut analyze_work)));
 
     if !at_scale {
         return out;
@@ -454,6 +464,13 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
         || propagate_with(nl, &graph, &sources, &endpoints, &opts.slope, 1).relaxations;
     let s = bench("ingest/t6-1m-propagate", 1, &mut prop_work);
     out.push(entry(s, devices, counted(&mut prop_work)));
+    drop(graph);
+
+    // The whole cold analysis at scale: every phase case re-signs only
+    // the roots it can change.
+    let mut analyze_work = || Analyzer::new(nl).run(&opts).phases.len();
+    let s = bench("ingest/t6-1m-analyze", 1, &mut analyze_work);
+    out.push(entry(s, devices, counted(&mut analyze_work)));
 
     out
 }

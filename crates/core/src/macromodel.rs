@@ -36,9 +36,22 @@
 //! that is exactly the fallback: any panic anywhere in extraction
 //! re-emits every root by direct build, with per-root isolation for any
 //! emission chunk that panics in turn.
+//!
+//! The same idea runs across clock cases. While the all-active build
+//! signs a root it records the root's **case mask**: bit `q` is set when
+//! a pass device its walk crosses, or a precharge device on its channel,
+//! is gated by a node qualified to phase `q`. A root whose mask has no
+//! bit but `p` is *invariant* in case `p` — its walk, trace, pins and
+//! arcs there are its all-active ones — so the all-active build leaves a
+//! `CaseShare` (masks, partition, pin tables, master traces and
+//! tables), and a phase build signs only the roots its phase can change.
+//! A phase that changes no root is an **alias**: its graph is the
+//! all-active graph, and nothing is built for it (DESIGN.md §16).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::ops::Range;
 
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, FlowAnalysis, NodeClass};
@@ -54,6 +67,7 @@ use crate::graph::{
 /// What the extractor learned about one build: the class partition of
 /// the root set. Lives in the graph slot so a later parametric edit can
 /// **de-share** the touched instances (see `Extraction::desplit`).
+#[derive(Debug, PartialEq, Eq)]
 pub struct Extraction {
     /// Class id per root ordinal.
     class_of: Vec<u32>,
@@ -123,6 +137,7 @@ impl Extraction {
 /// One pin-to-pin timing arc of a macromodel: [`Arc`] with both
 /// endpoints replaced by pin ordinals into the owning root's pin table,
 /// and its row index relative to the master's first delay row.
+#[derive(Clone)]
 struct MacroArc {
     from_pin: u32,
     to_pin: u32,
@@ -136,6 +151,7 @@ struct MacroArc {
 /// each build flat (an arc endpoint fell outside the recorded pin table
 /// — impossible by construction, kept as a verified fallback rather
 /// than an assumption).
+#[derive(Clone)]
 enum MacroTable {
     Arcs {
         arcs: Vec<MacroArc>,
@@ -191,6 +207,24 @@ const CANON_STAGE: u64 = 1;
 const CANON_SOURCE: u64 = 2;
 const CANON_PRECHARGE: u64 = 0x70;
 
+/// The case-mask bits of a device gated by a node of qualification `q`:
+/// bit `q` for `Phase(q)` of a two-phase clock (the device is off in the
+/// other case), both bits for any other phase (off in both), none for an
+/// unclocked or conflicting gate (on in every case).
+fn case_bits(q: Qualification) -> u8 {
+    match q {
+        Qualification::Phase(0) => 1,
+        Qualification::Phase(1) => 2,
+        Qualification::Phase(_) => 3,
+        _ => 0,
+    }
+}
+
+/// The mask bit of phase case `p`.
+fn phase_bit(p: u8) -> u8 {
+    1 << p.min(1)
+}
+
 fn opt_f64_words(canon: &mut Vec<u64>, v: Option<f64>) {
     match v {
         Some(x) => {
@@ -207,16 +241,18 @@ fn opt_f64_words(canon: &mut Vec<u64>, v: Option<f64>) {
 /// Serializes the downstream walk exactly as `tree_delays` and the
 /// emission loops consume it: per walk node, its pin ordinal, parent
 /// walk index, connecting pass-device resistance and gate ordinal, node
-/// cap, and domino (precharged) flag.
+/// cap, and domino (precharged) flag. Returns the case bits of the pass
+/// devices the walk crosses.
 fn walk_canon(
     b: &GraphBuilder<'_>,
     scratch: &BuildScratch,
     ms: &mut MacroScratch,
     canon: &mut Vec<u64>,
     pins: &mut Vec<NodeId>,
-) {
+) -> u8 {
     let nl = b.netlist;
     let tech = nl.tech();
+    let mut mask = 0;
     canon.push(scratch.walk.len() as u64);
     for i in 0..scratch.walk.len() {
         let w = scratch.walk[i];
@@ -225,6 +261,7 @@ fn walk_canon(
         match w.via {
             Some(did) => {
                 let dev = nl.device(did);
+                mask |= case_bits(b.qualification[dev.gate().index()]);
                 canon.push(dev.resistance(tech).to_bits());
                 canon.push(ms.ordinal(pins, dev.gate()));
             }
@@ -233,12 +270,23 @@ fn walk_canon(
         canon.push(nl.node_cap(w.node).to_bits());
         canon.push((b.flow.node_class(w.node) == NodeClass::Precharged) as u64);
     }
+    mask
 }
 
 /// The canonical trace of one build root: every scalar the arc-emission
 /// half of the flat builder reads, in a fixed scan order, with NodeIds
 /// replaced by first-encounter ordinals (recorded in `pins`). Two roots
 /// with equal traces produce bit-identical arcs modulo the pin mapping.
+///
+/// Returns the root's case mask under `b`'s case: the case bits of every
+/// pass device the walk crosses and every precharge device on a stage's
+/// channel. Under the all-active case that mask decides invariance: in
+/// phase case `p` the walk and the precharge test differ from the
+/// all-active ones only on devices gated by a phase other than `p`, and
+/// a root whose mask has no such bit crossed none and owns none — a
+/// device of that kind the all-active walk did not cross is skipped
+/// under both cases. So the root's walk, trace, pins and arcs in case
+/// `p` are its all-active ones.
 fn root_canon(
     b: &GraphBuilder<'_>,
     root: &(NodeId, RootKind),
@@ -246,7 +294,7 @@ fn root_canon(
     ms: &mut MacroScratch,
     canon: &mut Vec<u64>,
     pins: &mut Vec<NodeId>,
-) {
+) -> u8 {
     let nl = b.netlist;
     ms.begin();
     match root.1 {
@@ -262,7 +310,7 @@ fn root_canon(
                 pull_down_resistance_with(nl, b.flow, out, &mut scratch.on_path),
             );
             b.walk_downstream(out, scratch);
-            walk_canon(b, scratch, ms, canon, pins);
+            let mut mask = walk_canon(b, scratch, ms, canon, pins);
             stage_inputs_into(nl, b.flow, out, scratch);
             canon.push(scratch.inputs.len() as u64);
             for i in 0..scratch.inputs.len() {
@@ -280,6 +328,7 @@ fn root_canon(
                     continue;
                 }
                 let gate = nl.device(did).gate();
+                mask |= case_bits(b.qualification[gate.index()]);
                 let on = match (b.case.active, b.qualification[gate.index()]) {
                     (None, _) => true,
                     (Some(p), Qualification::Phase(q)) => p == q,
@@ -292,11 +341,12 @@ fn root_canon(
                 canon.push(ms.ordinal(pins, gate));
                 canon.push(nl.device(did).resistance(nl.tech()).to_bits());
             }
+            mask
         }
         RootKind::Source => {
             canon.push(CANON_SOURCE);
             b.walk_downstream(root.0, scratch);
-            walk_canon(b, scratch, ms, canon, pins);
+            walk_canon(b, scratch, ms, canon, pins)
         }
     }
 }
@@ -350,8 +400,9 @@ struct Signer {
     pin_buf: Vec<NodeId>,
     canon: Vec<u64>,
     pins: Vec<NodeId>,
-    /// `(grouping key, canon word count, pin count)` per root.
-    meta: Vec<(u64, u32, u32)>,
+    /// `(grouping key, canon word count, pin count, case mask)` per
+    /// signed root.
+    meta: Vec<(u64, u32, u32, u8)>,
 }
 
 impl Signer {
@@ -366,26 +417,34 @@ impl Signer {
         }
     }
 
-    /// Phase A for one block: every root's grouping key, canonical trace
-    /// and pin table, in root order.
+    /// Phase A for one block: every signed root's grouping key, canonical
+    /// trace, pin table and case mask, in root order. Every root of the
+    /// block crosses the fault hooks once, signed or not, so a fault plan
+    /// counts the same hits whether or not a build has a share.
     fn sign(
         &mut self,
         b: &GraphBuilder<'_>,
-        block: &[(NodeId, RootKind)],
+        roots: &[(NodeId, RootKind)],
+        block: Range<usize>,
+        base: Option<Base<'_>>,
         stage_hashes: &[u64],
         fault: Fault<'_>,
     ) {
         self.canon.clear();
         self.pins.clear();
         self.meta.clear();
-        for r in block {
+        for ri in block {
+            let r = &roots[ri];
             if let Some(hook) = fault {
                 hook(r.0);
             }
             graph_build_fault_point();
+            if base.is_some_and(|s| s.invariant(ri)) {
+                continue;
+            }
             let c0 = self.canon.len();
             self.pin_buf.clear();
-            root_canon(
+            let mask = root_canon(
                 b,
                 r,
                 &mut self.scratch,
@@ -398,6 +457,7 @@ impl Signer {
                 key,
                 (self.canon.len() - c0) as u32,
                 self.pin_buf.len() as u32,
+                mask,
             ));
             self.pins.extend_from_slice(&self.pin_buf);
         }
@@ -408,27 +468,294 @@ impl Signer {
 /// (tests poison chosen stages with a panicking hook).
 type Fault<'a> = Option<&'a (dyn Fn(NodeId) + Sync)>;
 
-/// What phases A–C learn: the class partition, every root's pin table,
-/// and one macromodel table per class.
-struct Classes {
+/// The class lookup of a build: master traces by lookup key.
+#[derive(Default)]
+struct Lookup {
+    /// Lookup key (grouping key mixed with the trace hash) to the
+    /// classes whose master trace hashed there.
+    by_key: HashMap<u64, Vec<u32>>,
+    master_canon: Vec<u64>,
+    master_canon_starts: Vec<usize>,
+}
+
+impl Lookup {
+    fn new() -> Self {
+        Lookup {
+            master_canon_starts: vec![0],
+            ..Default::default()
+        }
+    }
+
+    /// The class whose master trace is `canon`, among those under `key`.
+    /// At most one class per lookup key has a given trace, so the first
+    /// match is the only one.
+    fn find(&self, key: u64, canon: &[u64]) -> Option<u32> {
+        let starts = &self.master_canon_starts;
+        self.by_key.get(&key)?.iter().copied().find(|&c| {
+            let c = c as usize;
+            self.master_canon[starts[c]..starts[c + 1]] == *canon
+        })
+    }
+
+    /// The class whose master trace is `canon` under `key`: `Ok` if it
+    /// exists, `Err` if it was minted (the next id) with `canon` as its
+    /// master trace.
+    fn find_or_mint(&mut self, key: u64, canon: &[u64]) -> Result<u32, u32> {
+        let starts = &mut self.master_canon_starts;
+        let cands = self.by_key.entry(key).or_default();
+        let hit = cands.iter().copied().find(|&c| {
+            let c = c as usize;
+            self.master_canon[starts[c]..starts[c + 1]] == *canon
+        });
+        if let Some(cid) = hit {
+            return Ok(cid);
+        }
+        let cid = (starts.len() - 1) as u32;
+        cands.push(cid);
+        self.master_canon.extend_from_slice(canon);
+        starts.push(self.master_canon.len());
+        Err(cid)
+    }
+
+    /// The lookup of the classes `kept` keeps, renumbered: `kept[c]` is
+    /// class `c`'s new id, `u32::MAX` for a class dropped, and the new
+    /// ids are `0..n`.
+    fn retain(self, kept: &[u32], n: usize) -> Lookup {
+        let mut order = vec![0; n];
+        for (c, &k) in kept.iter().enumerate() {
+            if k != u32::MAX {
+                order[k as usize] = c;
+            }
+        }
+        let mut out = Lookup::new();
+        for c in order {
+            let starts = &self.master_canon_starts;
+            out.master_canon
+                .extend_from_slice(&self.master_canon[starts[c]..starts[c + 1]]);
+            out.master_canon_starts.push(out.master_canon.len());
+        }
+        out.by_key = self
+            .by_key
+            .into_iter()
+            .filter_map(|(key, cands)| {
+                let cands: Vec<u32> = cands
+                    .into_iter()
+                    .map(|c| kept[c as usize])
+                    .filter(|&c| c != u32::MAX)
+                    .collect();
+                (!cands.is_empty()).then_some((key, cands))
+            })
+            .collect();
+        out
+    }
+}
+
+/// What the all-active build of a clocked design leaves for the phase
+/// builds of the same analysis (see the module docs): the part of the
+/// all-active partition they read ([`Kept`]). A phase build reads the
+/// classes, pins and tables of the roots it does not re-sign, and looks
+/// the traces of the roots it does re-sign up against the kept classes
+/// first.
+#[derive(Default)]
+pub(crate) struct CaseShare {
+    /// Case mask per root ordinal.
+    masks: Vec<u8>,
+    /// Roots each phase case can change: `sensitive[p]` counts the roots
+    /// whose mask has a bit other than `p`'s.
+    sensitive: [usize; 2],
+    /// The all-active extraction's `macro.*` counts (classes, analyzed,
+    /// instanced), which an aliasing case reports as its own.
+    counts: [u64; 3],
+    /// The build roots, which do not depend on the case.
+    roots: Vec<(NodeId, RootKind)>,
+    /// Kept class per root ordinal, `u32::MAX` for a root no phase build
+    /// reads from the share (its pin span is empty).
     class_of: Vec<u32>,
-    class_len: Vec<u32>,
-    keys: Vec<u64>,
     pins: Vec<NodeId>,
-    pin_starts: Vec<usize>,
+    pin_starts: Vec<u32>,
+    /// Lookup and tables of the kept classes.
+    lookup: Lookup,
     tables: Vec<MacroTable>,
 }
 
-impl Classes {
+impl CaseShare {
+    /// Whether phase case `p` changes no root, so that its graph is the
+    /// all-active graph arc for arc and row for row.
+    pub(crate) fn aliases(&self, p: u8) -> bool {
+        self.sensitive[p.min(1) as usize] == 0
+    }
+}
+
+/// A phase build's view of the share.
+#[derive(Clone, Copy)]
+struct Base<'s> {
+    share: &'s CaseShare,
+    phase: u8,
+}
+
+impl Base<'_> {
+    /// Whether root `ri` is invariant in the build's phase.
+    fn invariant(&self, ri: usize) -> bool {
+        self.share.masks[ri] & !phase_bit(self.phase) == 0
+    }
+}
+
+/// What an all-active build that leaves a share keeps past grouping. A
+/// phase build reads the share's classes, pins and tables only for the
+/// roots invariant in it, and a re-signed root only needs to find a
+/// class holding such a root: joining any other class is the same as
+/// minting it anew, since the partition, the renumbered ids and the
+/// table (a function of the trace) come out equal. So the share keeps
+/// the roots invariant in some phase that does not alias, and their
+/// classes, renumbered in class order (so a share that keeps every class
+/// keeps the build's ids and lookup as they are).
+struct Kept {
+    masks: Vec<u8>,
+    sensitive: [usize; 2],
+    /// Class id to share class id, `u32::MAX` for a class not kept.
+    class: Vec<u32>,
+    classes: usize,
+    lookup: Lookup,
+}
+
+impl Kept {
+    fn new(masks: Vec<u8>, class_of: &[u32], classes: usize, lookup: Lookup) -> Self {
+        let mut sensitive = [0usize; 2];
+        for &m in &masks {
+            for p in 0..2u8 {
+                sensitive[p as usize] += (m & !phase_bit(p) != 0) as usize;
+            }
+        }
+        let mut kept = Kept {
+            masks,
+            sensitive,
+            class: vec![u32::MAX; classes],
+            classes: 0,
+            lookup: Lookup::default(),
+        };
+        let mut needed = vec![false; classes];
+        for (ri, &c) in class_of.iter().enumerate() {
+            needed[c as usize] |= kept.reads(ri);
+        }
+        for (c, need) in needed.into_iter().enumerate() {
+            if need {
+                kept.class[c] = kept.classes as u32;
+                kept.classes += 1;
+            }
+        }
+        kept.lookup = if kept.classes == classes {
+            lookup
+        } else {
+            lookup.retain(&kept.class, kept.classes)
+        };
+        kept
+    }
+
+    /// Whether some phase build reads root `ri` from the share.
+    fn reads(&self, ri: usize) -> bool {
+        let m = self.masks[ri];
+        (0..2u8).any(|p| self.sensitive[p as usize] > 0 && m & !phase_bit(p) == 0)
+    }
+
+    /// The share: the kept roots' classes and pin tables out of the
+    /// build's (the pin tables compacted in place), the kept classes'
+    /// tables, and the extraction's `counts`. `None` if the kept pin
+    /// tables outgrow 32-bit offsets: the phase cases then build alone.
+    fn into_share(
+        self,
+        counts: [u64; 3],
+        roots: &[(NodeId, RootKind)],
+        class_of: &[u32],
+        mut pins: Vec<NodeId>,
+        pin_starts: &[usize],
+        tables: Vec<Cow<'_, MacroTable>>,
+    ) -> Option<CaseShare> {
+        let mut kept_tables: Vec<Option<MacroTable>> = (0..self.classes).map(|_| None).collect();
+        for (c, t) in tables.into_iter().enumerate() {
+            if let Some(slot) = kept_tables.get_mut(self.class[c] as usize) {
+                *slot = Some(t.into_owned());
+            }
+        }
+        let mut share = CaseShare {
+            sensitive: self.sensitive,
+            counts,
+            roots: roots.to_vec(),
+            class_of: vec![u32::MAX; roots.len()],
+            pin_starts: vec![0],
+            tables: kept_tables.into_iter().collect::<Option<_>>()?,
+            ..Default::default()
+        };
+        let mut end = 0;
+        for ri in 0..roots.len() {
+            if self.reads(ri) {
+                share.class_of[ri] = self.class[class_of[ri] as usize];
+                pins.copy_within(pin_starts[ri]..pin_starts[ri + 1], end);
+                end += pin_starts[ri + 1] - pin_starts[ri];
+            }
+            share.pin_starts.push(u32::try_from(end).ok()?);
+        }
+        if end < pins.len() {
+            pins.truncate(end);
+            pins.shrink_to_fit();
+        }
+        share.pins = pins;
+        share.masks = self.masks;
+        share.lookup = self.lookup;
+        Some(share)
+    }
+}
+
+/// How a build takes part in the cross-case share.
+pub(crate) enum Share<'s> {
+    /// A lone build: nothing shared.
+    Off,
+    /// An all-active build followed by phase builds: a clean build leaves
+    /// its [`CaseShare`] here.
+    Leave(&'s mut Option<CaseShare>),
+    /// A phase build reading the all-active build's share.
+    Read(&'s CaseShare),
+}
+
+/// What a build produced: the case's own graph with its extraction
+/// (when clean), or `None` for a phase case that changes no root, whose
+/// graph is the all-active one.
+pub(crate) type Built = Option<(SpannedBuild, Option<Extraction>)>;
+
+/// What phases A–C learn: the class partition, every root's pin table,
+/// and one macromodel table per class. A phase build borrows the tables
+/// of the all-active classes it keeps, and the pin tables of its
+/// invariant roots, from the share.
+struct Classes<'s> {
+    class_of: Vec<u32>,
+    class_len: Vec<u32>,
+    keys: Vec<u64>,
+    /// Pin tables of the roots this build signed (invariant roots of a
+    /// phase build have empty spans and read the share's).
+    pins: Vec<NodeId>,
+    pin_starts: Vec<usize>,
+    tables: Vec<Cow<'s, MacroTable>>,
+    base: Option<Base<'s>>,
+    /// What an all-active build that leaves a share keeps.
+    leave: Option<Kept>,
+}
+
+impl Classes<'_> {
+    /// Root `ri`'s pin table.
+    fn pins_of(&self, ri: usize) -> &[NodeId] {
+        match self.base {
+            Some(b) if b.invariant(ri) => {
+                let s = b.share;
+                &s.pins[s.pin_starts[ri] as usize..s.pin_starts[ri + 1] as usize]
+            }
+            _ => &self.pins[self.pin_starts[ri]..self.pin_starts[ri + 1]],
+        }
+    }
+
     /// Root `ri`'s shared table and pin table, or `None` when its class
     /// is opaque and the root must be built flat.
     fn shared(&self, ri: usize) -> Option<(&[MacroArc], &[ArcDelay], &[NodeId])> {
-        match &self.tables[self.class_of[ri] as usize] {
-            MacroTable::Arcs { arcs, rows } => Some((
-                arcs,
-                rows,
-                &self.pins[self.pin_starts[ri]..self.pin_starts[ri + 1]],
-            )),
+        match &*self.tables[self.class_of[ri] as usize] {
+            MacroTable::Arcs { arcs, rows } => Some((arcs, rows, self.pins_of(ri))),
             MacroTable::Opaque => None,
         }
     }
@@ -451,10 +778,10 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
         .collect()
 }
 
-/// The hierarchical graph build: groups the root set into equivalence
-/// classes, analyzes one master per class, instances the rest, and
-/// finishes a graph whose arc and row lists are bit-identical to a
-/// serial flat build of every root at any thread count.
+/// The hierarchical graph build of a lone case: groups the root set into
+/// equivalence classes, analyzes one master per class, instances the
+/// rest, and finishes a graph whose arc and row lists are bit-identical
+/// to a serial flat build of every root at any thread count.
 /// `stage_hashes` is [`tv_flow::stage::Stages::structural_hashes`] of
 /// the same netlist and flow (a pure function of both, so one analysis
 /// computes it once for all its cases). Returns the per-root arc and row
@@ -466,35 +793,94 @@ pub(crate) fn build_spanned(
     jobs: usize,
     stage_hashes: &[u64],
 ) -> (SpannedBuild, Option<Extraction>) {
-    hier_build(builder, source_resistance, jobs, stage_hashes, None)
+    match hier_build(
+        builder,
+        source_resistance,
+        jobs,
+        stage_hashes,
+        None,
+        Share::Off,
+    ) {
+        Some(built) => built,
+        None => unreachable!("only a phase build reading a share aliases"),
+    }
 }
 
-/// [`build_spanned`] with the test hook. Extraction (phases A–C) either
-/// completes or, on any panic, falls back to every root being its own
-/// class with an opaque table; emission (phase D) then builds every root
-/// flat. An emission chunk that panics is rebuilt root by root, each
-/// root with fresh scratch under its own isolation: a root that panics
-/// again contributes no arcs and is reported in the graph's
-/// diagnostics. A panic on given inputs is deterministic, so the
-/// surviving arc list is the same at any thread count.
+/// [`build_spanned`] for one case of an analysis that builds several:
+/// the all-active build leaves a [`CaseShare`] (`Share::Leave`), and a
+/// phase build reads it (`Share::Read`). The graph, spans, partition and
+/// `macro.*` counters are those of a lone build of the case, except that
+/// a phase that changes no root returns `None` instead of a
+/// copy of the all-active graph.
+pub(crate) fn build_shared(
+    builder: &GraphBuilder<'_>,
+    source_resistance: f64,
+    jobs: usize,
+    stage_hashes: &[u64],
+    share: Share<'_>,
+) -> Built {
+    hier_build(builder, source_resistance, jobs, stage_hashes, None, share)
+}
+
+/// The one build behind [`build_spanned`] and [`build_shared`], with the
+/// test hook. Extraction (phases A–C) either completes or, on any panic,
+/// falls back to every root being its own class with an opaque table;
+/// emission (phase D) then builds every root flat. An emission chunk
+/// that panics is rebuilt root by root, each root with fresh scratch
+/// under its own isolation: a root that panics again contributes no arcs
+/// and is reported in the graph's diagnostics. A panic on given inputs
+/// is deterministic, so the surviving arc list is the same at any thread
+/// count. An aliasing phase still crosses every root's fault hooks once,
+/// and a panic there degrades it exactly like a failed extraction.
 fn hier_build(
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     jobs: usize,
     stage_hashes: &[u64],
     fault: Fault<'_>,
-) -> (SpannedBuild, Option<Extraction>) {
+    share: Share<'_>,
+) -> Built {
     let nl = builder.netlist;
-    let roots = builder.roots();
     let threads = jobs.max(1);
-    let classes = extract(
-        builder,
-        &roots,
-        source_resistance,
-        threads,
-        stage_hashes,
-        fault,
-    );
+    let read = match &share {
+        Share::Read(s) => Some(*s),
+        _ => None,
+    };
+    let base = read
+        .zip(builder.case.active)
+        .map(|(share, phase)| Base { share, phase });
+    let roots = base.map_or_else(|| builder.roots(), |b| b.share.roots.clone());
+    let classes = match base {
+        Some(b) if b.share.aliases(b.phase) => {
+            let crossed = tv_fault::isolated_map(vec![()], 1, |()| {
+                for r in &roots {
+                    if let Some(hook) = fault {
+                        hook(r.0);
+                    }
+                    graph_build_fault_point();
+                }
+            });
+            if crossed.iter().all(Result::is_ok) {
+                let [classes, analyzed, instanced] = b.share.counts;
+                add_counts(classes, analyzed, instanced);
+                // The alias: no graph of the case's own.
+                return None;
+            }
+            // A fault in the crossing degrades the case like a failed
+            // extraction.
+            None
+        }
+        _ => extract(
+            builder,
+            &roots,
+            source_resistance,
+            threads,
+            stage_hashes,
+            fault,
+            base,
+            matches!(share, Share::Leave(_)),
+        ),
+    };
     if classes.is_none() {
         tv_obs::incr(tv_obs::Counter::FaultDegraded);
     }
@@ -507,36 +893,58 @@ fn hier_build(
         fault,
     );
     // Consumed before `finish_graph`, so the pin tables never overlap
-    // the CSR arrays at peak.
-    let extraction = classes.filter(|_| diagnostics.is_empty()).map(account);
-    (
+    // the CSR arrays at peak — except the share's part of them.
+    let (extraction, left) = match classes.filter(|_| diagnostics.is_empty()) {
+        Some(c) => {
+            let (ex, left) = account(c, &roots);
+            (Some(ex), left)
+        }
+        None => (None, None),
+    };
+    if let Share::Leave(slot) = share {
+        *slot = left;
+    }
+    Some((
         SpannedBuild {
             graph: finish_graph(nl.node_count(), buf, builder.case, diagnostics),
             roots,
             spans: extraction.is_some().then_some(spans),
         },
         extraction,
-    )
+    ))
 }
 
 /// Phases A–C: sign and group every root, then analyze one master per
 /// class into a pin-indexed table. `None` if any of it panicked.
-fn extract(
+///
+/// A phase build (`base`) signs only the roots its phase can change. An
+/// invariant root keeps its all-active class; a re-signed root joins the
+/// share's class with its trace if there is one, and a class of the
+/// build's own otherwise. Classes are then renumbered by first
+/// appearance in root order, so the partition, class ids and tables are
+/// those of a lone build of the case, and only the new classes' masters
+/// are analyzed. `leave` keeps what a share needs ([`Kept`]).
+#[allow(clippy::too_many_arguments)]
+fn extract<'s>(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
     source_resistance: f64,
     threads: usize,
     stage_hashes: &[u64],
     fault: Fault<'_>,
-) -> Option<Classes> {
+    base: Option<Base<'s>>,
+    leave: bool,
+) -> Option<Classes<'s>> {
     let node_count = builder.netlist.node_count();
     let n_roots = roots.len();
+    let signs = |ri: usize| !base.is_some_and(|b| b.invariant(ri));
 
     // Phases A (signatures) and B (grouping), one block pipeline: each
     // wave of up to `threads` blocks is signed in parallel, then every
-    // block joins its classes serially in root order. The block cover
-    // is a pure function of the root list, so the grouping is
-    // independent of `jobs`. Classes are looked up by the grouping key
+    // block joins its classes serially in root order. A block is a run
+    // of roots holding `SIGN_BLOCK` signed roots, so the block cover is
+    // a pure function of the root list and the masks, and the grouping
+    // is independent of `jobs`. Classes are looked up by the grouping key
     // mixed with a hash of the trace, so a bucket almost always holds at
     // most one class; the exact trace comparison against each
     // candidate's master stays as the collision check — equal lookup
@@ -545,63 +953,108 @@ fn extract(
     // (at most one class per key has a given trace), so class ids and
     // the partition do not depend on the lookup key. Only master traces
     // outlive their block.
+    let mut blocks: Vec<Range<usize>> = Vec::new();
+    let (mut start, mut signed) = (0usize, 0usize);
+    for ri in 0..n_roots {
+        if signs(ri) {
+            signed += 1;
+            if signed == SIGN_BLOCK {
+                blocks.push(start..ri + 1);
+                (start, signed) = (ri + 1, 0);
+            }
+        }
+    }
+    if start < n_roots {
+        blocks.push(start..n_roots);
+    }
+    // Provisional class ids: a phase build's own classes count on from
+    // the share's.
+    let base_classes = base.map_or(0, |b| b.share.tables.len() as u32);
     let mut class_of: Vec<u32> = Vec::with_capacity(n_roots);
     let mut masters: Vec<u32> = Vec::new();
-    let mut class_len: Vec<u32> = Vec::new();
     let mut keys: Vec<u64> = Vec::with_capacity(n_roots);
+    let mut masks: Vec<u8> = Vec::with_capacity(if leave { n_roots } else { 0 });
     let mut pins: Vec<NodeId> = Vec::new();
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
     pin_starts.push(0);
-    let mut master_canon: Vec<u64> = Vec::new();
-    let mut master_canon_starts: Vec<usize> = vec![0];
-    // The default (keyed) hasher stays: the lookup keys derive from
-    // netlist content, which arrives from outside the program.
-    let mut by_key: HashMap<u64, Vec<u32>> = HashMap::new();
-    let blocks: Vec<&[(NodeId, RootKind)]> = roots.chunks(SIGN_BLOCK).collect();
+    // The default (keyed) hasher in the lookup stays: the lookup keys
+    // derive from netlist content, which arrives from outside the
+    // program.
+    let mut lookup = Lookup::new();
     let mut signers: Vec<Signer> = (0..threads.min(blocks.len()))
         .map(|_| Signer::new(node_count))
         .collect();
     for wave in blocks.chunks(signers.len().max(1)) {
-        let work: Vec<_> = wave.iter().zip(signers.iter_mut()).collect();
+        let work: Vec<_> = wave.iter().cloned().zip(signers.iter_mut()).collect();
         let signed = tv_fault::isolated_map(work, threads, |(block, signer)| {
-            signer.sign(builder, block, stage_hashes, fault)
+            signer.sign(builder, roots, block, base, stage_hashes, fault)
         });
-        for (done, signer) in signed.into_iter().zip(&signers) {
+        for ((done, signer), block) in signed.into_iter().zip(&signers).zip(wave) {
             done.ok()?;
             pins.extend_from_slice(&signer.pins);
+            let mut meta = signer.meta.iter();
             let mut c0 = 0usize;
-            for &(key, cw, pw) in &signer.meta {
-                let r = keys.len() as u32;
+            for ri in block.clone() {
+                let pin_end = *pin_starts.last().expect("pin_starts starts at 0");
+                if let Some(b) = base.filter(|b| b.invariant(ri)) {
+                    keys.push(root_key(stage_hashes, builder.flow, &roots[ri]));
+                    class_of.push(b.share.class_of[ri]);
+                    pin_starts.push(pin_end);
+                    continue;
+                }
+                let &(key, cw, pw, mask) = meta.next()?;
                 keys.push(key);
-                pin_starts.push(pin_starts.last().unwrap() + pw as usize);
+                if leave {
+                    masks.push(mask);
+                }
+                pin_starts.push(pin_end + pw as usize);
                 let canon = &signer.canon[c0..c0 + cw as usize];
                 c0 += cw as usize;
-                let cands = by_key.entry(mix64(key, trace_hash(canon))).or_default();
-                let hit = cands.iter().copied().find(|&cid| {
-                    let c = cid as usize;
-                    master_canon[master_canon_starts[c]..master_canon_starts[c + 1]] == *canon
-                });
-                match hit {
-                    Some(cid) => {
-                        class_of.push(cid);
-                        class_len[cid as usize] += 1;
-                    }
-                    None => {
-                        let cid = masters.len() as u32;
-                        masters.push(r);
-                        class_len.push(1);
-                        class_of.push(cid);
-                        cands.push(cid);
-                        master_canon.extend_from_slice(canon);
-                        master_canon_starts.push(master_canon.len());
-                    }
-                }
+                let lookup_key = mix64(key, trace_hash(canon));
+                let kept = base.and_then(|b| b.share.lookup.find(lookup_key, canon));
+                let cid = match kept {
+                    Some(cid) => cid,
+                    None => match lookup.find_or_mint(lookup_key, canon) {
+                        Ok(own) => base_classes + own,
+                        Err(minted) => {
+                            masters.push(ri as u32);
+                            base_classes + minted
+                        }
+                    },
+                };
+                class_of.push(cid);
             }
         }
     }
-    drop((by_key, signers, master_canon, master_canon_starts));
+    drop(signers);
+    // Only the lookup entries the share keeps outlive grouping.
+    let leave = leave.then(|| Kept::new(masks, &class_of, masters.len(), lookup));
 
-    // Phase C: analyze one master per class into a pin-indexed table.
+    // A phase build renumbers by first appearance: `order` lists the
+    // provisional ids in final order (a lone build's are already).
+    let order: Vec<u32> = match base {
+        None => (0..masters.len() as u32).collect(),
+        Some(_) => {
+            let mut final_of = vec![u32::MAX; base_classes as usize + masters.len()];
+            let mut order = Vec::new();
+            for cid in class_of.iter_mut() {
+                let f = &mut final_of[*cid as usize];
+                if *f == u32::MAX {
+                    *f = order.len() as u32;
+                    order.push(*cid);
+                }
+                *cid = *f;
+            }
+            order
+        }
+    };
+    let mut class_len = vec![0u32; order.len()];
+    for &c in &class_of {
+        class_len[c as usize] += 1;
+    }
+
+    // Phase C: analyze one master per new class into a pin-indexed
+    // table.
     let analyze_chunk = |master_chunk: &[u32]| -> Vec<MacroTable> {
         let mut scratch = BuildScratch::new(node_count);
         let mut ms = MacroScratch::new(node_count);
@@ -641,12 +1094,19 @@ fn extract(
         }
         tables
     };
-    let mut tables: Vec<MacroTable> = Vec::with_capacity(masters.len());
+    let mut own: Vec<Option<MacroTable>> = Vec::with_capacity(masters.len());
     for part in tv_fault::isolated_map(chunked(&masters, threads), threads, |(_, mc)| {
         analyze_chunk(mc)
     }) {
-        tables.extend(part.ok()?);
+        own.extend(part.ok()?.into_iter().map(Some));
     }
+    let tables = order
+        .iter()
+        .map(|&pid| match pid.checked_sub(base_classes) {
+            Some(j) => own[j as usize].take().map(Cow::Owned),
+            None => base.map(|b| Cow::Borrowed(&b.share.tables[pid as usize])),
+        })
+        .collect::<Option<Vec<_>>>()?;
     Some(Classes {
         class_of,
         class_len,
@@ -654,6 +1114,8 @@ fn extract(
         pins,
         pin_starts,
         tables,
+        base,
+        leave,
     })
 }
 
@@ -665,7 +1127,7 @@ fn extract(
 fn emit(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
-    classes: Option<&Classes>,
+    classes: Option<&Classes<'_>>,
     source_resistance: f64,
     threads: usize,
     fault: Fault<'_>,
@@ -796,12 +1258,23 @@ fn emit(
 
 /// Work accounting for a clean build: a class whose table shared counts
 /// one analysis and `len - 1` instancings; an opaque class analyzed
-/// every member.
-fn account(c: Classes) -> Extraction {
+/// every member. Returns the extraction, and the share when the build
+/// leaves one.
+fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<CaseShare>) {
+    let Classes {
+        class_of,
+        class_len,
+        keys,
+        pins,
+        pin_starts,
+        tables,
+        leave,
+        ..
+    } = c;
     let mut analyzed: u64 = 0;
     let mut instanced: u64 = 0;
-    for (table, &len) in c.tables.iter().zip(&c.class_len) {
-        match table {
+    for (table, &len) in tables.iter().zip(&class_len) {
+        match &**table {
             MacroTable::Arcs { .. } => {
                 analyzed += 1;
                 instanced += (len - 1) as u64;
@@ -809,24 +1282,33 @@ fn account(c: Classes) -> Extraction {
             MacroTable::Opaque => analyzed += len as u64,
         }
     }
-    let n_classes = c.tables.len();
-    tv_obs::add(tv_obs::Counter::MacroClasses, n_classes as u64);
-    tv_obs::add(tv_obs::Counter::MacroAnalyzed, analyzed);
-    tv_obs::add(tv_obs::Counter::MacroInstanced, instanced);
+    let n_classes = tables.len();
+    add_counts(n_classes as u64, analyzed, instanced);
 
     let mut fp = 0x9c0d_e1a2_57a9_0e5d_u64;
-    for (&key, &cid) in c.keys.iter().zip(&c.class_of) {
+    for (&key, &cid) in keys.iter().zip(&class_of) {
         fp = mix64(fp, key);
         fp = mix64(fp, cid as u64);
     }
-    Extraction {
-        class_of: c.class_of,
-        class_len: c.class_len,
+    let counts = [n_classes as u64, analyzed, instanced];
+    let left =
+        leave.and_then(|kept| kept.into_share(counts, roots, &class_of, pins, &pin_starts, tables));
+    let ex = Extraction {
+        class_of,
+        class_len,
         classes: n_classes,
         analyzed,
         instanced,
         fp,
-    }
+    };
+    (ex, left)
+}
+
+/// Records one case's extraction in the `macro.*` counters.
+fn add_counts(classes: u64, analyzed: u64, instanced: u64) {
+    tv_obs::add(tv_obs::Counter::MacroClasses, classes);
+    tv_obs::add(tv_obs::Counter::MacroAnalyzed, analyzed);
+    tv_obs::add(tv_obs::Counter::MacroInstanced, instanced);
 }
 
 #[cfg(test)]
@@ -836,7 +1318,7 @@ mod tests {
     use crate::options::DelayModel;
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, RuleSet};
-    use tv_netlist::{Netlist, Tech};
+    use tv_netlist::{Netlist, NetlistBuilder, Tech};
 
     fn spanned(nl: &Netlist, case: PhaseCase, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
         let flow = analyze(nl, &RuleSet::all());
@@ -1017,7 +1499,8 @@ mod tests {
         };
         let expected = flat_reference(&b, &bad);
         for jobs in [1usize, 2, 4, 8] {
-            let (sb, ex) = hier_build(&b, 1.0, jobs, &hashes, Some(&hook));
+            let (sb, ex) = hier_build(&b, 1.0, jobs, &hashes, Some(&hook), Share::Off)
+                .expect("a lone build never aliases");
             assert!(sb.spans.is_none() && ex.is_none(), "jobs {jobs}");
             assert_same_graph(&sb.graph, &expected, &format!("jobs {jobs}"));
             let errors = sb
@@ -1031,6 +1514,212 @@ mod tests {
                 .count();
             assert_eq!(errors, bad.len(), "jobs {jobs}");
         }
+    }
+
+    /// Every root's case mask under `b`'s case, as signing records it.
+    fn masks(b: &GraphBuilder<'_>) -> Vec<u8> {
+        let n = b.netlist.node_count();
+        let (mut scratch, mut ms) = (BuildScratch::new(n), MacroScratch::new(n));
+        let (mut canon, mut pins) = (Vec::new(), Vec::new());
+        b.roots()
+            .iter()
+            .map(|r| root_canon(b, r, &mut scratch, &mut ms, &mut canon, &mut pins))
+            .collect()
+    }
+
+    #[test]
+    fn invariant_roots_walk_sign_and_build_as_under_all_active() {
+        let t = Tech::nmos4um();
+        let race = tv_netlist::sim_format::parse(
+            include_str!("../../../tests/data/race_smoke.sim"),
+            t.clone(),
+        )
+        .expect("race golden parses");
+        let workloads = [
+            tv_gen::manchester::manchester_circuit(t.clone(), 8, 4).netlist,
+            tv_gen::datapath::datapath(t.clone(), tv_gen::datapath::DatapathConfig::small())
+                .netlist,
+            tv_gen::random::random_logic(t.clone(), 800, 7, tv_gen::random::RandomMix::default())
+                .netlist,
+            tv_gen::mips_mc::t6_mips_mc(t, 1).netlist,
+            race,
+        ];
+        let (mut invariant, mut sensitive) = ([0usize; 2], [0usize; 2]);
+        for nl in &workloads {
+            let flow = analyze(nl, &RuleSet::all());
+            let qual = qualify_with_flow(nl, &flow);
+            let all = builder(nl, &flow, &qual, PhaseCase::all_active());
+            let mask = masks(&all);
+            let n = nl.node_count();
+            let (mut s1, mut s2) = (BuildScratch::new(n), BuildScratch::new(n));
+            let (mut m1, mut m2) = (MacroScratch::new(n), MacroScratch::new(n));
+            for p in 0..2u8 {
+                let pb = builder(nl, &flow, &qual, PhaseCase::phase(p));
+                for (ri, r) in all.roots().iter().enumerate() {
+                    if mask[ri] & !phase_bit(p) != 0 {
+                        sensitive[p as usize] += 1;
+                        continue;
+                    }
+                    invariant[p as usize] += 1;
+                    let walk = |b: &GraphBuilder<'_>, s: &mut BuildScratch| {
+                        b.walk_downstream(r.0, s);
+                        s.walk
+                            .iter()
+                            .map(|w| (w.node, w.parent, w.via))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        walk(&all, &mut s1),
+                        walk(&pb, &mut s2),
+                        "root {ri} phase {p}"
+                    );
+                    let (mut c1, mut c2, mut p1, mut p2) = (vec![], vec![], vec![], vec![]);
+                    root_canon(&all, r, &mut s1, &mut m1, &mut c1, &mut p1);
+                    root_canon(&pb, r, &mut s2, &mut m2, &mut c2, &mut p2);
+                    assert_eq!((c1, p1), (c2, p2), "root {ri} phase {p}: trace and pins");
+                    let (mut b1, mut b2) = (ArcBuf::default(), ArcBuf::default());
+                    all.build_root(r, 1.0, &mut b1, &mut s1);
+                    pb.build_root(r, 1.0, &mut b2, &mut s2);
+                    let arcs = |b: &ArcBuf| {
+                        b.arcs
+                            .iter()
+                            .map(|a| (a.from, a.to, a.delay, a.inverting, a.kind))
+                            .collect::<Vec<_>>()
+                    };
+                    let rows = |b: &ArcBuf| b.delays.iter().map(|d| d.words()).collect::<Vec<_>>();
+                    assert_eq!(arcs(&b1), arcs(&b2), "root {ri} phase {p}: arcs");
+                    assert_eq!(rows(&b1), rows(&b2), "root {ri} phase {p}: rows");
+                }
+            }
+        }
+        for p in 0..2 {
+            assert!(
+                invariant[p] > 0 && sensitive[p] > 0,
+                "phase {p}: {} invariant, {} sensitive roots",
+                invariant[p],
+                sensitive[p]
+            );
+        }
+    }
+
+    /// Builds every case of `nl` at jobs 1/2/8 both through the case share
+    /// and alone, asserts that graph, spans and extraction agree (an
+    /// aliasing phase agreeing with the all-active build), and returns
+    /// the lone extractions `[all-active, φ1, φ2]` with the root list.
+    fn shared_agrees_with_lone(nl: &Netlist) -> ([Extraction; 3], Vec<(NodeId, RootKind)>) {
+        let flow = analyze(nl, &RuleSet::all());
+        let qual = qualify_with_flow(nl, &flow);
+        let hashes = flow.stages().structural_hashes(nl);
+        let cases = [
+            PhaseCase::all_active(),
+            PhaseCase::phase(0),
+            PhaseCase::phase(1),
+        ];
+        let mut last = None;
+        for jobs in [1usize, 2, 8] {
+            let mut share = None;
+            let b = builder(nl, &flow, &qual, cases[0]);
+            let (comb, comb_ex) = build_shared(&b, 1.0, jobs, &hashes, Share::Leave(&mut share))
+                .expect("an all-active build never aliases");
+            let share = share.expect("a clean all-active build leaves a share");
+            let mut lone = Vec::new();
+            for (k, &case) in cases.iter().enumerate() {
+                let what = format!("case {case:?} jobs {jobs}");
+                let b = builder(nl, &flow, &qual, case);
+                let (sb, ex) = build_spanned(&b, 1.0, jobs, &hashes);
+                let ex = ex.expect("clean build must extract");
+                let (graph, spans, shared) = match k {
+                    0 => (&comb.graph, &comb.spans, comb_ex.as_ref()),
+                    _ => match build_shared(&b, 1.0, jobs, &hashes, Share::Read(&share)) {
+                        None => (&comb.graph, &comb.spans, comb_ex.as_ref()),
+                        Some((psb, pex)) => {
+                            assert_same_graph(&psb.graph, &sb.graph, &what);
+                            let s = psb.spans.expect("clean build records spans");
+                            let t = sb.spans.as_ref().unwrap();
+                            assert_eq!((&s.arcs, &s.rows), (&t.arcs, &t.rows), "{what}");
+                            assert_eq!(pex.as_ref(), Some(&ex), "{what}");
+                            lone.push(ex);
+                            continue;
+                        }
+                    },
+                };
+                assert_same_graph(graph, &sb.graph, &what);
+                let (s, t) = (spans.as_ref().unwrap(), sb.spans.as_ref().unwrap());
+                assert_eq!((&s.arcs, &s.rows), (&t.arcs, &t.rows), "{what}");
+                assert_eq!(shared, Some(&ex), "{what}");
+                lone.push(ex);
+            }
+            last = Some((lone.try_into().ok().unwrap(), comb.roots));
+        }
+        last.unwrap()
+    }
+
+    fn ordinal(roots: &[(NodeId, RootKind)], n: NodeId) -> usize {
+        roots.iter().position(|r| r.0 == n).expect("a build root")
+    }
+
+    #[test]
+    fn a_class_whose_members_differ_in_sensitivity_splits() {
+        // Two identical stages, each driving a latch through a pass
+        // device: one gated by a φ1-qualified node, one by a φ2-qualified
+        // one. The gates are internal nodes, not raw clocks, so both
+        // stages have one grouping key and one all-active trace.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let a = b.input("a");
+        let phi = [b.clock("phi1", 0), b.clock("phi2", 1)];
+        let mut stages = Vec::new();
+        for (i, clk) in phi.into_iter().enumerate() {
+            let g = b.node(format!("g{i}"));
+            b.inverter(format!("ig{i}"), clk, g);
+            let s = b.node(format!("s{i}"));
+            b.inverter(format!("is{i}"), a, s);
+            let n = b.node(format!("n{i}"));
+            b.pass(format!("p{i}"), g, s, n);
+            let o = b.output(format!("o{i}"));
+            b.inverter(format!("io{i}"), n, o);
+            stages.push(s);
+        }
+        let nl = b.finish().unwrap();
+        let (ex, roots) = shared_agrees_with_lone(&nl);
+        let [s0, s1] = [ordinal(&roots, stages[0]), ordinal(&roots, stages[1])];
+        assert_eq!(
+            ex[0].class_of[s0], ex[0].class_of[s1],
+            "one all-active class"
+        );
+        for (k, e) in ex.iter().enumerate().skip(1) {
+            assert_ne!(e.class_of[s0], e.class_of[s1], "split in case {k}");
+        }
+    }
+
+    #[test]
+    fn a_sensitive_root_joins_an_invariant_class() {
+        // One stage, so one grouping key for its source roots: input `x`
+        // feeds a latch through a pass device gated by a φ2-qualified
+        // node, and inputs `w` and `v` hang off it through pass devices
+        // no walk enters (walks never enter an input). `w` carries two
+        // device terminals, like `x`. Under φ1 the latch is off, so `x`'s
+        // trace becomes `w`'s all-active one.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let phi2 = b.clock("phi2", 1);
+        let g = b.node("g");
+        b.inverter("ig", phi2, g);
+        let [x, w, v] = [b.input("x"), b.input("w"), b.input("v")];
+        let n = b.node("n");
+        b.pass("p", g, x, n);
+        let o = b.output("o");
+        b.inverter("io", n, o);
+        b.pass("r", g, w, x);
+        b.pass("q", g, w, v);
+        let nl = b.finish().unwrap();
+        let flow = analyze(&nl, &RuleSet::all());
+        let qual = qualify_with_flow(&nl, &flow);
+        let mask = masks(&builder(&nl, &flow, &qual, PhaseCase::all_active()));
+        let (ex, roots) = shared_agrees_with_lone(&nl);
+        let [rx, rw] = [ordinal(&roots, x), ordinal(&roots, w)];
+        assert_eq!((mask[rx], mask[rw]), (phase_bit(1), 0));
+        assert_ne!(ex[0].class_of[rx], ex[0].class_of[rw]);
+        assert_eq!(ex[1].class_of[rx], ex[1].class_of[rw], "joins under φ1");
+        assert_ne!(ex[2].class_of[rx], ex[2].class_of[rw]);
     }
 
     #[test]

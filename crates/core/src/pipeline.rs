@@ -38,6 +38,12 @@
 //! their fanout cone over the previous run's arrivals (the cone engine)
 //! instead of walking the whole graph.
 //!
+//! The cases share their build work too: a full all-active build leaves
+//! a case share for the phase builds of the same run, which re-sign only
+//! the roots their phase can change, and a phase that changes no root
+//! aliases the all-active graph slot — one build or splice, and one
+//! delta certificate, serve both cases (DESIGN.md §10, §16).
+//!
 //! Each case slot keeps its latest result with its critical paths and
 //! races, so an unchanged case — cyclic or not — is served without a
 //! walk. Two projections read the slots: the owned [`TimingReport`]
@@ -72,7 +78,7 @@ use crate::graph::{
     splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpliceIndex, TimingGraph,
 };
 use crate::hold::RaceHazard;
-use crate::macromodel::{build_spanned, Extraction};
+use crate::macromodel::{build_shared, CaseShare, Extraction, Share};
 use crate::options::AnalysisOptions;
 use crate::paths::{backtrack, critical_paths, TimingPath};
 use crate::propagate::{
@@ -194,6 +200,10 @@ pub enum PassOutcome {
         /// Number of nodes the cone re-relaxed.
         recomputed: usize,
     },
+    /// Extract and graph passes of a phase case only: the case changes no
+    /// build root, so it reads the all-active graph — nothing was
+    /// extracted, emitted or finished for it.
+    Shared,
 }
 
 /// One entry of [`PassManager::last_trace`].
@@ -206,9 +216,10 @@ pub struct PassEvent {
 }
 
 impl PassEvent {
-    /// Whether the pass did any real work (everything except `Reused`).
+    /// Whether the pass did any real work (everything except `Reused`
+    /// and `Shared`).
     pub fn reran(&self) -> bool {
-        self.outcome != PassOutcome::Reused
+        !matches!(self.outcome, PassOutcome::Reused | PassOutcome::Shared)
     }
 }
 
@@ -276,6 +287,32 @@ struct GraphSlot {
     extraction: Option<Extraction>,
 }
 
+/// A case's graph: its own, or — for a phase case that changes no build
+/// root — the all-active graph, which it then reads arc for arc.
+enum CaseGraph {
+    Own(Box<GraphSlot>),
+    /// The fingerprints the alias was last confirmed under. It holds
+    /// while `shape_fp` does: whether a root can change under a case
+    /// depends only on topology, flow and qualification.
+    Alias {
+        input_fp: u64,
+        shape_fp: u64,
+    },
+}
+
+/// The graph slot case `k` reads: its own, or the all-active slot it
+/// aliases.
+fn case_graph(graphs: &[Option<CaseGraph>; 3], k: usize) -> Option<&GraphSlot> {
+    let k = match graphs[k].as_ref()? {
+        CaseGraph::Own(_) => k,
+        CaseGraph::Alias { .. } => case_slot(None),
+    };
+    match graphs[k].as_ref()? {
+        CaseGraph::Own(s) => Some(s),
+        CaseGraph::Alias { .. } => None,
+    }
+}
+
 /// One case's latest arrival result and what the report derives from
 /// it. The only copy: the cone engine advances `result` in place, and a
 /// report either clones it (session) or moves it out (one-shot).
@@ -307,7 +344,8 @@ impl CaseSlot {
 }
 
 /// What the graph pass certifies about a case's arcs, handed to the
-/// arrival pass.
+/// arrival pass. An aliasing phase case is handed the all-active case's
+/// delta: one build or splice serves both.
 struct CaseDelta {
     /// Graph-pass input fingerprint the arcs currently reflect.
     graph_fp: u64,
@@ -342,8 +380,9 @@ pub struct PassManager {
     flow: Option<Slot<FlowOutput>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
-    /// Graph slots: `[comb, phase 0, phase 1]`.
-    graphs: [Option<GraphSlot>; 3],
+    /// Graph slots: `[comb, phase 0, phase 1]`. A phase slot may alias
+    /// the comb slot.
+    graphs: [Option<CaseGraph>; 3],
     /// Case results, indexed like `graphs`.
     cases: [Option<CaseSlot>; 3],
     checks: Option<Slot<Vec<CheckIssue>>>,
@@ -457,7 +496,7 @@ impl PassManager {
     ) -> Option<TimingPath> {
         let nl = design.netlist();
         if self.current == Some((design.stamp(), options_fp(options))) {
-            if let Some(slot) = &self.graphs[case_slot(None)] {
+            if let Some(slot) = case_graph(&self.graphs, case_slot(None)) {
                 return point_to_point(
                     nl,
                     &slot.graph,
@@ -500,11 +539,11 @@ impl PassManager {
             PassId::Flow => self.flow.as_ref().map(|s| s.output_fp),
             PassId::Qualify => self.qual.as_ref().map(|s| s.output_fp),
             PassId::Latches => self.latches.as_ref().map(|s| s.output_fp),
-            PassId::Extract(c) => self.graphs[case_slot(c)]
-                .as_ref()
-                .and_then(|s| s.extraction.as_ref())
-                .map(|e| e.fingerprint()),
-            PassId::Graph(c) => self.graphs[case_slot(c)].as_ref().map(|s| s.input_fp),
+            PassId::Extract(c) => self.extraction(c).map(|e| e.fingerprint()),
+            PassId::Graph(c) => self.graphs[case_slot(c)].as_ref().map(|g| match g {
+                CaseGraph::Own(s) => s.input_fp,
+                CaseGraph::Alias { input_fp, .. } => *input_fp,
+            }),
             PassId::Arrivals(_) => None,
             PassId::Checks => self.checks.as_ref().map(|s| s.input_fp),
         }
@@ -512,11 +551,10 @@ impl PassManager {
 
     /// The macromodel extraction for a case's cached graph, if the most
     /// recent build extracted one (`None` in one-shot mode or after a
-    /// degraded build).
+    /// degraded build). A case aliasing the all-active graph has the
+    /// all-active partition.
     pub fn extraction(&self, case: Option<u8>) -> Option<&Extraction> {
-        self.graphs[case_slot(case)]
-            .as_ref()
-            .and_then(|s| s.extraction.as_ref())
+        case_graph(&self.graphs, case_slot(case)).and_then(|s| s.extraction.as_ref())
     }
 
     /// Runs the passes and assembles the owned report: the session path
@@ -618,13 +656,27 @@ impl PassManager {
         // flow result, so every case's full build shares one computation
         // (made on first need: a run that splices or reuses every case
         // never pays for it). Not cached across runs: a resize changes
-        // device geometry without rerunning flow.
+        // device geometry without rerunning flow. The case share a full
+        // all-active build leaves lives as long, for the same reason.
         let mut stage_hashes: Option<Vec<u64>> = None;
+        let mut share: Option<CaseShare> = None;
+        // The all-active delta while the all-active graph is clean and
+        // kept, so that a phase case may read it.
+        let mut comb: Option<CaseDelta> = None;
 
         // --- cases: all-active, then each phase under case analysis ---
-        for &active in case_list(nl, options) {
+        let cases = case_list(nl, options);
+        for (i, &active) in cases.iter().enumerate() {
             let k = case_slot(active);
-            let delta = graph_pass(
+            let cross = match active {
+                None if cases.len() > 1 => Share::Leave(&mut share),
+                Some(p) => match &share {
+                    Some(s) if comb.is_some() || !s.aliases(p) => Share::Read(s),
+                    _ => Share::Off,
+                },
+                None => Share::Off,
+            };
+            let own = graph_pass(
                 &mut self.graphs[k],
                 &mut self.trace,
                 &mut self.scratch,
@@ -640,11 +692,24 @@ impl PassManager {
                 qual_fp,
                 jobs,
                 &mut stage_hashes,
+                cross,
+                comb.is_some(),
             );
-            let graph = &self.graphs[k]
-                .as_ref()
+            let delta = match &own {
+                Some(delta) => delta,
+                None => comb
+                    .as_ref()
+                    .ok_or(internal("a case aliases no clean all-active graph"))?,
+            };
+            // The last graph pass is the share's last reader: free it
+            // before the case's arrivals allocate.
+            if i + 1 == cases.len() {
+                share = None;
+            }
+            let graph = &case_graph(&self.graphs, k)
                 .ok_or(internal("graph pass left no case slot"))?
                 .graph;
+            let clean = graph.diagnostics.is_empty();
             // The arc limit is checked on the combinational graph, before
             // any arrival work.
             let limit = options
@@ -665,24 +730,38 @@ impl PassManager {
                 self.warm,
                 &mut self.workspace,
                 nl,
+                active,
                 graph,
                 latches,
                 options,
                 opts_fp,
                 jobs,
                 guards,
-                &delta,
+                delta,
             );
             self.trace.push(PassEvent {
                 pass: PassId::Arrivals(active),
                 outcome,
             });
+            if active.is_none() && clean {
+                comb = own;
+            }
             // A one-shot run never reads a case's graph again once its
             // arrivals, paths and races are done: free it before the
             // next case builds, so at most one case graph is alive at a
-            // time.
+            // time. The all-active graph stays only to serve the next
+            // case as an alias.
             if !self.warm {
-                self.graphs[k] = None;
+                let next = cases.get(i + 1).copied().flatten();
+                let keep = next.zip(share.as_ref()).is_some_and(|(p, s)| s.aliases(p));
+                for (j, g) in self.graphs.iter_mut().enumerate() {
+                    if j != case_slot(None) || !keep {
+                        *g = None;
+                    }
+                }
+                if !keep {
+                    comb = None;
+                }
             }
         }
 
@@ -722,7 +801,7 @@ impl PassManager {
                 // computed in the pass-level telemetry; the cone.*
                 // counters carry the finer story.
                 PassOutcome::Computed | PassOutcome::Cone { .. } => computed += 1,
-                PassOutcome::Reused => reused += 1,
+                PassOutcome::Reused | PassOutcome::Shared => reused += 1,
                 PassOutcome::Spliced { roots: r } => {
                     spliced += 1;
                     // The extract pass reports de-shared instances in
@@ -971,10 +1050,12 @@ pub(crate) fn path_query_cold(
         qual_fp,
         options.effective_jobs(),
         &mut None,
+        Share::Off,
+        false,
     );
     point_to_point(
         nl,
-        &graphs[k].as_ref()?.graph,
+        &case_graph(graphs, k)?.graph,
         from,
         to,
         &options.slope,
@@ -1029,6 +1110,10 @@ fn flow_pass(nl: &Netlist, stamp: DesignStamp, options: &AnalysisOptions) -> Slo
 /// The graph pass for one case: reuse on a clean input fingerprint,
 /// splice on a parametric-only delta (matching shape, recorded spans,
 /// clean diagnostics, node-granular dirty set), full rebuild otherwise.
+/// A phase case that aliases the all-active graph (`alias_ok`: that
+/// graph is clean and kept) keeps the alias while its shape holds. A
+/// full build takes part in the case share as `share` says, and a phase
+/// build that finds no root its phase can change becomes an alias.
 ///
 /// Returns the [`CaseDelta`] certificate for the arrival pass: the
 /// graph fingerprint the arcs now reflect, and — when the pass reused,
@@ -1037,10 +1122,11 @@ fn flow_pass(nl: &Netlist, stamp: DesignStamp, options: &AnalysisOptions) -> Slo
 /// certificate's "sources and endpoints unchanged" clause holds because
 /// every non-rebuild outcome pins topology, flow, and qualification
 /// (via `shape_fp`), which determine the latch set and hence every
-/// case's source/endpoint lists.
+/// case's source/endpoint lists. `None` means the case aliases: the
+/// all-active delta certifies it.
 #[allow(clippy::too_many_arguments)]
 fn graph_pass(
-    slot_opt: &mut Option<GraphSlot>,
+    slot_opt: &mut Option<CaseGraph>,
     trace: &mut Vec<PassEvent>,
     scratch: &mut BuildScratch,
     warm: bool,
@@ -1055,7 +1141,9 @@ fn graph_pass(
     qual_fp: u64,
     jobs: usize,
     stage_hashes: &mut Option<Vec<u64>>,
-) -> CaseDelta {
+    share: Share<'_>,
+    alias_ok: bool,
+) -> Option<CaseDelta> {
     let _span = tv_obs::span("pass.graph");
     let pass = PassId::Graph(case.active);
     let extract_pass = PassId::Extract(case.active);
@@ -1072,20 +1160,20 @@ fn graph_pass(
         flow_fp,
         qual_fp,
     ]);
-    if let Some(s) = slot_opt.as_ref() {
+    let outcomes = |trace: &mut Vec<PassEvent>, outcome: PassOutcome| {
+        trace.push(PassEvent {
+            pass: extract_pass,
+            outcome,
+        });
+        trace.push(PassEvent { pass, outcome });
+    };
+    if let Some(CaseGraph::Own(s)) = slot_opt.as_ref() {
         if s.input_fp == input_fp {
-            trace.push(PassEvent {
-                pass: extract_pass,
-                outcome: PassOutcome::Reused,
-            });
-            trace.push(PassEvent {
-                pass,
-                outcome: PassOutcome::Reused,
-            });
-            return CaseDelta {
+            outcomes(trace, PassOutcome::Reused);
+            return Some(CaseDelta {
                 graph_fp: input_fp,
                 since: Some((input_fp, Vec::new())),
-            };
+            });
         }
     }
     let shape_fp = hash_words(&[
@@ -1097,6 +1185,22 @@ fn graph_pass(
         flow_fp,
         qual_fp,
     ]);
+    if let Some(CaseGraph::Alias {
+        input_fp: alias_in,
+        shape_fp: alias_shape,
+    }) = slot_opt.as_mut()
+    {
+        if alias_ok && *alias_shape == shape_fp {
+            let outcome = if *alias_in == input_fp {
+                PassOutcome::Reused
+            } else {
+                PassOutcome::Shared
+            };
+            *alias_in = input_fp;
+            outcomes(trace, outcome);
+            return None;
+        }
+    }
     let builder = GraphBuilder {
         netlist: nl,
         flow,
@@ -1115,7 +1219,7 @@ fn graph_pass(
     // verifies arc shape per root and falls back on any surprise.
     'splice: {
         let Some(d) = design else { break 'splice };
-        let Some(s) = slot_opt.as_mut() else {
+        let Some(CaseGraph::Own(s)) = slot_opt.as_mut() else {
             break 'splice;
         };
         if s.shape_fp != shape_fp || !s.graph.diagnostics.is_empty() {
@@ -1129,7 +1233,7 @@ fn graph_pass(
             splice,
             extraction,
             ..
-        } = s;
+        } = &mut **s;
         let Some(idx) = splice.as_ref() else {
             break 'splice;
         };
@@ -1152,18 +1256,11 @@ fn graph_pass(
             let prev_fp = *slot_in;
             *slot_in = input_fp;
             *built_revision = d.revision();
-            trace.push(PassEvent {
-                pass: extract_pass,
-                outcome: PassOutcome::Revalidated,
-            });
-            trace.push(PassEvent {
-                pass,
-                outcome: PassOutcome::Revalidated,
-            });
-            return CaseDelta {
+            outcomes(trace, PassOutcome::Revalidated);
+            return Some(CaseDelta {
                 graph_fp: input_fp,
                 since: Some((prev_fp, Vec::new())),
-            };
+            });
         }
         scratch.fit(nl.node_count());
         if let Ok(changed) = splice_roots(
@@ -1194,10 +1291,10 @@ fn graph_pass(
                     roots: affected.len(),
                 },
             });
-            return CaseDelta {
+            return Some(CaseDelta {
                 graph_fp: input_fp,
                 since: Some((prev_fp, changed)),
-            };
+            });
         }
         // Shape mismatch (or a contained panic) mid-splice: the graph is
         // partially overwritten and must be discarded, and the scratch
@@ -1207,7 +1304,14 @@ fn graph_pass(
     }
 
     let hashes = stage_hashes.get_or_insert_with(|| flow.stages().structural_hashes(nl));
-    let (sb, extraction) = build_spanned(&builder, SOURCE_RESISTANCE, jobs, hashes);
+    let (sb, extraction) = match build_shared(&builder, SOURCE_RESISTANCE, jobs, hashes, share) {
+        Some(built) => built,
+        None => {
+            *slot_opt = Some(CaseGraph::Alias { input_fp, shape_fp });
+            outcomes(trace, PassOutcome::Shared);
+            return None;
+        }
+    };
     let slot = if warm {
         let splice = sb.spans.map(|spans| {
             scratch.fit(nl.node_count());
@@ -1238,19 +1342,12 @@ fn graph_pass(
             extraction: None,
         }
     };
-    *slot_opt = Some(slot);
-    trace.push(PassEvent {
-        pass: extract_pass,
-        outcome: PassOutcome::Computed,
-    });
-    trace.push(PassEvent {
-        pass,
-        outcome: PassOutcome::Computed,
-    });
-    CaseDelta {
+    *slot_opt = Some(CaseGraph::Own(Box::new(slot)));
+    outcomes(trace, PassOutcome::Computed);
+    Some(CaseDelta {
         graph_fp: input_fp,
         since: None,
-    }
+    })
 }
 
 /// The arrival pass for one case, with the case's paths and races, and
@@ -1279,6 +1376,7 @@ fn case_pass(
     warm: bool,
     ws: &mut Workspace,
     nl: &Netlist,
+    active: Option<u8>,
     graph: &TimingGraph,
     latches: &[Latch],
     options: &AnalysisOptions,
@@ -1306,7 +1404,7 @@ fn case_pass(
         return PassOutcome::Reused;
     }
 
-    let (sources, storages, endpoints) = match graph.case.active {
+    let (sources, storages, endpoints) = match active {
         None => (
             external_sources(nl),
             Vec::new(),
@@ -1338,7 +1436,7 @@ fn case_pass(
                 &mut s.result,
                 ws,
             );
-            (s.paths, s.races) = derive(graph, &s.result, &storages, options.top_k);
+            (s.paths, s.races) = derive(active, graph, &s.result, &storages, options.top_k);
             s.key = Some(key);
             tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
             tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
@@ -1356,7 +1454,7 @@ fn case_pass(
     // The old result is not read again: free it before the walk builds
     // the new one.
     *slot = None;
-    let result = propagate_full(
+    let mut result = propagate_full(
         nl,
         graph,
         &sources,
@@ -1368,6 +1466,8 @@ fn case_pass(
         ws,
         None,
     );
+    // An aliasing phase case walks the all-active graph.
+    result.case = PhaseCase { active };
     if warm {
         tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
         tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
@@ -1377,7 +1477,7 @@ fn case_pass(
             .diagnostics
             .iter()
             .any(|d| d.code == codes::ANALYSIS_WORKER_PANIC);
-    let (paths, races) = derive(graph, &result, &storages, options.top_k);
+    let (paths, races) = derive(active, graph, &result, &storages, options.top_k);
     *slot = Some(CaseSlot {
         key: keep.then_some(key),
         arcs: graph.arc_count(),
@@ -1390,8 +1490,11 @@ fn case_pass(
 }
 
 /// What the report derives from a case's fresh result: its top-K
-/// critical paths and, for a phase case, its races.
+/// critical paths and, for a phase case, its races. The case comes from
+/// the case loop, not from `graph`, which an aliasing phase case shares
+/// with the all-active case.
 fn derive(
+    active: Option<u8>,
     graph: &TimingGraph,
     result: &PhaseResult,
     storages: &[NodeId],
@@ -1401,7 +1504,7 @@ fn derive(
         let _s = tv_obs::span("pass.paths");
         critical_paths(graph, result, top_k)
     };
-    let races = if graph.case.active.is_some() {
+    let races = if active.is_some() {
         let _s = tv_obs::span("pass.races");
         crate::hold::races(graph, &result.arrivals, storages)
     } else {
@@ -1990,6 +2093,97 @@ mod tests {
         pm.analyze(&design, &opts);
         assert_eq!(pm.flow_summary(&design, &opts), cold_flow(&design));
         assert_eq!(pm.path_query(&design, from, to, &opts), cold_path(&design));
+    }
+
+    /// The designs the case-share tests run on: seeded random logic (its
+    /// φ1 case changes no root, so it aliases), the small and mips32
+    /// datapaths, one T6 core, and the race golden.
+    fn share_designs() -> Vec<(&'static str, Netlist)> {
+        let t = Tech::nmos4um();
+        let race = tv_netlist::sim_format::parse(
+            include_str!("../../../tests/data/race_smoke.sim"),
+            t.clone(),
+        )
+        .expect("race golden parses");
+        let random = tv_gen::random::random_logic(
+            t.clone(),
+            2_000,
+            0x5EED,
+            tv_gen::random::RandomMix::default(),
+        );
+        vec![
+            ("random", random.netlist),
+            ("small", small_datapath().netlist().clone()),
+            (
+                "mips32",
+                datapath::datapath(t.clone(), datapath::DatapathConfig::mips32()).netlist,
+            ),
+            ("t6x1", tv_gen::mips_mc::t6_mips_mc(t, 1).netlist),
+            ("race", race),
+        ]
+    }
+
+    #[test]
+    fn shared_case_builds_equal_fresh_per_case_builds() {
+        for (name, nl) in share_designs() {
+            let flow = tv_flow::analyze(&nl, &tv_flow::RuleSet::all());
+            let qual = qualify_with_flow(&nl, &flow);
+            let hashes = flow.stages().structural_hashes(&nl);
+            let design = Design::new(nl.clone());
+            let mut aliased = false;
+            for jobs in [1usize, 2, 8] {
+                let opts = AnalysisOptions {
+                    jobs,
+                    ..AnalysisOptions::default()
+                };
+                let mut pm = PassManager::new();
+                pm.analyze(&design, &opts);
+                for &active in case_list(&nl, &opts) {
+                    let what = format!("{name} case {active:?} jobs {jobs}");
+                    let case = PhaseCase { active };
+                    let k = case_slot(active);
+                    aliased |= matches!(pm.graphs[k], Some(CaseGraph::Alias { .. }));
+                    let graph = &case_graph(&pm.graphs, k).expect("a graph").graph;
+                    let fresh = TimingGraph::build_par(
+                        &nl,
+                        &flow,
+                        &qual,
+                        case,
+                        opts.model,
+                        SOURCE_RESISTANCE,
+                        1,
+                    );
+                    assert_eq!(graph.arc_count(), fresh.arc_count(), "{what}");
+                    for (a, b) in graph.arcs.iter().zip(&fresh.arcs) {
+                        assert_eq!(
+                            (a.from, a.to, a.delay, a.inverting, a.kind),
+                            (b.from, b.to, b.delay, b.inverting, b.kind),
+                            "{what}"
+                        );
+                    }
+                    let words =
+                        |g: &TimingGraph| g.delays.iter().map(|d| d.words()).collect::<Vec<_>>();
+                    assert_eq!(words(graph), words(&fresh), "{what}");
+                    assert_eq!(graph.schedule.order, fresh.schedule.order, "{what}");
+                    assert_eq!(graph.schedule.residue, fresh.schedule.residue, "{what}");
+                    let builder = GraphBuilder {
+                        netlist: &nl,
+                        flow: &flow,
+                        qualification: &qual,
+                        case,
+                        model: opts.model,
+                    };
+                    let (_, lone) = crate::macromodel::build_spanned(
+                        &builder,
+                        SOURCE_RESISTANCE,
+                        jobs,
+                        &hashes,
+                    );
+                    assert_eq!(pm.extraction(active), lone.as_ref(), "{what}");
+                }
+            }
+            assert_eq!(aliased, name == "random", "{name}: which designs alias");
+        }
     }
 
     #[test]

@@ -474,6 +474,7 @@ impl Session {
                 PassOutcome::Reused => r#""reused""#.to_string(),
                 PassOutcome::Computed => r#""computed""#.to_string(),
                 PassOutcome::Revalidated => r#""revalidated""#.to_string(),
+                PassOutcome::Shared => r#""shared""#.to_string(),
                 PassOutcome::Spliced { roots } => format!(r#""spliced","roots":{roots}"#),
                 PassOutcome::Cone { recomputed } => {
                     format!(r#""cone","recomputed":{recomputed}"#)

@@ -304,3 +304,107 @@ fn fault_degraded_case_results_are_never_kept() {
         );
     }
 }
+
+/// How many times a clean run of `work` crosses the `graph_build`
+/// site: a plan fires exactly when its `after` is below that count.
+fn graph_build_hits(work: &dyn Fn()) -> u64 {
+    let fires = |after: u64| {
+        nmos_tv::fault::arm(FaultPlan {
+            site: Site::GraphBuild,
+            after,
+        });
+        work();
+        let fired = nmos_tv::fault::fired();
+        nmos_tv::fault::disarm();
+        fired
+    };
+    let (mut lo, mut hi) = (0u64, 1u64);
+    while fires(hi) {
+        (lo, hi) = (hi, hi * 2);
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fires(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// A full analysis crosses the `graph_build` site once per root and case,
+/// exactly as three lone case builds do, whether a phase case re-signs
+/// only the roots it can change or reads the all-active graph. A plan
+/// firing inside a phase case's shared extraction voids that extraction
+/// only: the case is re-emitted root by root and the report equals the
+/// clean one, at any jobs setting.
+#[test]
+fn graph_build_fault_in_a_shared_phase_extraction_degrades_like_a_lone_build() {
+    use nmos_tv::clocks::qualify::qualify_with_flow;
+    use nmos_tv::core::{report_fingerprint, Analyzer, PhaseCase, TimingGraph};
+    use nmos_tv::flow::{analyze, RuleSet};
+    use nmos_tv::gen::datapath::{datapath, DatapathConfig};
+    use nmos_tv::netlist::{codes, Tech};
+
+    let _g = plane_lock();
+    let t = Tech::nmos4um();
+    let mix = nmos_tv::gen::random::RandomMix::default();
+    let designs = [
+        (
+            "small",
+            datapath(t.clone(), DatapathConfig::small()).netlist,
+        ),
+        (
+            "mips32",
+            datapath(t.clone(), DatapathConfig::mips32()).netlist,
+        ),
+        // φ1 changes no root here: the case aliases the all-active graph.
+        (
+            "random",
+            nmos_tv::gen::random::random_logic(t, 1_000, 0xFA17, mix).netlist,
+        ),
+    ];
+    for (name, nl) in &designs {
+        let flow = analyze(nl, &RuleSet::all());
+        let q = qualify_with_flow(nl, &flow);
+        let opts = |jobs| AnalysisOptions {
+            jobs,
+            ..AnalysisOptions::default()
+        };
+        let lone = |case| {
+            graph_build_hits(&|| {
+                TimingGraph::build_par(nl, &flow, &q, case, opts(2).model, 1.0, 2);
+            })
+        };
+        let comb = lone(PhaseCase::all_active());
+        let cases = comb + lone(PhaseCase::phase(0)) + lone(PhaseCase::phase(1));
+        let run = graph_build_hits(&|| {
+            Analyzer::new(nl).run(&opts(2));
+        });
+        assert_eq!(run, cases, "{name}: graph_build hits per analyze");
+
+        let clean = report_fingerprint(nl, &Analyzer::new(nl).run(&opts(1)));
+        // The first and a middle root of φ1, and the last root of φ2.
+        for after in [comb, comb + comb / 2, run - 1] {
+            for jobs in [1usize, 2, 8] {
+                nmos_tv::fault::arm(FaultPlan {
+                    site: Site::GraphBuild,
+                    after,
+                });
+                let report = Analyzer::new(nl).run(&opts(jobs));
+                let what = format!("{name}: after {after}, jobs {jobs}");
+                assert!(nmos_tv::fault::fired(), "{what}");
+                nmos_tv::fault::disarm();
+                assert_eq!(report_fingerprint(nl, &report), clean, "{what}");
+                assert!(
+                    report
+                        .diagnostics
+                        .iter()
+                        .all(|d| d.code != codes::ANALYSIS_WORKER_PANIC),
+                    "{what}"
+                );
+            }
+        }
+    }
+}

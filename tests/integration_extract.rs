@@ -1,6 +1,6 @@
 //! Hierarchical macromodel extraction suite (DESIGN.md §16).
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Structural-hash contract** — the per-stage grouping hash is a
 //!    function of the stage's electrical structure alone: permuting the
@@ -15,6 +15,10 @@
 //!    equivalence classes (the `extract` pass reports de-shared
 //!    instances) and every warm result stays bit-identical to a cold
 //!    flat analysis at every worker count.
+//! 4. **Case sharing** — on a design whose φ1 case changes no build
+//!    root (so it reads the all-active graph), a seeded warm session of
+//!    parametric and structural edits stays bit-identical to cold
+//!    analyses at every worker count.
 
 use std::path::Path;
 use std::process::Command;
@@ -307,5 +311,108 @@ fn extract_smoke_replays_to_golden_and_shares_ninety_percent() {
     assert!(
         desplit.iter().any(|&d| d > 0),
         "the resize never de-shared an instanced stage"
+    );
+}
+
+#[test]
+fn warm_edits_on_an_aliasing_design_match_cold_runs() {
+    // Random logic changes no root under φ1, so that case reads the
+    // all-active graph: one splice must serve both cases. Lockstep
+    // pipelines at jobs 1/2/8 take the same seeded resize, setcap,
+    // add-device and remove-device edits; every warm report must equal
+    // a cold analysis bit for bit.
+    use nmos_tv::core::PassOutcome;
+    use nmos_tv::netlist::DeviceKind;
+
+    const JOBS: [usize; 3] = [1, 2, 8];
+    let make = || {
+        let mix = nmos_tv::gen::random::RandomMix::default();
+        Design::new(nmos_tv::gen::random::random_logic(Tech::nmos4um(), 1_500, 0xA1A5, mix).netlist)
+    };
+    let mut designs: Vec<Design> = (0..JOBS.len()).map(|_| make()).collect();
+    let mut pms: Vec<PassManager> = (0..JOBS.len()).map(|_| PassManager::new()).collect();
+    let opts_for = |jobs: usize| AnalysisOptions {
+        jobs,
+        ..AnalysisOptions::default()
+    };
+    let phi1 = |pm: &PassManager| {
+        pm.last_trace()
+            .iter()
+            .find(|e| e.pass == PassId::Graph(Some(0)))
+            .map(|e| e.outcome)
+    };
+    for (k, jobs) in JOBS.iter().enumerate() {
+        pms[k].analyze(&designs[k], &opts_for(*jobs));
+        assert_eq!(phi1(&pms[k]), Some(PassOutcome::Shared), "jobs {jobs}");
+    }
+
+    let mut rng = Rng64::new(0x5A4E_D0CA);
+    let mut shared_after_edit = 0;
+    for step in 0..24 {
+        let nl = designs[0].netlist();
+        let devs: Vec<_> = nl.devices().map(|d| d.id).collect();
+        let nodes: Vec<NodeId> = nl
+            .node_ids()
+            .filter(|&n| !nl.node(n).role().is_rail())
+            .collect();
+        let what = match rng.usize_range(0, 10) {
+            0..=4 => {
+                let d = devs[rng.usize_range(0, devs.len())];
+                let w = rng.f64_range(3.0, 9.0);
+                for design in &mut designs {
+                    design.resize_device(d, w, 2.0).expect("resize");
+                }
+                "resize"
+            }
+            5..=7 => {
+                let n = nodes[rng.usize_range(0, nodes.len())];
+                let pf = rng.f64_range(0.01, 0.08);
+                for design in &mut designs {
+                    design.set_node_cap(n, pf).expect("setcap");
+                }
+                "setcap"
+            }
+            8 => {
+                let g = nodes[rng.usize_range(0, nodes.len())];
+                let s = nodes[rng.usize_range(0, nodes.len())];
+                for design in &mut designs {
+                    let gnd = design.netlist().gnd();
+                    design
+                        .add_device(
+                            &format!("x{step}"),
+                            DeviceKind::Enhancement,
+                            g,
+                            s,
+                            gnd,
+                            4.0,
+                            2.0,
+                        )
+                        .expect("adddev");
+                }
+                "adddev"
+            }
+            _ => {
+                let d = devs[rng.usize_range(0, devs.len())];
+                for design in &mut designs {
+                    design.remove_device(d);
+                }
+                "rmdev"
+            }
+        };
+        let cold = Analyzer::new(designs[0].netlist()).run(&opts_for(1));
+        let want = report_fingerprint(designs[0].netlist(), &cold);
+        for (k, jobs) in JOBS.iter().enumerate() {
+            let warm = pms[k].analyze(&designs[k], &opts_for(*jobs));
+            assert_eq!(
+                report_fingerprint(designs[k].netlist(), &warm),
+                want,
+                "edit #{step} ({what}), jobs {jobs}: warm report diverged from cold"
+            );
+        }
+        shared_after_edit += (phi1(&pms[0]) == Some(PassOutcome::Shared)) as usize;
+    }
+    assert!(
+        shared_after_edit > 0,
+        "no edit kept the φ1 case reading the all-active graph"
     );
 }

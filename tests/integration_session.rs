@@ -359,3 +359,65 @@ fn trace_outcome(pm: &PassManager, pass: PassId) -> Option<PassOutcome> {
         .find(|e| e.pass == pass)
         .map(|e| e.outcome)
 }
+
+/// A phase case that changes no build root reads the all-active graph:
+/// the reply shows its extract and graph passes as `shared` after a cold
+/// build or a splice of the all-active graph, `reused` when nothing
+/// changed, and every fingerprint matches a cold run.
+#[test]
+fn aliasing_phase_case_replies_shared() {
+    let mix = nmos_tv::gen::random::RandomMix::default();
+    let nl = nmos_tv::gen::random::random_logic(Tech::nmos4um(), 1_000, 0x5A5E, mix).netlist;
+    let file = TempScript::new(&sim_format::write(&nl));
+    let mut session = Session::new(AnalysisOptions::default(), 20);
+    let (reply, ok) = session
+        .eval(&format!("load {}", file.0.display()))
+        .expect("reply");
+    assert!(ok, "load failed: {reply}");
+    let dev = session
+        .design()
+        .expect("loaded")
+        .netlist()
+        .devices()
+        .nth(40);
+    let dev = dev.expect("a device").device.name().to_string();
+    let outcome = |reply: &str, pass: &str| {
+        reply
+            .split(&format!(r#""pass":"{pass}","outcome":""#))
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .map(str::to_string)
+    };
+    let cold_fp = |session: &Session| {
+        let nl = session.design().expect("loaded").netlist();
+        format!(
+            "{:#018x}",
+            report_fingerprint(nl, &Analyzer::new(nl).run(&AnalysisOptions::default()))
+        )
+    };
+    for (step, want) in [("analyze", "shared"), ("analyze", "reused")]
+        .into_iter()
+        .chain([
+            (&*format!("edit resize {dev} 6 2"), ""),
+            ("analyze", "shared"),
+        ])
+    {
+        let (reply, ok) = session.eval(step).expect("reply");
+        assert!(ok, "{step} failed: {reply}");
+        if want.is_empty() {
+            continue;
+        }
+        for pass in ["extract.phi1", "graph.phi1"] {
+            assert_eq!(
+                outcome(&reply, pass).as_deref(),
+                Some(want),
+                "{step}: {reply}"
+            );
+        }
+        let fp = reply
+            .split(r#""fingerprint":""#)
+            .nth(1)
+            .and_then(|r| r.split('"').next());
+        assert_eq!(fp, Some(cold_fp(&session).as_str()), "{step}");
+    }
+}
