@@ -1030,8 +1030,8 @@ fn check_build_peak(entries: &[Entry], runs: &[Run]) -> Result<(), String> {
 /// covered (`macro.analyzed` against `macro.analyzed +
 /// macro.instanced`, which together count every root once). The T6
 /// multi-core design is replication-heavy by construction, so losing
-/// the sharing there means the structural hash or canonical-trace
-/// dedup broke — a determinism bug, not a tuning matter. Runs without
+/// the sharing there means the canonical-trace class key broke — a
+/// determinism bug, not a tuning matter. Runs without
 /// the at-scale bench (the verify-gate smoke suite, pre-P9 history)
 /// are not gated.
 fn check_macro_sharing(runs: &[Run]) -> Result<(), String> {

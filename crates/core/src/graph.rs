@@ -26,6 +26,7 @@ use tv_netlist::{codes, DeviceId, Diagnostic, Netlist, NodeId, NodeRole};
 use tv_rc::elmore::{crossing_estimate, elmore_delays};
 use tv_rc::tree::RcTree;
 
+use crate::macromodel::Share;
 use crate::options::DelayModel;
 
 /// What kind of structure an arc models.
@@ -314,10 +315,10 @@ impl TimingGraph {
     /// the serial build at any thread count.
     ///
     /// Since the hierarchical extraction pass this routes through
-    /// `macromodel::build_spanned`: structurally identical
-    /// stages are analyzed once and instanced by pin remap, with the
-    /// flat per-root build as the verified fallback. The arc and row
-    /// lists are bit-identical either way (DESIGN.md §16).
+    /// `macromodel::build`: stages with equal canonical traces are
+    /// analyzed once and instanced by pin remap, with the flat per-root
+    /// build as the verified fallback. The arc and row lists are
+    /// bit-identical either way (DESIGN.md §16).
     pub fn build_par(
         netlist: &Netlist,
         flow: &FlowAnalysis,
@@ -334,14 +335,8 @@ impl TimingGraph {
             case,
             model,
         };
-        crate::macromodel::build_spanned(
-            &builder,
-            source_resistance,
-            jobs,
-            &flow.stages().structural_hashes(netlist),
-        )
-        .0
-        .graph
+        let built = crate::macromodel::build(&builder, source_resistance, jobs, Share::Off, None);
+        built.expect("a lone build never aliases").0.graph
     }
 
     /// Number of arcs.
@@ -424,7 +419,7 @@ impl TimingGraph {
 /// prefix sums into offsets, then a cursor pass — iterating arcs in id
 /// order keeps each node's list ascending by arc id, the same order the
 /// old nested-Vec push loop produced), then the level schedule. The one
-/// graph builder (`macromodel::build_spanned`) calls it exactly once per
+/// graph builder (`macromodel::build`) calls it exactly once per
 /// build, so the CSR layout is defined in exactly one place.
 pub(crate) fn finish_graph(
     node_count: usize,
@@ -1222,7 +1217,7 @@ pub(crate) fn stage_inputs_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::DelayModel;
+    use crate::macromodel::build;
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, RuleSet};
     use tv_netlist::{NetlistBuilder, Tech};
@@ -1632,7 +1627,6 @@ mod tests {
         let nl = &dp.netlist;
         let flow = analyze(nl, &RuleSet::all());
         let q = qualify_with_flow(nl, &flow);
-        let hashes = flow.stages().structural_hashes(nl);
         let case = PhaseCase::all_active();
         let builder = GraphBuilder {
             netlist: nl,
@@ -1644,7 +1638,7 @@ mod tests {
         let mut scratch = BuildScratch::new(nl.node_count());
         // Splices root `k` against row spans bent by `bend`.
         let mut splice_with = |k: usize, bend: &dyn Fn(&mut Vec<u32>)| {
-            let (sb, _) = crate::macromodel::build_spanned(&builder, 1.0, 2, &hashes);
+            let (sb, _) = build(&builder, 1.0, 2, Share::Off, None).unwrap();
             let mut graph = sb.graph;
             let mut spans = sb.spans.expect("clean build records spans");
             bend(&mut spans.rows);
@@ -1665,7 +1659,7 @@ mod tests {
             );
             (out, before == graph.delays)
         };
-        let (sb, _) = crate::macromodel::build_spanned(&builder, 1.0, 1, &hashes);
+        let (sb, _) = build(&builder, 1.0, 1, Share::Off, None).unwrap();
         let rows = sb.spans.expect("clean build records spans").rows;
         let k = (0..sb.roots.len())
             .find(|&k| rows[k + 1] - rows[k] >= 2)

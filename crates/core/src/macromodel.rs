@@ -10,17 +10,14 @@
 //! pin-indexed arc table (the macromodel), and emits every other member
 //! by remapping the table's pin ordinals onto that instance's own nodes.
 //!
-//! The bit-identity contract (DESIGN.md §16) rests on a two-tier key:
-//!
-//! * the **grouping key** — [`tv_flow::stage::Stages::structural_hashes`],
-//!   an order-independent multiset hash of the stage's device geometry
-//!   and boundary-pin roles. Cheap, permutation-invariant, but only a
-//!   *candidate* grouping.
-//! * the **canonical trace** (`root_canon`) — the exact scalar inputs
-//!   the arc-emission half of the flat builder consumes, serialized in
-//!   emission order with every [`NodeId`] replaced by its
-//!   first-encounter ordinal. Two roots share a class only if their
-//!   traces match word for word; the trace *is* the collision check.
+//! The bit-identity contract (DESIGN.md §16) rests on one key, the
+//! **canonical trace** (`root_canon`): the exact scalar inputs the
+//! arc-emission half of the flat builder consumes, serialized in
+//! emission order with every [`NodeId`] replaced by its first-encounter
+//! ordinal. Two roots share a class exactly when their traces match word
+//! for word. Classes are looked up by a hash of the trace, and the trace
+//! *is* the collision check. No coarser structural key sits in front of
+//! it: such a key could only split classes whose arcs are identical.
 //!
 //! Equal traces imply the flat builder would emit arc lists that are
 //! bit-identical up to the pin permutation, because every quantity the
@@ -54,7 +51,7 @@ use std::hash::Hasher;
 use std::ops::Range;
 
 use tv_clocks::qualify::Qualification;
-use tv_flow::{DeviceRole, FlowAnalysis, NodeClass};
+use tv_flow::{DeviceRole, NodeClass};
 use tv_netlist::{codes, Diagnostic, FxHasher, NodeId};
 
 use crate::fingerprint::mix64;
@@ -80,7 +77,7 @@ pub struct Extraction {
     analyzed: u64,
     /// Roots emitted by pin-remapping a shared table.
     instanced: u64,
-    /// Content fingerprint of the partition (keys + class assignment),
+    /// Content fingerprint of the partition (the class of every root),
     /// advanced by every de-share.
     fp: u64,
 }
@@ -351,23 +348,6 @@ fn root_canon(
     }
 }
 
-/// The grouping key of one root: the flow layer's order-independent
-/// stage hash, salted with the root kind. Coarser than the canonical
-/// trace on purpose — equal keys merely nominate candidates.
-fn root_key(stage_hashes: &[u64], flow: &FlowAnalysis, root: &(NodeId, RootKind)) -> u64 {
-    let sh = flow
-        .stages()
-        .stage_of(root.0)
-        .map_or(0x517e_ab5e, |sid| stage_hashes[sid.index()]);
-    mix64(
-        sh,
-        match root.1 {
-            RootKind::Stage => 1,
-            RootKind::Source => 2,
-        },
-    )
-}
-
 /// The class-lookup hash of a canonical trace. Every root pays it, and
 /// a collision costs only one exact trace comparison, so it is one
 /// FxHash multiply-rotate per word rather than `mix64`'s full avalanche
@@ -400,9 +380,8 @@ struct Signer {
     pin_buf: Vec<NodeId>,
     canon: Vec<u64>,
     pins: Vec<NodeId>,
-    /// `(grouping key, canon word count, pin count, case mask)` per
-    /// signed root.
-    meta: Vec<(u64, u32, u32, u8)>,
+    /// `(canon word count, pin count, case mask)` per signed root.
+    meta: Vec<(u32, u32, u8)>,
 }
 
 impl Signer {
@@ -417,8 +396,8 @@ impl Signer {
         }
     }
 
-    /// Phase A for one block: every signed root's grouping key, canonical
-    /// trace, pin table and case mask, in root order. Every root of the
+    /// Phase A for one block: every signed root's canonical trace, pin
+    /// table and case mask, in root order. Every root of the
     /// block crosses the fault hooks once, signed or not, so a fault plan
     /// counts the same hits whether or not a build has a share.
     fn sign(
@@ -427,7 +406,6 @@ impl Signer {
         roots: &[(NodeId, RootKind)],
         block: Range<usize>,
         base: Option<Base<'_>>,
-        stage_hashes: &[u64],
         fault: Fault<'_>,
     ) {
         self.canon.clear();
@@ -452,9 +430,7 @@ impl Signer {
                 &mut self.canon,
                 &mut self.pin_buf,
             );
-            let key = root_key(stage_hashes, b.flow, r);
             self.meta.push((
-                key,
                 (self.canon.len() - c0) as u32,
                 self.pin_buf.len() as u32,
                 mask,
@@ -466,14 +442,13 @@ impl Signer {
 
 /// A test hook called on each root before it is signed or built flat
 /// (tests poison chosen stages with a panicking hook).
-type Fault<'a> = Option<&'a (dyn Fn(NodeId) + Sync)>;
+pub(crate) type Fault<'a> = Option<&'a (dyn Fn(NodeId) + Sync)>;
 
-/// The class lookup of a build: master traces by lookup key.
+/// The class lookup of a build: master traces by [`trace_hash`].
 #[derive(Default)]
 struct Lookup {
-    /// Lookup key (grouping key mixed with the trace hash) to the
-    /// classes whose master trace hashed there.
-    by_key: HashMap<u64, Vec<u32>>,
+    /// Trace hash to the classes whose master trace hashed there.
+    by_hash: HashMap<u64, Vec<u32>>,
     master_canon: Vec<u64>,
     master_canon_starts: Vec<usize>,
 }
@@ -486,34 +461,27 @@ impl Lookup {
         }
     }
 
-    /// The class whose master trace is `canon`, among those under `key`.
-    /// At most one class per lookup key has a given trace, so the first
-    /// match is the only one.
-    fn find(&self, key: u64, canon: &[u64]) -> Option<u32> {
+    /// The class whose master trace is `canon`, which hashes to `hash`.
+    /// At most one class has a given trace, so the first match is the
+    /// only one.
+    fn find(&self, hash: u64, canon: &[u64]) -> Option<u32> {
         let starts = &self.master_canon_starts;
-        self.by_key.get(&key)?.iter().copied().find(|&c| {
+        self.by_hash.get(&hash)?.iter().copied().find(|&c| {
             let c = c as usize;
             self.master_canon[starts[c]..starts[c + 1]] == *canon
         })
     }
 
-    /// The class whose master trace is `canon` under `key`: `Ok` if it
-    /// exists, `Err` if it was minted (the next id) with `canon` as its
-    /// master trace.
-    fn find_or_mint(&mut self, key: u64, canon: &[u64]) -> Result<u32, u32> {
-        let starts = &mut self.master_canon_starts;
-        let cands = self.by_key.entry(key).or_default();
-        let hit = cands.iter().copied().find(|&c| {
-            let c = c as usize;
-            self.master_canon[starts[c]..starts[c + 1]] == *canon
-        });
-        if let Some(cid) = hit {
+    /// The class whose master trace is `canon`: `Ok` if it exists, `Err`
+    /// if it was minted (the next id) with `canon` as its master trace.
+    fn find_or_mint(&mut self, hash: u64, canon: &[u64]) -> Result<u32, u32> {
+        if let Some(cid) = self.find(hash, canon) {
             return Ok(cid);
         }
-        let cid = (starts.len() - 1) as u32;
-        cands.push(cid);
+        let cid = (self.master_canon_starts.len() - 1) as u32;
+        self.by_hash.entry(hash).or_default().push(cid);
         self.master_canon.extend_from_slice(canon);
-        starts.push(self.master_canon.len());
+        self.master_canon_starts.push(self.master_canon.len());
         Err(cid)
     }
 
@@ -534,16 +502,16 @@ impl Lookup {
                 .extend_from_slice(&self.master_canon[starts[c]..starts[c + 1]]);
             out.master_canon_starts.push(out.master_canon.len());
         }
-        out.by_key = self
-            .by_key
+        out.by_hash = self
+            .by_hash
             .into_iter()
-            .filter_map(|(key, cands)| {
+            .filter_map(|(hash, cands)| {
                 let cands: Vec<u32> = cands
                     .into_iter()
                     .map(|c| kept[c as usize])
                     .filter(|&c| c != u32::MAX)
                     .collect();
-                (!cands.is_empty()).then_some((key, cands))
+                (!cands.is_empty()).then_some((hash, cands))
             })
             .collect();
         out
@@ -728,7 +696,6 @@ pub(crate) type Built = Option<(SpannedBuild, Option<Extraction>)>;
 struct Classes<'s> {
     class_of: Vec<u32>,
     class_len: Vec<u32>,
-    keys: Vec<u64>,
     /// Pin tables of the roots this build signed (invariant roots of a
     /// phase build have empty spans and read the share's).
     pins: Vec<NodeId>,
@@ -778,67 +745,35 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
         .collect()
 }
 
-/// The hierarchical graph build of a lone case: groups the root set into
-/// equivalence classes, analyzes one master per class, instances the
-/// rest, and finishes a graph whose arc and row lists are bit-identical
-/// to a serial flat build of every root at any thread count.
-/// `stage_hashes` is [`tv_flow::stage::Stages::structural_hashes`] of
-/// the same netlist and flow (a pure function of both, so one analysis
-/// computes it once for all its cases). Returns the per-root arc and row
-/// spans (for splicing) and the [`Extraction`] partition (for
+/// The graph build of one case: groups the root set into equivalence
+/// classes, analyzes one master per class, instances the rest, and
+/// finishes a graph whose arc and row lists are bit-identical to a serial
+/// flat build of every root at any thread count. Returns the per-root arc
+/// and row spans (for splicing) and the [`Extraction`] partition (for
 /// de-sharing); both are `None` when a panic degraded the build.
-pub(crate) fn build_spanned(
-    builder: &GraphBuilder<'_>,
-    source_resistance: f64,
-    jobs: usize,
-    stage_hashes: &[u64],
-) -> (SpannedBuild, Option<Extraction>) {
-    match hier_build(
-        builder,
-        source_resistance,
-        jobs,
-        stage_hashes,
-        None,
-        Share::Off,
-    ) {
-        Some(built) => built,
-        None => unreachable!("only a phase build reading a share aliases"),
-    }
-}
-
-/// [`build_spanned`] for one case of an analysis that builds several:
-/// the all-active build leaves a [`CaseShare`] (`Share::Leave`), and a
-/// phase build reads it (`Share::Read`). The graph, spans, partition and
-/// `macro.*` counters are those of a lone build of the case, except that
-/// a phase that changes no root returns `None` instead of a
-/// copy of the all-active graph.
-pub(crate) fn build_shared(
-    builder: &GraphBuilder<'_>,
-    source_resistance: f64,
-    jobs: usize,
-    stage_hashes: &[u64],
-    share: Share<'_>,
-) -> Built {
-    hier_build(builder, source_resistance, jobs, stage_hashes, None, share)
-}
-
-/// The one build behind [`build_spanned`] and [`build_shared`], with the
-/// test hook. Extraction (phases A–C) either completes or, on any panic,
-/// falls back to every root being its own class with an opaque table;
-/// emission (phase D) then builds every root flat. An emission chunk
-/// that panics is rebuilt root by root, each root with fresh scratch
-/// under its own isolation: a root that panics again contributes no arcs
-/// and is reported in the graph's diagnostics. A panic on given inputs
-/// is deterministic, so the surviving arc list is the same at any thread
+///
+/// A lone build passes `Share::Off`. In an analysis that builds several
+/// cases, the all-active build leaves a [`CaseShare`] (`Share::Leave`)
+/// and a phase build reads it (`Share::Read`). The graph, spans,
+/// partition and `macro.*` counters are those of a lone build of the
+/// case, except that a phase that changes no root returns `None` instead
+/// of a copy of the all-active graph.
+///
+/// Extraction (phases A–C) either completes or, on any panic, falls back
+/// to every root being its own class with an opaque table; emission
+/// (phase D) then builds every root flat. An emission chunk that panics
+/// is rebuilt root by root, each root with fresh scratch under its own
+/// isolation: a root that panics again contributes no arcs and is
+/// reported in the graph's diagnostics. A panic on given inputs is
+/// deterministic, so the surviving arc list is the same at any thread
 /// count. An aliasing phase still crosses every root's fault hooks once,
 /// and a panic there degrades it exactly like a failed extraction.
-fn hier_build(
+pub(crate) fn build(
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     jobs: usize,
-    stage_hashes: &[u64],
-    fault: Fault<'_>,
     share: Share<'_>,
+    fault: Fault<'_>,
 ) -> Built {
     let nl = builder.netlist;
     let threads = jobs.max(1);
@@ -875,7 +810,6 @@ fn hier_build(
             &roots,
             source_resistance,
             threads,
-            stage_hashes,
             fault,
             base,
             matches!(share, Share::Leave(_)),
@@ -924,13 +858,11 @@ fn hier_build(
 /// appearance in root order, so the partition, class ids and tables are
 /// those of a lone build of the case, and only the new classes' masters
 /// are analyzed. `leave` keeps what a share needs ([`Kept`]).
-#[allow(clippy::too_many_arguments)]
 fn extract<'s>(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
     source_resistance: f64,
     threads: usize,
-    stage_hashes: &[u64],
     fault: Fault<'_>,
     base: Option<Base<'s>>,
     leave: bool,
@@ -944,15 +876,13 @@ fn extract<'s>(
     // block joins its classes serially in root order. A block is a run
     // of roots holding `SIGN_BLOCK` signed roots, so the block cover is
     // a pure function of the root list and the masks, and the grouping
-    // is independent of `jobs`. Classes are looked up by the grouping key
-    // mixed with a hash of the trace, so a bucket almost always holds at
-    // most one class; the exact trace comparison against each
-    // candidate's master stays as the collision check — equal lookup
-    // keys with different traces stay separate classes. The first match
-    // is the one a scan over every class of the grouping key would find
-    // (at most one class per key has a given trace), so class ids and
-    // the partition do not depend on the lookup key. Only master traces
-    // outlive their block.
+    // is independent of `jobs`. Classes are looked up by a hash of the
+    // trace, so a bucket almost always holds at most one class; the exact
+    // trace comparison against each candidate's master stays as the
+    // collision check — equal hashes with different traces stay separate
+    // classes. At most one class has a given trace, so class ids and the
+    // partition do not depend on the hash. Only master traces outlive
+    // their block.
     let mut blocks: Vec<Range<usize>> = Vec::new();
     let (mut start, mut signed) = (0usize, 0usize);
     for ri in 0..n_roots {
@@ -972,12 +902,11 @@ fn extract<'s>(
     let base_classes = base.map_or(0, |b| b.share.tables.len() as u32);
     let mut class_of: Vec<u32> = Vec::with_capacity(n_roots);
     let mut masters: Vec<u32> = Vec::new();
-    let mut keys: Vec<u64> = Vec::with_capacity(n_roots);
     let mut masks: Vec<u8> = Vec::with_capacity(if leave { n_roots } else { 0 });
     let mut pins: Vec<NodeId> = Vec::new();
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
     pin_starts.push(0);
-    // The default (keyed) hasher in the lookup stays: the lookup keys
+    // The default (keyed) hasher in the lookup stays: the trace hashes
     // derive from netlist content, which arrives from outside the
     // program.
     let mut lookup = Lookup::new();
@@ -987,7 +916,7 @@ fn extract<'s>(
     for wave in blocks.chunks(signers.len().max(1)) {
         let work: Vec<_> = wave.iter().cloned().zip(signers.iter_mut()).collect();
         let signed = tv_fault::isolated_map(work, threads, |(block, signer)| {
-            signer.sign(builder, roots, block, base, stage_hashes, fault)
+            signer.sign(builder, roots, block, base, fault)
         });
         for ((done, signer), block) in signed.into_iter().zip(&signers).zip(wave) {
             done.ok()?;
@@ -997,24 +926,22 @@ fn extract<'s>(
             for ri in block.clone() {
                 let pin_end = *pin_starts.last().expect("pin_starts starts at 0");
                 if let Some(b) = base.filter(|b| b.invariant(ri)) {
-                    keys.push(root_key(stage_hashes, builder.flow, &roots[ri]));
                     class_of.push(b.share.class_of[ri]);
                     pin_starts.push(pin_end);
                     continue;
                 }
-                let &(key, cw, pw, mask) = meta.next()?;
-                keys.push(key);
+                let &(cw, pw, mask) = meta.next()?;
                 if leave {
                     masks.push(mask);
                 }
                 pin_starts.push(pin_end + pw as usize);
                 let canon = &signer.canon[c0..c0 + cw as usize];
                 c0 += cw as usize;
-                let lookup_key = mix64(key, trace_hash(canon));
-                let kept = base.and_then(|b| b.share.lookup.find(lookup_key, canon));
+                let hash = trace_hash(canon);
+                let kept = base.and_then(|b| b.share.lookup.find(hash, canon));
                 let cid = match kept {
                     Some(cid) => cid,
-                    None => match lookup.find_or_mint(lookup_key, canon) {
+                    None => match lookup.find_or_mint(hash, canon) {
                         Ok(own) => base_classes + own,
                         Err(minted) => {
                             masters.push(ri as u32);
@@ -1110,7 +1037,6 @@ fn extract<'s>(
     Some(Classes {
         class_of,
         class_len,
-        keys,
         pins,
         pin_starts,
         tables,
@@ -1264,7 +1190,6 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
     let Classes {
         class_of,
         class_len,
-        keys,
         pins,
         pin_starts,
         tables,
@@ -1286,8 +1211,7 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
     add_counts(n_classes as u64, analyzed, instanced);
 
     let mut fp = 0x9c0d_e1a2_57a9_0e5d_u64;
-    for (&key, &cid) in keys.iter().zip(&class_of) {
-        fp = mix64(fp, key);
+    for &cid in &class_of {
         fp = mix64(fp, cid as u64);
     }
     let counts = [n_classes as u64, analyzed, instanced];
@@ -1317,14 +1241,17 @@ mod tests {
     use crate::graph::{PhaseCase, TimingGraph};
     use crate::options::DelayModel;
     use tv_clocks::qualify::qualify_with_flow;
-    use tv_flow::{analyze, RuleSet};
+    use tv_flow::{analyze, FlowAnalysis, RuleSet};
     use tv_netlist::{Netlist, NetlistBuilder, Tech};
+
+    fn lone_build(b: &GraphBuilder<'_>, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
+        build(b, 1.0, jobs, Share::Off, None).expect("a lone build never aliases")
+    }
 
     fn spanned(nl: &Netlist, case: PhaseCase, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let hashes = flow.stages().structural_hashes(nl);
-        build_spanned(&builder(nl, &flow, &qual, case), 1.0, jobs, &hashes)
+        lone_build(&builder(nl, &flow, &qual, case), jobs)
     }
 
     fn builder<'a>(
@@ -1452,13 +1379,51 @@ mod tests {
 
     #[test]
     fn irregular_random_logic_stays_bit_identical() {
-        let c = tv_gen::random::random_logic(
-            Tech::nmos4um(),
-            1200,
-            0x9aa7,
-            tv_gen::random::RandomMix::default(),
-        );
-        assert_hier_matches_flat(&c.netlist, PhaseCase::all_active());
+        // Random logic is where keying classes on the trace alone merges
+        // the most roots.
+        for seed in [0x9aa7, 0x5eed, 0xc0ffee] {
+            let c = tv_gen::random::random_logic(
+                Tech::nmos4um(),
+                5_000,
+                seed,
+                tv_gen::random::RandomMix::default(),
+            );
+            for case in [
+                PhaseCase::all_active(),
+                PhaseCase::phase(0),
+                PhaseCase::phase(1),
+            ] {
+                let ex = assert_hier_matches_flat(&c.netlist, case);
+                assert!(
+                    ex.instanced() > 0,
+                    "seed {seed:#x} {case:?}: nothing shared"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equal_traces_share_whatever_gates_them() {
+        // Two identical inverters with identical loads: `x` is gated by
+        // the primary input `a`, `y` by the internal node `x`. The role
+        // of the gate node is read by no arc, so their traces are equal
+        // and they form one class.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let a = b.input("a");
+        let [x, y] = [b.node("x"), b.node("y")];
+        let w = b.output("w");
+        b.inverter("ix", a, x);
+        b.inverter("iy", x, y);
+        b.inverter("iw", y, w);
+        let nl = b.finish().unwrap();
+        let ex = assert_hier_matches_flat(&nl, PhaseCase::all_active());
+        let flow = analyze(&nl, &RuleSet::all());
+        let qual = qualify_with_flow(&nl, &flow);
+        let roots = builder(&nl, &flow, &qual, PhaseCase::all_active()).roots();
+        let [rx, ry, rw] = [x, y, w].map(|n| ordinal(&roots, n));
+        assert_eq!(ex.class_of[rx], ex.class_of[ry], "x and y share a class");
+        assert_ne!(ex.class_of[rx], ex.class_of[rw], "w carries no load");
+        assert_eq!((ex.classes(), ex.analyzed(), ex.instanced()), (2, 2, 1));
     }
 
     #[test]
@@ -1474,9 +1439,8 @@ mod tests {
         let nl = &tv_gen::mips_mc::t6_mips_mc(Tech::nmos4um(), 2).netlist;
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let hashes = flow.stages().structural_hashes(nl);
         let b = builder(nl, &flow, &qual, PhaseCase::all_active());
-        let (clean, ex) = build_spanned(&b, 1.0, 1, &hashes);
+        let (clean, ex) = lone_build(&b, 1);
         let ex = ex.expect("clean build must extract");
         assert!(clean.graph.diagnostics.is_empty());
         // One class master, one instanced root and one source root.
@@ -1499,8 +1463,8 @@ mod tests {
         };
         let expected = flat_reference(&b, &bad);
         for jobs in [1usize, 2, 4, 8] {
-            let (sb, ex) = hier_build(&b, 1.0, jobs, &hashes, Some(&hook), Share::Off)
-                .expect("a lone build never aliases");
+            let (sb, ex) =
+                build(&b, 1.0, jobs, Share::Off, Some(&hook)).expect("a lone build never aliases");
             assert!(sb.spans.is_none() && ex.is_none(), "jobs {jobs}");
             assert_same_graph(&sb.graph, &expected, &format!("jobs {jobs}"));
             let errors = sb
@@ -1609,7 +1573,6 @@ mod tests {
     fn shared_agrees_with_lone(nl: &Netlist) -> ([Extraction; 3], Vec<(NodeId, RootKind)>) {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let hashes = flow.stages().structural_hashes(nl);
         let cases = [
             PhaseCase::all_active(),
             PhaseCase::phase(0),
@@ -1619,18 +1582,18 @@ mod tests {
         for jobs in [1usize, 2, 8] {
             let mut share = None;
             let b = builder(nl, &flow, &qual, cases[0]);
-            let (comb, comb_ex) = build_shared(&b, 1.0, jobs, &hashes, Share::Leave(&mut share))
+            let (comb, comb_ex) = build(&b, 1.0, jobs, Share::Leave(&mut share), None)
                 .expect("an all-active build never aliases");
             let share = share.expect("a clean all-active build leaves a share");
             let mut lone = Vec::new();
             for (k, &case) in cases.iter().enumerate() {
                 let what = format!("case {case:?} jobs {jobs}");
                 let b = builder(nl, &flow, &qual, case);
-                let (sb, ex) = build_spanned(&b, 1.0, jobs, &hashes);
+                let (sb, ex) = lone_build(&b, jobs);
                 let ex = ex.expect("clean build must extract");
                 let (graph, spans, shared) = match k {
                     0 => (&comb.graph, &comb.spans, comb_ex.as_ref()),
-                    _ => match build_shared(&b, 1.0, jobs, &hashes, Share::Read(&share)) {
+                    _ => match build(&b, 1.0, jobs, Share::Read(&share), None) {
                         None => (&comb.graph, &comb.spans, comb_ex.as_ref()),
                         Some((psb, pex)) => {
                             assert_same_graph(&psb.graph, &sb.graph, &what);

@@ -78,7 +78,7 @@ use crate::graph::{
     splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpliceIndex, TimingGraph,
 };
 use crate::hold::RaceHazard;
-use crate::macromodel::{build_shared, CaseShare, Extraction, Share};
+use crate::macromodel::{build, CaseShare, Extraction, Share};
 use crate::options::AnalysisOptions;
 use crate::paths::{backtrack, critical_paths, TimingPath};
 use crate::propagate::{
@@ -652,13 +652,9 @@ impl PassManager {
             .value
             .as_slice();
 
-        // The macromodel grouping keys depend only on the netlist and the
-        // flow result, so every case's full build shares one computation
-        // (made on first need: a run that splices or reuses every case
-        // never pays for it). Not cached across runs: a resize changes
-        // device geometry without rerunning flow. The case share a full
-        // all-active build leaves lives as long, for the same reason.
-        let mut stage_hashes: Option<Vec<u64>> = None;
+        // The case share a full all-active build leaves lives for this
+        // run only: a resize changes device geometry without rerunning
+        // flow.
         let mut share: Option<CaseShare> = None;
         // The all-active delta while the all-active graph is clean and
         // kept, so that a phase case may read it.
@@ -691,7 +687,6 @@ impl PassManager {
                 flow_fp,
                 qual_fp,
                 jobs,
-                &mut stage_hashes,
                 cross,
                 comb.is_some(),
             );
@@ -1049,7 +1044,6 @@ pub(crate) fn path_query_cold(
         flow_fp,
         qual_fp,
         options.effective_jobs(),
-        &mut None,
         Share::Off,
         false,
     );
@@ -1140,7 +1134,6 @@ fn graph_pass(
     flow_fp: u64,
     qual_fp: u64,
     jobs: usize,
-    stage_hashes: &mut Option<Vec<u64>>,
     share: Share<'_>,
     alias_ok: bool,
 ) -> Option<CaseDelta> {
@@ -1303,8 +1296,7 @@ fn graph_pass(
         *scratch = BuildScratch::default();
     }
 
-    let hashes = stage_hashes.get_or_insert_with(|| flow.stages().structural_hashes(nl));
-    let (sb, extraction) = match build_shared(&builder, SOURCE_RESISTANCE, jobs, hashes, share) {
+    let (sb, extraction) = match build(&builder, SOURCE_RESISTANCE, jobs, share, None) {
         Some(built) => built,
         None => {
             *slot_opt = Some(CaseGraph::Alias { input_fp, shape_fp });
@@ -2128,7 +2120,6 @@ mod tests {
         for (name, nl) in share_designs() {
             let flow = tv_flow::analyze(&nl, &tv_flow::RuleSet::all());
             let qual = qualify_with_flow(&nl, &flow);
-            let hashes = flow.stages().structural_hashes(&nl);
             let design = Design::new(nl.clone());
             let mut aliased = false;
             for jobs in [1usize, 2, 8] {
@@ -2173,12 +2164,8 @@ mod tests {
                         case,
                         model: opts.model,
                     };
-                    let (_, lone) = crate::macromodel::build_spanned(
-                        &builder,
-                        SOURCE_RESISTANCE,
-                        jobs,
-                        &hashes,
-                    );
+                    let (_, lone) = build(&builder, SOURCE_RESISTANCE, jobs, Share::Off, None)
+                        .expect("a lone build never aliases");
                     assert_eq!(pm.extraction(active), lone.as_ref(), "{what}");
                 }
             }

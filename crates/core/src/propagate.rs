@@ -603,7 +603,6 @@ pub fn propagate_with(
 /// exhaustion is not an error: the result carries whatever was computed,
 /// with [`PhaseResult::completion`] and [`PhaseResult::unresolved`]
 /// describing what is missing.
-#[allow(clippy::too_many_arguments)]
 pub fn propagate_guarded(
     netlist: &Netlist,
     graph: &TimingGraph,
@@ -644,7 +643,6 @@ pub fn propagate_guarded(
 /// predecessor is itself affected, the previous value otherwise — and
 /// the per-node evaluation reproduces [`compute_node`]'s arithmetic arc
 /// for arc.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_cone(
     graph: &TimingGraph,
     sources: &[NodeId],

@@ -4,7 +4,6 @@ use tv_netlist::{codes, DeviceId, Diagnostic, Netlist, NodeId, NodeRole};
 
 use crate::classify::{classify, DeviceRole, NodeClass};
 use crate::rules::{Rule, RuleSet};
-use crate::stage::Stages;
 use crate::FlowReport;
 
 /// The resolved flow direction of one transistor's channel.
@@ -31,12 +30,12 @@ impl Direction {
 
 /// The complete result of flow analysis over one netlist.
 ///
-/// Produced by [`crate::analyze`]; owns the stage partition, the
+/// Produced by [`crate::analyze`]; owns the stage count, the
 /// classification tables, and the per-device directions, which downstream
 /// crates (RC modeling, the timing analyzer proper) consume.
 #[derive(Debug, Clone)]
 pub struct FlowAnalysis {
-    stages: Stages,
+    stages: usize,
     device_roles: Vec<DeviceRole>,
     node_classes: Vec<NodeClass>,
     directions: Vec<Direction>,
@@ -45,7 +44,10 @@ pub struct FlowAnalysis {
 }
 
 impl FlowAnalysis {
-    /// Runs stages → classification → direction fixpoint.
+    /// Counts the stages ([`crate::stage::count`]), then runs
+    /// classification and the direction fixpoint. Only the count is
+    /// kept: the graph builder walks each stage from its output and
+    /// groups stages by their canonical trace (`tv_core`'s `macromodel`).
     pub fn run(netlist: &Netlist, rules: &RuleSet) -> Self {
         Self::run_with_seeds(netlist, rules, &[])
     }
@@ -66,7 +68,7 @@ impl FlowAnalysis {
         seeds: &[(DeviceId, NodeId)],
     ) -> Self {
         let _span = tv_obs::span("flow.analyze");
-        let stages = Stages::build(netlist);
+        let stages = crate::stage::count(netlist);
         let c = classify(netlist);
         let n_dev = netlist.device_count();
         let mut directions = vec![Direction::Unresolved; n_dev];
@@ -116,10 +118,10 @@ impl FlowAnalysis {
         }
     }
 
-    /// The stage partition computed for the netlist.
+    /// The number of channel-connected stages in the netlist.
     #[inline]
-    pub fn stages(&self) -> &Stages {
-        &self.stages
+    pub fn stages(&self) -> usize {
+        self.stages
     }
 
     /// The inferred role of a device.

@@ -7,8 +7,8 @@
 //! (Jouppi, DAC 1983) resolved direction *statically*, from structure
 //! alone, and this crate reimplements that analysis:
 //!
-//! 1. [`stage`] — partition the netlist into **channel-connected
-//!    components** ("stages"), the unit of electrical analysis;
+//! 1. [`stage`] — count the netlist's **channel-connected components**
+//!    ("stages"), the unit of electrical analysis;
 //! 2. [`classify`] — assign every transistor a [`DeviceRole`] (pull-up,
 //!    pull-down, pass, precharge, …) and every node a [`NodeClass`]
 //!    (restored, storage, precharged, bus, …);
@@ -58,11 +58,10 @@ pub use classify::{Census, DeviceRole, NodeClass};
 pub use direction::{Direction, FlowAnalysis};
 pub use report::FlowReport;
 pub use rules::{Rule, RuleSet};
-pub use stage::{Stage, StageId, Stages};
 
 use tv_netlist::Netlist;
 
-/// Runs the complete flow analysis: stages, classification, and the
+/// Runs the complete flow analysis: stage count, classification, and the
 /// direction fixpoint under the given rule set.
 ///
 /// This is the convenience entry point; the pieces are independently

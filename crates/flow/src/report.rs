@@ -51,7 +51,7 @@ impl FlowReport {
             by_chain: 0,
             by_sink: 0,
             sweeps: analysis.sweeps(),
-            stages: analysis.stages().len(),
+            stages: analysis.stages(),
         };
         for dref in netlist.devices() {
             if analysis.device_role(dref.id) != DeviceRole::Pass {

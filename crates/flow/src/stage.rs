@@ -5,56 +5,17 @@
 //! stage is the unit TV analyzed electrically: within a stage charge moves
 //! through channels, between stages only through gates.
 
-use tv_netlist::{DeviceId, Netlist, NodeId};
+use tv_netlist::Netlist;
 
-/// Identifier of a stage within a [`Stages`] partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StageId(pub(crate) u32);
-
-impl StageId {
-    /// Dense index of this stage.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// One channel-connected component, borrowed out of the [`Stages`]
-/// partition's flat CSR arrays.
-#[derive(Debug, Clone, Copy)]
-pub struct Stage<'a> {
-    /// Non-rail nodes in this stage, sorted by id.
-    pub nodes: &'a [NodeId],
-    /// Devices whose channel lies inside this stage (touching at least one
-    /// of its nodes), sorted by id.
-    pub devices: &'a [DeviceId],
-    /// Whether some device in the stage has a channel terminal on VDD.
-    pub touches_vdd: bool,
-    /// Whether some device in the stage has a channel terminal on GND.
-    pub touches_gnd: bool,
-}
-
-impl Stage<'_> {
-    /// Number of non-rail nodes in the stage.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the stage can restore logic levels (reaches both rails).
-    #[inline]
-    pub fn is_restoring(&self) -> bool {
-        self.touches_vdd && self.touches_gnd
-    }
-}
-
-/// A partition of a netlist's non-rail nodes into stages.
+/// The number of stages: components of the non-rail nodes with at least
+/// one channel device, joined by channels. Gate-only and isolated nodes
+/// are in no stage, and the rails never merge two stages.
 ///
 /// # Example
 ///
 /// ```
 /// use tv_netlist::{NetlistBuilder, Tech};
-/// use tv_flow::stage::Stages;
+/// use tv_flow::stage::count;
 ///
 /// # fn main() -> Result<(), tv_netlist::NetlistError> {
 /// let mut b = NetlistBuilder::new(Tech::nmos4um());
@@ -64,265 +25,28 @@ impl Stage<'_> {
 /// b.inverter("i1", a, x); // stage 1: {x}
 /// b.inverter("i2", x, y); // stage 2: {y} — gates don't merge stages
 /// let nl = b.finish()?;
-/// let stages = Stages::build(&nl);
-/// assert_eq!(stages.len(), 2);
-/// assert_ne!(stages.stage_of(x), stages.stage_of(y));
+/// assert_eq!(count(&nl), 2);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct Stages {
-    /// CSR offsets into [`Stages::stage_nodes`]: stage `s` owns
-    /// `stage_nodes[node_starts[s] as usize..node_starts[s + 1] as usize]`.
-    node_starts: Vec<u32>,
-    /// All stage members, grouped by stage, sorted by id within a stage.
-    stage_nodes: Vec<NodeId>,
-    /// CSR offsets into [`Stages::stage_devs`], same scheme.
-    dev_starts: Vec<u32>,
-    /// All stage devices, grouped by stage, sorted by id within a stage.
-    stage_devs: Vec<DeviceId>,
-    /// Per stage: (touches VDD, touches GND).
-    rails: Vec<(bool, bool)>,
-    /// Per node: its stage, or `None` for rails and isolated nodes.
-    stage_of: Vec<Option<StageId>>,
-}
-
-impl Stages {
-    /// Computes the channel-connected components of a netlist by union-find
-    /// over channel edges, skipping the rails. The partition is stored in
-    /// CSR form — one flat member array plus offsets each for nodes and
-    /// devices — built with the usual two counting passes instead of one
-    /// pair of growing `Vec`s per stage.
-    pub fn build(netlist: &Netlist) -> Self {
-        let n = netlist.node_count();
-        let mut uf = UnionFind::new(n);
-        let vdd = netlist.vdd();
-        let gnd = netlist.gnd();
-        for dref in netlist.devices() {
-            let d = dref.device;
-            let s = d.source();
-            let t = d.drain();
-            if s != vdd && s != gnd && t != vdd && t != gnd {
-                uf.union(s.index(), t.index());
-            }
-        }
-
-        // Pass 1 over nodes: assign stage ids in first-encounter order
-        // (iterating nodes by ascending id) and count members per stage.
-        let mut root_to_stage: Vec<Option<StageId>> = vec![None; n];
-        let mut stage_of: Vec<Option<StageId>> = vec![None; n];
-        let mut node_counts: Vec<u32> = Vec::new();
-        for id in netlist.node_ids() {
-            if id == vdd || id == gnd {
-                continue;
-            }
-            if netlist.node_devices(id).channel.is_empty() {
-                continue; // gate-only or isolated node: not in any stage
-            }
-            let root = uf.find(id.index());
-            let sid = match root_to_stage[root] {
-                Some(sid) => sid,
-                None => {
-                    let sid = StageId(node_counts.len() as u32);
-                    node_counts.push(0);
-                    root_to_stage[root] = Some(sid);
-                    sid
-                }
-            };
-            node_counts[sid.index()] += 1;
-            stage_of[id.index()] = Some(sid);
-        }
-        let n_stages = node_counts.len();
-
-        // Pass 1 over devices: owner stage, per-stage device counts, and
-        // rail contact flags.
-        let owner_of = |d: &tv_netlist::Device| {
-            let mut owner: Option<StageId> = None;
-            for t in [d.source(), d.drain()] {
-                if t == vdd || t == gnd {
-                    continue;
-                }
-                owner = stage_of[t.index()];
-                if owner.is_some() {
-                    break;
-                }
-            }
-            owner
-        };
-        let mut dev_counts: Vec<u32> = vec![0; n_stages];
-        let mut rails: Vec<(bool, bool)> = vec![(false, false); n_stages];
-        for dref in netlist.devices() {
-            let d = dref.device;
-            if let Some(sid) = owner_of(d) {
-                dev_counts[sid.index()] += 1;
-                let r = &mut rails[sid.index()];
-                r.0 |= d.source() == vdd || d.drain() == vdd;
-                r.1 |= d.source() == gnd || d.drain() == gnd;
-            }
-        }
-
-        // Prefix sums, then the cursor passes. Filling in ascending
-        // node/device id keeps every per-stage slice sorted by id.
-        let mut node_starts = vec![0u32; n_stages + 1];
-        let mut dev_starts = vec![0u32; n_stages + 1];
-        for s in 0..n_stages {
-            node_starts[s + 1] = node_starts[s] + node_counts[s];
-            dev_starts[s + 1] = dev_starts[s] + dev_counts[s];
-        }
-        let mut stage_nodes = vec![NodeId::from_index(0); node_starts[n_stages] as usize];
-        let mut stage_devs = vec![DeviceId::from_index(0); dev_starts[n_stages] as usize];
-        let mut node_cursor = node_starts.clone();
-        for id in netlist.node_ids() {
-            if let Some(sid) = stage_of[id.index()] {
-                let c = &mut node_cursor[sid.index()];
-                stage_nodes[*c as usize] = id;
-                *c += 1;
-            }
-        }
-        let mut dev_cursor = dev_starts.clone();
-        for dref in netlist.devices() {
-            if let Some(sid) = owner_of(dref.device) {
-                let c = &mut dev_cursor[sid.index()];
-                stage_devs[*c as usize] = dref.id;
-                *c += 1;
-            }
-        }
-
-        Stages {
-            node_starts,
-            stage_nodes,
-            dev_starts,
-            stage_devs,
-            rails,
-            stage_of,
+pub fn count(netlist: &Netlist) -> usize {
+    let vdd = netlist.vdd();
+    let gnd = netlist.gnd();
+    let rail = |n| n == vdd || n == gnd;
+    // Every channel node starts as its own stage, and each union that
+    // joins two stages removes one.
+    let mut stages = netlist
+        .node_ids()
+        .filter(|&id| !rail(id) && !netlist.node_devices(id).channel.is_empty())
+        .count();
+    let mut uf = UnionFind::new(netlist.node_count());
+    for dref in netlist.devices() {
+        let (s, t) = (dref.device.source(), dref.device.drain());
+        if !rail(s) && !rail(t) && uf.union(s.index(), t.index()) {
+            stages -= 1;
         }
     }
-
-    /// Number of stages.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rails.len()
-    }
-
-    /// Whether the netlist has no stages at all.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rails.is_empty()
-    }
-
-    /// The stage containing `node`, if any (rails and gate-only nodes have
-    /// none).
-    #[inline]
-    pub fn stage_of(&self, node: NodeId) -> Option<StageId> {
-        self.stage_of[node.index()]
-    }
-
-    /// The stage with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this partition.
-    #[inline]
-    pub fn stage(&self, id: StageId) -> Stage<'_> {
-        let s = id.index();
-        Stage {
-            nodes: &self.stage_nodes
-                [self.node_starts[s] as usize..self.node_starts[s + 1] as usize],
-            devices: &self.stage_devs[self.dev_starts[s] as usize..self.dev_starts[s + 1] as usize],
-            touches_vdd: self.rails[s].0,
-            touches_gnd: self.rails[s].1,
-        }
-    }
-
-    /// Iterates over all stages with their ids.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (StageId, Stage<'_>)> + '_ {
-        (0..self.len()).map(|i| (StageId(i as u32), self.stage(StageId(i as u32))))
-    }
-
-    /// A canonical **structural hash** per stage: the grouping key of the
-    /// hierarchical macromodel extractor.
-    ///
-    /// The hash is a commutative (wrapping-sum) combination of
-    /// per-element hashes, so it is **order-independent**: permuting the
-    /// declaration order of a stage's devices or nodes — or instantiating
-    /// the same bit-slice N times under different interned names — yields
-    /// the same value. It covers only *local* structure, never identity:
-    ///
-    /// * the device multiset — kind, W and L bit patterns, and the
-    ///   rail-ness of each channel terminal;
-    /// * the boundary-pin signature — for every device gate, whether the
-    ///   pin is internal to the stage and its node role; node names stay
-    ///   out on purpose (interned [`tv_netlist::Symbol`]s differ between
-    ///   instances of the same slice, the structure does not);
-    /// * the node multiset — role tag and explicit extra capacitance of
-    ///   every stage node.
-    ///
-    /// Equal hashes are a *candidate* grouping only: the extractor
-    /// collision-checks candidates against a full canonical stage trace
-    /// before sharing an analysis (see `tv_core`'s `macromodel`).
-    /// Perturbing any device's W/L or any node's cap changes the hash.
-    pub fn structural_hashes(&self, netlist: &Netlist) -> Vec<u64> {
-        let vdd = netlist.vdd();
-        let gnd = netlist.gnd();
-        let rail_tag = |n: NodeId| -> u64 {
-            if n == vdd {
-                1
-            } else if n == gnd {
-                2
-            } else {
-                0
-            }
-        };
-        let mut out = Vec::with_capacity(self.len());
-        for (sid, stage) in self.iter() {
-            let mut acc: u64 = 0x5111_57a6_e5d4_c1a9 ^ (stage.devices.len() as u64);
-            for &did in stage.devices {
-                let d = netlist.device(did);
-                let kind_tag = match d.kind() {
-                    tv_netlist::DeviceKind::Enhancement => 0u64,
-                    tv_netlist::DeviceKind::Depletion => 1,
-                };
-                let mut h = sig_mix(0xd1, kind_tag);
-                h = sig_mix(h, d.width().to_bits());
-                h = sig_mix(h, d.length().to_bits());
-                h = sig_mix(h, rail_tag(d.source()) << 2 | rail_tag(d.drain()));
-                // Boundary-pin signature: the gate pin's locality and role,
-                // over structural tags rather than interned names.
-                let g = d.gate();
-                let internal = self.stage_of(g) == Some(sid);
-                h = sig_mix(h, (internal as u64) << 8 | node_role_tag(netlist, g));
-                acc = acc.wrapping_add(sig_mix(h, 0x9e));
-            }
-            for &nid in stage.nodes {
-                let mut h = sig_mix(0xb0, node_role_tag(netlist, nid));
-                h = sig_mix(h, netlist.node(nid).extra_cap().to_bits());
-                acc = acc.wrapping_add(sig_mix(h, 0x2f));
-            }
-            out.push(sig_mix(acc, stage.nodes.len() as u64));
-        }
-        out
-    }
-}
-
-/// A small 64-bit mixer (splitmix64 finalizer over `h ^ v`) for the
-/// structural hash; good diffusion, no external dependency.
-fn sig_mix(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn node_role_tag(netlist: &Netlist, n: NodeId) -> u64 {
-    use tv_netlist::NodeRole;
-    match netlist.node(n).role() {
-        NodeRole::Internal => 0,
-        NodeRole::Input => 1,
-        NodeRole::Output => 2,
-        NodeRole::Clock(p) => 3 + p as u64,
-        NodeRole::Vdd => 6,
-        NodeRole::Gnd => 7,
-    }
+    stages
 }
 
 /// Minimal union-find with path halving and union by size.
@@ -349,16 +73,18 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Joins the sets of `a` and `b`; whether they were apart.
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return false;
         }
         if self.size[ra] < self.size[rb] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
+        true
     }
 }
 
@@ -372,18 +98,13 @@ mod tests {
     }
 
     #[test]
-    fn inverter_is_one_restoring_stage() {
+    fn inverter_is_one_stage() {
         let mut b = builder();
         let a = b.input("a");
         let out = b.output("out");
         b.inverter("i", a, out);
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        assert_eq!(st.len(), 1);
-        let s = st.stage(st.stage_of(out).unwrap());
-        assert!(s.is_restoring());
-        assert_eq!(s.node_count(), 1);
-        assert_eq!(s.devices.len(), 2);
+        assert_eq!(count(&nl), 1);
     }
 
     #[test]
@@ -395,9 +116,7 @@ mod tests {
         b.inverter("i1", a, x);
         b.inverter("i2", x, y);
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        assert_eq!(st.len(), 2);
-        assert_ne!(st.stage_of(x), st.stage_of(y));
+        assert_eq!(count(&nl), 2);
     }
 
     #[test]
@@ -407,14 +126,14 @@ mod tests {
         let phi = b.clock("phi", 0);
         let x = b.node("x");
         let y = b.node("y");
+        let z = b.node("z");
         b.inverter("i1", a, x);
         b.pass("p", phi, x, y);
-        let _tmp_z = b.node("z");
-        b.inverter("i2", y, _tmp_z);
+        b.inverter("i2", y, z);
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        // x and y are channel-connected through the pass transistor.
-        assert_eq!(st.stage_of(x), st.stage_of(y));
+        // x and y are channel-connected through the pass transistor; z
+        // is its own stage.
+        assert_eq!(count(&nl), 2);
     }
 
     #[test]
@@ -427,8 +146,7 @@ mod tests {
         b.inverter("i1", a, x);
         b.inverter("i2", a, y);
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        assert_eq!(st.len(), 2);
+        assert_eq!(count(&nl), 2);
     }
 
     #[test]
@@ -439,43 +157,31 @@ mod tests {
         let out = b.node("out");
         b.nand("g", &[i0, i1], out);
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        assert_eq!(st.len(), 1);
-        let internal = nl.node_by_name("g_s0").unwrap();
-        assert_eq!(st.stage_of(out), st.stage_of(internal));
+        assert!(
+            nl.node_by_name("g_s0").is_some(),
+            "the series interior node"
+        );
+        assert_eq!(count(&nl), 1);
     }
 
     #[test]
     fn gate_only_input_is_in_no_stage() {
         let mut b = builder();
         let a = b.input("a");
-        let out = b.node("out");
-        b.inverter("i", a, out);
+        for i in 0..3 {
+            let o = b.node(format!("o{i}"));
+            b.inverter(format!("i{i}"), a, o);
+        }
         let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        assert_eq!(st.stage_of(a), None);
-        assert_eq!(st.stage_of(nl.vdd()), None);
+        // Three stages, one per output: `a` gates all three and joins
+        // none.
+        assert!(nl.node_devices(a).channel.is_empty());
+        assert_eq!(count(&nl), 3);
     }
 
     #[test]
     fn empty_netlist_has_no_stages() {
         let nl = builder().finish().unwrap();
-        let st = Stages::build(&nl);
-        assert!(st.is_empty());
-    }
-
-    #[test]
-    fn stage_iter_covers_all_nodes_once() {
-        let mut b = builder();
-        let a = b.input("a");
-        for i in 0..5 {
-            let o = b.node(format!("o{i}"));
-            b.inverter(format!("i{i}"), a, o);
-        }
-        let nl = b.finish().unwrap();
-        let st = Stages::build(&nl);
-        let total: usize = st.iter().map(|(_, s)| s.node_count()).sum();
-        assert_eq!(total, 5);
-        assert_eq!(st.iter().len(), st.len());
+        assert_eq!(count(&nl), 0);
     }
 }

@@ -13,7 +13,7 @@
 //! | module | crate | what it is |
 //! |---|---|---|
 //! | [`netlist`] | `tv-netlist` | nodes, transistors, technology, `.sim` I/O |
-//! | [`flow`] | `tv-flow` | stages, classification, pass direction rules |
+//! | [`flow`] | `tv-flow` | stage count, classification, pass direction rules |
 //! | [`rc`] | `tv-rc` | Elmore delay, bounds, pass-chain closed forms |
 //! | [`clocks`] | `tv-clocks` | two-phase schemes, qualified clocks, latches |
 //! | [`core`] | `tv-core` | the analyzer: arcs, arrivals, paths, checks |

@@ -1,21 +1,17 @@
 //! Hierarchical macromodel extraction suite (DESIGN.md §16).
 //!
-//! Four guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
-//! 1. **Structural-hash contract** — the per-stage grouping hash is a
-//!    function of the stage's electrical structure alone: permuting the
-//!    netlist insertion order never changes the hash multiset, while
-//!    perturbing one device's W/L always does.
-//! 2. **Flat identity** — the hierarchical build is an optimization,
+//! 1. **Flat identity** — the hierarchical build is an optimization,
 //!    not an approximation: report fingerprints are bit-identical
 //!    across `--jobs` 1/2/8 and between the one-shot analyzer and the
 //!    pass pipeline on every golden workload.
-//! 3. **Edit de-sharing** — a randomized 16-edit session on a
+//! 2. **Edit de-sharing** — a randomized 16-edit session on a
 //!    replicated multi-core design splits edited stages out of their
 //!    equivalence classes (the `extract` pass reports de-shared
 //!    instances) and every warm result stays bit-identical to a cold
 //!    flat analysis at every worker count.
-//! 4. **Case sharing** — on a design whose φ1 case changes no build
+//! 3. **Case sharing** — on a design whose φ1 case changes no build
 //!    root (so it reads the all-active graph), a seeded warm session of
 //!    parametric and structural edits stays bit-identical to cold
 //!    analyses at every worker count.
@@ -24,100 +20,8 @@ use std::path::Path;
 use std::process::Command;
 
 use nmos_tv::core::{report_fingerprint, AnalysisOptions, Analyzer, PassId, PassManager};
-use nmos_tv::flow::RuleSet;
 use nmos_tv::gen::rng::Rng64;
-use nmos_tv::netlist::{Design, Netlist, NetlistBuilder, NodeId, Tech};
-
-/// Builds the same heterogeneous circuit — `n` blocks, each an
-/// inverter driving a 2-input NAND through a pass transistor — with
-/// the blocks inserted in the order given by `order`. Electrically the
-/// result is identical for every permutation; only NodeId/DeviceId
-/// assignment differs.
-fn blocks_in_order(order: &[usize]) -> Netlist {
-    let mut b = NetlistBuilder::new(Tech::nmos4um());
-    let en = b.input("en");
-    for &i in order {
-        let a = b.input(format!("a{i}"));
-        let c = b.input(format!("c{i}"));
-        let s0 = b.node(format!("s0_{i}"));
-        let s1 = b.node(format!("s1_{i}"));
-        let out = b.output(format!("out{i}"));
-        b.inverter(format!("inv{i}"), a, s0);
-        b.pass(format!("p{i}"), en, s0, s1);
-        b.nand(format!("nand{i}"), &[s1, c], out);
-        b.add_cap(out, 0.05 + (i % 3) as f64 * 0.01).expect("cap");
-    }
-    b.finish().expect("valid netlist")
-}
-
-/// The per-stage structural hashes of a netlist, sorted so two
-/// netlists can be compared as multisets regardless of stage order.
-fn sorted_stage_hashes(nl: &Netlist) -> Vec<u64> {
-    let flow = nmos_tv::flow::analyze(nl, &RuleSet::all());
-    let mut hashes = flow.stages().structural_hashes(nl);
-    hashes.sort_unstable();
-    hashes
-}
-
-#[test]
-fn structural_hash_ignores_insertion_order() {
-    let n = 8usize;
-    let base: Vec<usize> = (0..n).collect();
-    let reference = sorted_stage_hashes(&blocks_in_order(&base));
-    assert!(!reference.is_empty(), "reference netlist has no stages");
-
-    let mut rng = Rng64::new(0x5EED_0123);
-    for trial in 0..6 {
-        // Fisher–Yates shuffle of the block insertion order.
-        let mut order = base.clone();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.usize_range(0, i + 1));
-        }
-        assert_eq!(
-            reference,
-            sorted_stage_hashes(&blocks_in_order(&order)),
-            "trial {trial}: permuted insertion order {order:?} changed the stage hash multiset"
-        );
-    }
-}
-
-#[test]
-fn structural_hash_distinguishes_wl_perturbation() {
-    let base: Vec<usize> = (0..8).collect();
-    let reference = sorted_stage_hashes(&blocks_in_order(&base));
-
-    // Same topology, one pull-down widened: the perturbed stage must
-    // hash differently, and only that stage.
-    let nl = blocks_in_order(&base);
-    let mut design = Design::new(nl);
-    let dev = design
-        .netlist()
-        .device_by_name("inv3_pd")
-        .or_else(|| design.netlist().devices().map(|d| d.id).nth(5))
-        .expect("a device to perturb");
-    design.resize_device(dev, 9.0, 2.0).expect("resize");
-    let perturbed = sorted_stage_hashes(design.netlist());
-
-    assert_ne!(
-        reference, perturbed,
-        "widening one device left the stage hash multiset unchanged"
-    );
-    // The blocks are replicated, so stage hashes repeat: compare as
-    // multisets. Exactly one instance moved from its old hash to a new
-    // one.
-    let mut counts = std::collections::HashMap::new();
-    for &h in &reference {
-        *counts.entry(h).or_insert(0i64) += 1;
-    }
-    for &h in &perturbed {
-        *counts.entry(h).or_insert(0i64) -= 1;
-    }
-    let moved: i64 = counts.values().filter(|&&c| c > 0).sum();
-    assert_eq!(
-        moved, 1,
-        "exactly one stage should change hash after a single-device resize"
-    );
-}
+use nmos_tv::netlist::{Design, Netlist, NodeId, Tech};
 
 /// The golden workloads the flat-identity contract is checked on: the
 /// MIPS-class datapath, a replicated two-core T6 design, irregular
