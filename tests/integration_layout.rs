@@ -10,9 +10,9 @@
 //! byte-for-byte definition, promoted so the session protocol and these
 //! goldens can never drift apart.)
 
-use nmos_tv::core::{report_fingerprint, AnalysisOptions, Analyzer};
+use nmos_tv::core::{report_fingerprint, AnalysisOptions, Analyzer, DelayModel};
 use nmos_tv::flow::RuleSet;
-use nmos_tv::gen::{adder, random, regfile, shifter};
+use nmos_tv::gen::{adder, chains, datapath, manchester, random, regfile, shifter};
 use nmos_tv::netlist::{Netlist, Tech};
 
 /// The frozen flow fingerprint over a fresh flow analysis.
@@ -67,6 +67,94 @@ fn reports_bit_identical_to_pre_layout_goldens() {
     }
 }
 
+/// The four workloads plus designs with precharged nodes, source roots
+/// and pass chains: every arm of arc emission under every delay model.
+fn model_workloads() -> Vec<(&'static str, Netlist)> {
+    let t = Tech::nmos4um();
+    let race = nmos_tv::netlist::sim_format::parse(include_str!("data/race_smoke.sim"), t.clone())
+        .expect("race_smoke.sim parses");
+    let mut w = workloads();
+    w.extend([
+        (
+            "mips32",
+            datapath::datapath(t.clone(), datapath::DatapathConfig::mips32()).netlist,
+        ),
+        (
+            "manchester-8x4",
+            manchester::manchester_circuit(t.clone(), 8, 4).netlist,
+        ),
+        ("precharged-bus-4", chains::precharged_bus(t, 4).netlist),
+        ("race-smoke", race),
+    ]);
+    w
+}
+
+const MODELS: [DelayModel; 3] = [
+    DelayModel::Elmore,
+    DelayModel::Lumped,
+    DelayModel::UpperBound,
+];
+
+/// Golden report fingerprints under `[Elmore, Lumped, UpperBound]`,
+/// captured from the stage builder that walked the netlist a second time
+/// to emit arcs. Where a design's stages drive one-node trees, the lumped
+/// model equals Elmore.
+const MODEL_GOLDENS: [(&str, [u64; 3]); 8] = [
+    (
+        "adder-16",
+        [0xd81f4d67fd462d9e, 0xd81f4d67fd462d9e, 0x2b51a079f3559b82],
+    ),
+    (
+        "barrel-8x4",
+        [0x2c40b3fdbb1e99bd, 0x77c13a2612b7c6e5, 0xcbb5f312407ea995],
+    ),
+    (
+        "regfile-4x8",
+        [0xd86d6780ad0e82a5, 0xff182652eebf4df4, 0xf9c93d433cf31f3e],
+    ),
+    (
+        "random-800",
+        [0x443d83214401d559, 0x605d9d7c2e6da98e, 0x79aae7cae4f1d9b],
+    ),
+    (
+        "mips32",
+        [0x13d4281894a8ab9e, 0xa857b110b0fb3d68, 0x50573fa336b5acf4],
+    ),
+    (
+        "manchester-8x4",
+        [0x2258db71ef7e92c5, 0x1ad0d91902b21bc6, 0x8b7400e71d7cdf78],
+    ),
+    (
+        "precharged-bus-4",
+        [0xf33d4c8b6d200ae6, 0xf33d4c8b6d200ae6, 0xd7ca95fa783bbffa],
+    ),
+    (
+        "race-smoke",
+        [0x76ac115f3f211bdd, 0x4bcd1749c57fd858, 0xf59ed28c0bbc11cd],
+    ),
+];
+
+#[test]
+fn every_delay_model_reproduces_its_goldens_at_every_job_count() {
+    for (name, nl) in model_workloads() {
+        let golden = MODEL_GOLDENS.iter().find(|g| g.0 == name).expect("golden");
+        for (model, want) in MODELS.into_iter().zip(golden.1) {
+            for jobs in [1, 2] {
+                let report = Analyzer::new(&nl).run(&AnalysisOptions {
+                    model,
+                    jobs,
+                    ..AnalysisOptions::default()
+                });
+                let rf = report_fingerprint(&nl, &report);
+                assert_eq!(
+                    rf, want,
+                    "{name} {model:?} jobs {jobs}: report fingerprint drifted (got {rf:#x})"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn reports_bit_identical_at_every_job_count() {
     for (name, nl) in workloads() {
@@ -100,7 +188,7 @@ fn reports_bit_identical_at_every_job_count() {
 #[test]
 fn csr_adjacency_matches_nested_vec_reference() {
     use nmos_tv::core::analyzer::SOURCE_RESISTANCE;
-    use nmos_tv::core::{DelayModel, PhaseCase, TimingGraph};
+    use nmos_tv::core::{PhaseCase, TimingGraph};
 
     for (name, nl) in workloads() {
         // Netlist incidence: one scan over devices in id order, exactly
@@ -162,7 +250,8 @@ fn csr_adjacency_matches_nested_vec_reference() {
 }
 
 /// Prints current fingerprints; run with `--ignored --nocapture` to
-/// regenerate `GOLDENS` after an *intentional* semantic change.
+/// regenerate `GOLDENS` and `MODEL_GOLDENS` after an *intentional*
+/// semantic change.
 #[test]
 #[ignore]
 fn print_fingerprints() {
@@ -173,5 +262,15 @@ fn print_fingerprints() {
             report_fingerprint(&nl, &report),
             flow_fingerprint(&nl)
         );
+    }
+    for (name, nl) in model_workloads() {
+        let fps = MODELS.map(|model| {
+            let report = Analyzer::new(&nl).run(&AnalysisOptions {
+                model,
+                ..AnalysisOptions::default()
+            });
+            format!("{:#x}", report_fingerprint(&nl, &report))
+        });
+        println!("(\"{name}\", [{}]),", fps.join(", "));
     }
 }
