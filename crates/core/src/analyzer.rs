@@ -93,7 +93,12 @@ impl TimingReport {
     }
 
     /// Nodes left partial or unresolved by any case, deduplicated and
-    /// sorted by id. Empty exactly when [`TimingReport::is_complete`].
+    /// sorted by id. A guard-exhausted report lists the nodes the guard
+    /// stopped. A complete report may list nodes too: a node whose
+    /// evaluation panicked twice is left unresolved while the case still
+    /// completes, and a TV0303 error diagnostic names each such node. So
+    /// a non-empty list does not mean the report is partial: check
+    /// [`TimingReport::is_complete`] for that.
     pub fn unresolved_nodes(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self.combinational.unresolved.clone();
         for p in &self.phases {

@@ -4,7 +4,11 @@
 //! node (a restored or precharged stage output) plus the pass network
 //! hanging downstream of it forms one RC problem, and every gate input of
 //! the stage gets an arc to every node of that RC tree with separate
-//! rise and fall delays:
+//! rise and fall delays. This module finds the stages (build roots),
+//! walks them, and holds the graph they build into: arc and row types,
+//! the CSR finish, the level schedule and root splicing. The arcs
+//! themselves are emitted in one place, `macromodel::emit_trace`, from
+//! the canonical trace the macromodel signs each root with:
 //!
 //! * **fall** — through the worst-case series pull-down path resistance;
 //! * **rise** — through the (parallel) pull-up resistance, with pass
@@ -23,10 +27,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, Direction, FlowAnalysis};
 use tv_netlist::{codes, DeviceId, Diagnostic, Netlist, NodeId, NodeRole};
-use tv_rc::elmore::{crossing_estimate, elmore_delays};
-use tv_rc::tree::RcTree;
 
-use crate::macromodel::Share;
+use crate::macromodel::{build_root, Share};
 use crate::options::DelayModel;
 
 /// What kind of structure an arc models.
@@ -96,9 +98,12 @@ impl ArcDelay {
     }
 }
 
-/// Growable arc list with its delay rows: what a stage build emits into.
-/// Each arc's `delay` indexes `delays`; [`ArcBuf::append`] rebases the
-/// indices when per-worker parts are concatenated in root order.
+/// Growable arc list with its delay rows, over NodeIds: what a graph
+/// build instances each root's macromodel table into (the tables
+/// themselves, over pin ordinals, come only from
+/// `macromodel::emit_trace`). Each arc's `delay` indexes `delays`;
+/// [`ArcBuf::append`] rebases the indices when per-worker parts are
+/// concatenated in root order.
 #[derive(Default)]
 pub(crate) struct ArcBuf {
     pub(crate) arcs: Vec<Arc>,
@@ -106,22 +111,6 @@ pub(crate) struct ArcBuf {
 }
 
 impl ArcBuf {
-    /// Pushes a delay row and returns its index.
-    pub(crate) fn row(&mut self, d: ArcDelay) -> u32 {
-        self.delays.push(d);
-        (self.delays.len() - 1) as u32
-    }
-
-    fn arc(&mut self, from: NodeId, to: NodeId, delay: u32, inverting: bool, kind: ArcKind) {
-        self.arcs.push(Arc {
-            from,
-            to,
-            delay,
-            inverting,
-            kind,
-        });
-    }
-
     pub(crate) fn clear(&mut self) {
         self.arcs.clear();
         self.delays.clear();
@@ -314,11 +303,10 @@ impl TimingGraph {
     /// root order — the resulting arc and row lists are **identical** to
     /// the serial build at any thread count.
     ///
-    /// Since the hierarchical extraction pass this routes through
-    /// `macromodel::build`: stages with equal canonical traces are
-    /// analyzed once and instanced by pin remap, with the flat per-root
-    /// build as the verified fallback. The arc and row lists are
-    /// bit-identical either way (DESIGN.md §16).
+    /// This routes through `macromodel::build`: stages with equal
+    /// canonical traces are analyzed once and instanced by pin remap,
+    /// with every root built alone as the fallback. The arc and row
+    /// lists are bit-identical either way (DESIGN.md §16).
     pub fn build_par(
         netlist: &Netlist,
         flow: &FlowAnalysis,
@@ -542,7 +530,7 @@ pub(crate) fn splice_roots(
         fresh.clear();
         catch_unwind(AssertUnwindSafe(|| {
             graph_build_fault_point();
-            builder.build_root(&roots[k], source_resistance, &mut fresh, scratch)
+            build_root(builder, &roots[k], source_resistance, &mut fresh, scratch)
         }))
         .map_err(|_| ())?;
         if fresh.arcs.len() != span.len() || fresh.delays.len() != rows.len() {
@@ -684,9 +672,11 @@ pub(crate) enum RootKind {
     Source,
 }
 
-/// Per-root arc builder. `pub(crate)` so the pass pipeline can reuse the
-/// exact per-stage construction for root-granular splicing; external
-/// callers go through [`TimingGraph::build_par`].
+/// What one case's graph build reads: the netlist and its analyses, the
+/// case, and the delay model. Its methods find the roots and walk the
+/// stages; none emits an arc (`macromodel::emit_trace` does, from the
+/// canonical trace). `pub(crate)` so the pass pipeline can splice and
+/// index roots; external callers go through [`TimingGraph::build_par`].
 pub(crate) struct GraphBuilder<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) flow: &'a FlowAnalysis,
@@ -704,41 +694,46 @@ pub(crate) struct WalkNode {
     pub(crate) via: Option<DeviceId>,
 }
 
-/// Reusable per-worker buffers for stage construction. One instance
-/// serves every root a worker builds, so the steady-state build does no
-/// per-root allocation: visited sets are epoch-stamped stamps rather
-/// than hash sets, and the old per-root `vec![false; node_count]` in
-/// the pull-down scan (quadratic over the whole netlist) becomes one
-/// shared array whose flags the DFS resets on unwind.
+/// Reusable per-worker node-sized buffers for reading stages off the
+/// netlist. One instance serves every root a worker signs, so the
+/// steady-state build does no per-root allocation of node-sized arrays:
+/// visited sets and the pin-ordinal map are epoch-stamped.
 #[derive(Default)]
 pub(crate) struct BuildScratch {
     /// Epoch-stamped visited marks, one per node; `mark[i] == epoch`
     /// means node `i` was seen in the current traversal.
     mark: Vec<u32>,
     epoch: u32,
+    /// Epoch-stamped NodeId → pin-ordinal map of the root being signed:
+    /// `pin_ord[i]` is node `i`'s ordinal when `pin_mark[i] ==
+    /// pin_epoch`. Its own epoch, since the walk and the input scan
+    /// restart `mark` between ordinal assignments.
+    pin_mark: Vec<u32>,
+    pin_ord: Vec<u32>,
+    pin_epoch: u32,
     /// DFS path membership for the pull-down resistance scan. Always
     /// all-false between calls (the DFS clears flags as it backtracks).
     pub(crate) on_path: Vec<bool>,
-    /// Walk nodes of the stage currently being built.
+    /// Walk nodes of the stage currently being read.
     pub(crate) walk: Vec<WalkNode>,
-    /// Gate controls of one walk node, reconstructed root → leaf.
-    controls: Vec<NodeId>,
-    /// Gate inputs of the stage currently being built.
+    /// Gate inputs of the stage currently being read.
     pub(crate) inputs: Vec<StageInput>,
     /// Work stack for the pull-down input scan.
     frontier: Vec<NodeId>,
 }
 
 impl BuildScratch {
+    /// A scratch for `node_count` nodes. The arrays come zeroed from the
+    /// allocator rather than written by [`BuildScratch::fit`], so one a
+    /// caller never touches (the pin map, in the electrical checks)
+    /// costs no page writes.
     pub(crate) fn new(node_count: usize) -> Self {
         BuildScratch {
             mark: vec![0; node_count],
-            epoch: 0,
+            pin_mark: vec![0; node_count],
+            pin_ord: vec![0; node_count],
             on_path: vec![false; node_count],
-            walk: Vec::new(),
-            controls: Vec::new(),
-            inputs: Vec::new(),
-            frontier: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -748,8 +743,31 @@ impl BuildScratch {
     pub(crate) fn fit(&mut self, node_count: usize) {
         if self.mark.len() < node_count {
             self.mark.resize(node_count, 0);
+            self.pin_mark.resize(node_count, 0);
+            self.pin_ord.resize(node_count, 0);
             self.on_path.resize(node_count, false);
         }
+    }
+
+    /// Starts a fresh pin-ordinal map for the next root.
+    pub(crate) fn begin_pins(&mut self) {
+        if self.pin_epoch == u32::MAX {
+            self.pin_mark.fill(0);
+            self.pin_epoch = 0;
+        }
+        self.pin_epoch += 1;
+    }
+
+    /// The pin ordinal of `n`, assigning the next one on first encounter
+    /// (and recording the node in `pins`).
+    pub(crate) fn pin_ordinal(&mut self, pins: &mut Vec<NodeId>, n: NodeId) -> u64 {
+        let i = n.index();
+        if self.pin_mark[i] != self.pin_epoch {
+            self.pin_mark[i] = self.pin_epoch;
+            self.pin_ord[i] = pins.len() as u32;
+            pins.push(n);
+        }
+        self.pin_ord[i] as u64
     }
 
     /// Starts a fresh visited set in O(1). On the (practically
@@ -762,18 +780,6 @@ impl BuildScratch {
         self.epoch += 1;
         self.epoch
     }
-}
-
-/// Rebuilds the gate controls of every pass device on the path
-/// root → `walk[i]` into `out`, in root-to-leaf order — exactly the
-/// order the old per-node `controls` vector accumulated them in.
-fn path_controls(netlist: &Netlist, walk: &[WalkNode], mut i: usize, out: &mut Vec<NodeId>) {
-    out.clear();
-    while let Some(via) = walk[i].via {
-        out.push(netlist.device(via).gate());
-        i = walk[i].parent.expect("non-root has parent");
-    }
-    out.reverse();
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -791,19 +797,6 @@ impl<'a> GraphBuilder<'a> {
             }
         }
         roots
-    }
-
-    pub(crate) fn build_root(
-        &self,
-        root: &(NodeId, RootKind),
-        source_resistance: f64,
-        out: &mut ArcBuf,
-        scratch: &mut BuildScratch,
-    ) {
-        match root.1 {
-            RootKind::Stage => self.build_stage(root.0, out, scratch),
-            RootKind::Source => self.build_source_tree(root.0, source_resistance, out, scratch),
-        }
     }
 
     /// A driver node has at least one pull-up-ish or precharge device on
@@ -887,191 +880,6 @@ impl<'a> GraphBuilder<'a> {
                 });
             }
             i += 1;
-        }
-    }
-
-    /// Per-walk-node delay estimates and Elmore time constants for rising
-    /// and falling transitions, according to the configured model. Returns
-    /// `(rise_delay, fall_delay, rise_tau, fall_tau)` vectors.
-    #[allow(clippy::type_complexity)]
-    fn tree_delays(
-        &self,
-        walk: &[WalkNode],
-        r_rise: f64,
-        r_fall: f64,
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let nl = self.netlist;
-        let tech = nl.tech();
-        let x = 1.0 - tech.switch_fraction; // fraction remaining at crossing
-        let build = |driver_r: f64, rise: bool| -> (Vec<f64>, Vec<f64>) {
-            let mut tree = RcTree::new(driver_r);
-            tree.add_cap(tree.root(), nl.node_cap(walk[0].node));
-            let mut rc_ids = vec![tree.root()];
-            for w in walk.iter().skip(1) {
-                let parent_rc = rc_ids[w.parent.expect("non-root has parent")];
-                let dev = nl.device(w.via.expect("non-root has device"));
-                let mut r = dev.resistance(tech);
-                if rise {
-                    r *= tech.pass_rise_factor;
-                }
-                let id = tree.add_child(parent_rc, r, nl.node_cap(w.node));
-                rc_ids.push(id);
-            }
-            let elmore = elmore_delays(&tree);
-            let delays = match self.model {
-                DelayModel::Elmore => elmore.iter().map(|&e| crossing_estimate(e, x)).collect(),
-                DelayModel::Lumped => {
-                    let v = crossing_estimate(driver_r * tree.total_cap(), x);
-                    vec![v; tree.len()]
-                }
-                DelayModel::UpperBound => elmore.iter().map(|&e| e / x).collect(),
-            };
-            (delays, elmore)
-        };
-        let (rise_d, rise_tau) = if r_rise.is_finite() {
-            build(r_rise, true)
-        } else {
-            (vec![f64::INFINITY; walk.len()], vec![0.0; walk.len()])
-        };
-        let (fall_d, fall_tau) = if r_fall.is_finite() {
-            build(r_fall, false)
-        } else {
-            (vec![f64::INFINITY; walk.len()], vec![0.0; walk.len()])
-        };
-        (rise_d, fall_d, rise_tau, fall_tau)
-    }
-
-    /// Builds arcs for one driving stage rooted at `out`. Each walk node
-    /// gets one delay row shared by its Gate and PassControl arcs, a
-    /// second (fall disabled) when the stage has BufferPull inputs, and
-    /// one per firing precharge device; a row is emitted only when an arc
-    /// uses it.
-    fn build_stage(&self, out: NodeId, buf: &mut ArcBuf, scratch: &mut BuildScratch) {
-        let nl = self.netlist;
-        let r_pu = pull_up_resistance(nl, self.flow, out);
-        let r_pd = pull_down_resistance_with(nl, self.flow, out, &mut scratch.on_path);
-        self.walk_downstream(out, scratch);
-        stage_inputs_into(nl, self.flow, out, scratch);
-        let BuildScratch {
-            walk,
-            controls,
-            inputs,
-            ..
-        } = scratch;
-        let (rise_d, fall_d, rise_tau, fall_tau) = self.tree_delays(
-            walk,
-            r_pu.unwrap_or(f64::INFINITY),
-            r_pd.unwrap_or(f64::INFINITY),
-        );
-        let has_pull_down = inputs
-            .iter()
-            .any(|i| i.kind == StageInputKind::PullDownGate);
-        let has_pull_up = inputs.iter().any(|i| i.kind == StageInputKind::PullUpGate);
-
-        for (i, w) in walk.iter().enumerate() {
-            // Domino discipline: a precharged node starts its evaluation
-            // phase high and can only FALL until the next precharge; a
-            // "rise" through logic is not a transition it can make. Only
-            // the precharge arc itself may raise it.
-            let rise_dly = if self.flow.node_class(w.node) == tv_flow::NodeClass::Precharged {
-                f64::INFINITY
-            } else {
-                rise_d[i]
-            };
-            let row = ArcDelay {
-                rise_delay: rise_dly,
-                fall_delay: fall_d[i],
-                rise_tau: rise_tau[i],
-                fall_tau: fall_tau[i],
-            };
-            // Pass controls along the path: when the latest-arriving
-            // control rises, the whole path conducts.
-            path_controls(nl, walk, i, controls);
-            let main = (has_pull_down || !controls.is_empty()).then(|| buf.row(row));
-            let pull = has_pull_up.then(|| {
-                buf.row(ArcDelay {
-                    fall_delay: f64::INFINITY,
-                    ..row
-                })
-            });
-            for inp in inputs.iter() {
-                let (d, inverting, kind) = match inp.kind {
-                    StageInputKind::PullDownGate => (main, true, ArcKind::Gate),
-                    StageInputKind::PullUpGate => (pull, false, ArcKind::BufferPull),
-                };
-                let d = d.expect("a row exists for every input kind present");
-                buf.arc(inp.node, w.node, d, inverting, kind);
-            }
-            for &ctrl in controls.iter() {
-                let d = main.expect("controls present, so the shared row exists");
-                buf.arc(ctrl, w.node, d, false, ArcKind::PassControl);
-            }
-        }
-
-        // Precharge arcs: the precharge clock raises the root (and its
-        // subtree) when its phase is active.
-        for &did in nl.node_devices(out).channel {
-            if self.flow.device_role(did) != DeviceRole::Precharge {
-                continue;
-            }
-            let gate = nl.device(did).gate();
-            let on = match (self.case.active, self.qualification[gate.index()]) {
-                (None, _) => true,
-                (Some(p), Qualification::Phase(q)) => p == q,
-                (Some(_), _) => true,
-            };
-            if !on {
-                continue;
-            }
-            let r_pre = nl.device(did).resistance(nl.tech());
-            let (pre_rise, _, pre_tau, _) = self.tree_delays(walk, r_pre, f64::INFINITY);
-            for (i, w) in walk.iter().enumerate() {
-                let d = buf.row(ArcDelay {
-                    rise_delay: pre_rise[i],
-                    fall_delay: f64::INFINITY,
-                    rise_tau: pre_tau[i],
-                    fall_tau: pre_tau[i],
-                });
-                buf.arc(gate, w.node, d, false, ArcKind::Precharge);
-            }
-        }
-    }
-
-    /// Builds pass-data arcs from a primary input that feeds pass devices
-    /// directly (no on-chip driver stage): one delay row per walk node
-    /// below the source, shared by its PassData and PassControl arcs.
-    fn build_source_tree(
-        &self,
-        source: NodeId,
-        source_resistance: f64,
-        buf: &mut ArcBuf,
-        scratch: &mut BuildScratch,
-    ) {
-        self.walk_downstream(source, scratch);
-        let BuildScratch { walk, controls, .. } = scratch;
-        if walk.len() <= 1 {
-            return;
-        }
-        let (rise_d, fall_d, rise_tau, fall_tau) =
-            self.tree_delays(walk, source_resistance, source_resistance);
-        let nl = self.netlist;
-        for (i, w) in walk.iter().enumerate().skip(1) {
-            let rise_dly = if self.flow.node_class(w.node) == tv_flow::NodeClass::Precharged {
-                f64::INFINITY
-            } else {
-                rise_d[i]
-            };
-            let d = buf.row(ArcDelay {
-                rise_delay: rise_dly,
-                fall_delay: fall_d[i],
-                rise_tau: rise_tau[i],
-                fall_tau: fall_tau[i],
-            });
-            buf.arc(source, w.node, d, false, ArcKind::PassData);
-            path_controls(nl, walk, i, controls);
-            for &ctrl in controls.iter() {
-                buf.arc(ctrl, w.node, d, false, ArcKind::PassControl);
-            }
         }
     }
 }

@@ -4,35 +4,34 @@
 //! The paper's analyzer treats every channel-connected stage as an
 //! independent RC problem — which is exactly what makes hierarchy
 //! exploitable. A 67-core datapath contains 67 structurally identical
-//! copies of every bit-slice stage; the flat build re-derives the same
-//! Elmore trees 67 times. This module groups build roots into
-//! **equivalence classes**, analyzes one *master* per class into a
-//! pin-indexed arc table (the macromodel), and emits every other member
-//! by remapping the table's pin ordinals onto that instance's own nodes.
+//! copies of every bit-slice stage, whose Elmore trees are the same 67
+//! times. This module groups build roots into **equivalence classes**,
+//! analyzes one *master* per class into a pin-indexed arc table (the
+//! macromodel), and emits every other member by remapping the table's
+//! pin ordinals onto that instance's own nodes.
 //!
-//! The bit-identity contract (DESIGN.md §16) rests on one key, the
-//! **canonical trace** (`root_canon`): the exact scalar inputs the
-//! arc-emission half of the flat builder consumes, serialized in
-//! emission order with every [`NodeId`] replaced by its first-encounter
-//! ordinal. Two roots share a class exactly when their traces match word
-//! for word. Classes are looked up by a hash of the trace, and the trace
-//! *is* the collision check. No coarser structural key sits in front of
-//! it: such a key could only split classes whose arcs are identical.
+//! One function reads a root's timing scalars off the netlist, and one
+//! turns them into arcs. `root_canon` writes the **canonical trace**:
+//! every scalar arc emission reads — pull-up/pull-down resistances,
+//! per-walk-node caps, pass-device resistances, tree topology, input
+//! order and kinds, precharge resistances, domino flags — in a fixed
+//! scan order, with every [`NodeId`] replaced by its first-encounter
+//! ordinal. `emit_trace` turns a trace into the root's arc table over
+//! those ordinals, reading nothing else but globals (`Tech`,
+//! `DelayModel`, source resistance). So equal traces give equal tables
+//! by construction, and pin `k` of an instance corresponds to pin `k` of
+//! its master.
 //!
-//! Equal traces imply the flat builder would emit arc lists that are
-//! bit-identical up to the pin permutation, because every quantity the
-//! emission reads — pull-up/pull-down resistances, per-walk-node caps,
-//! pass-device resistances, tree topology, input order and kinds,
-//! precharge resistances, domino flags — is either a recorded word or a
-//! global (`Tech`, `DelayModel`, source resistance). The ordinal
-//! assignment scans the trace in one fixed order, so pin `k` of an
-//! instance corresponds to pin `k` of its master by construction.
+//! The trace is therefore the one class key (DESIGN.md §16): two roots
+//! share a class exactly when their traces match word for word. Classes
+//! are looked up by a hash of the trace, and the trace *is* the
+//! collision check. No coarser structural key sits in front of it: such
+//! a key could only split classes whose arcs are identical.
 //!
-//! This is the only graph builder. A flat build is the degenerate
-//! partition where every root is its own class with an opaque table, and
-//! that is exactly the fallback: any panic anywhere in extraction
-//! re-emits every root by direct build, with per-root isolation for any
-//! emission chunk that panics in turn.
+//! This is the only graph builder. A root built alone (`build_root`:
+//! sign, emit, instance) is a class of one, and that is the fallback:
+//! any panic anywhere in extraction re-emits every root alone, with
+//! per-root isolation for any emission chunk that panics in turn.
 //!
 //! The same idea runs across clock cases. While the all-active build
 //! signs a root it records the root's **case mask**: bit `q` is set when
@@ -53,6 +52,8 @@ use std::ops::Range;
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, NodeClass};
 use tv_netlist::{codes, Diagnostic, FxHasher, NodeId};
+use tv_rc::elmore::{crossing_estimate, elmore_delays};
+use tv_rc::tree::{RcNodeId, RcTree};
 
 use crate::fingerprint::mix64;
 use crate::graph::{
@@ -60,6 +61,7 @@ use crate::graph::{
     pull_up_resistance, stage_inputs_into, Arc, ArcBuf, ArcDelay, ArcKind, BuildScratch,
     GraphBuilder, RootKind, RootSpans, SpannedBuild, StageInputKind, PAR_MIN_ROOTS,
 };
+use crate::options::DelayModel;
 
 /// What the extractor learned about one build: the class partition of
 /// the root set. Lives in the graph slot so a later parametric edit can
@@ -72,9 +74,6 @@ pub struct Extraction {
     class_len: Vec<u32>,
     /// Classes at extraction time (before any de-sharing).
     classes: usize,
-    /// Roots analyzed from scratch (masters, plus every member of a
-    /// class whose table could not be shared).
-    analyzed: u64,
     /// Roots emitted by pin-remapping a shared table.
     instanced: u64,
     /// Content fingerprint of the partition (the class of every root),
@@ -88,9 +87,10 @@ impl Extraction {
         self.classes
     }
 
-    /// Roots analyzed from scratch.
+    /// Tables emitted from a master trace: one per class at extraction
+    /// time, so always [`Extraction::classes`].
     pub fn analyzed(&self) -> u64 {
-        self.analyzed
+        self.classes as u64
     }
 
     /// Roots emitted by instancing a shared macromodel.
@@ -133,7 +133,7 @@ impl Extraction {
 
 /// One pin-to-pin timing arc of a macromodel: [`Arc`] with both
 /// endpoints replaced by pin ordinals into the owning root's pin table,
-/// and its row index relative to the master's first delay row.
+/// and its row index relative to the table's first delay row.
 #[derive(Clone)]
 struct MacroArc {
     from_pin: u32,
@@ -143,66 +143,64 @@ struct MacroArc {
     kind: ArcKind,
 }
 
-/// The analysis result for one class: a shareable pin-indexed arc
-/// table with the master's delay rows, or a marker that members must
-/// each build flat (an arc endpoint fell outside the recorded pin table
-/// — impossible by construction, kept as a verified fallback rather
-/// than an assumption).
-#[derive(Clone)]
-enum MacroTable {
-    Arcs {
-        arcs: Vec<MacroArc>,
-        rows: Vec<ArcDelay>,
-    },
-    Opaque,
+/// The analysis result for one class: a pin-indexed arc table with its
+/// delay rows, numbered from 0. Only [`emit_trace`] writes one.
+#[derive(Clone, Default)]
+pub(crate) struct MacroTable {
+    arcs: Vec<MacroArc>,
+    rows: Vec<ArcDelay>,
 }
 
-/// Epoch-stamped NodeId → pin-ordinal map, reused across roots.
-struct MacroScratch {
-    mark: Vec<u32>,
-    ord: Vec<u32>,
-    epoch: u32,
-}
-
-impl MacroScratch {
-    fn new(node_count: usize) -> Self {
-        MacroScratch {
-            mark: vec![0; node_count],
-            ord: vec![0; node_count],
-            epoch: 0,
-        }
+impl MacroTable {
+    /// Pushes a delay row and returns its index.
+    fn row(&mut self, d: ArcDelay) -> u32 {
+        self.rows.push(d);
+        (self.rows.len() - 1) as u32
     }
 
-    fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+    fn arc(&mut self, from_pin: u64, to_pin: u64, delay: u32, inverting: bool, kind: ArcKind) {
+        self.arcs.push(MacroArc {
+            from_pin: from_pin as u32,
+            to_pin: to_pin as u32,
+            delay,
+            inverting,
+            kind,
+        });
     }
 
-    /// The pin ordinal of `n`, assigning the next one on first
-    /// encounter (and recording the node in `pins`).
-    fn ordinal(&mut self, pins: &mut Vec<NodeId>, n: NodeId) -> u64 {
-        let i = n.index();
-        if self.mark[i] != self.epoch {
-            self.mark[i] = self.epoch;
-            self.ord[i] = pins.len() as u32;
-            pins.push(n);
-        }
-        self.ord[i] as u64
-    }
-
-    /// The ordinal previously assigned to `n`, if any.
-    fn lookup(&self, n: NodeId) -> Option<u32> {
-        let i = n.index();
-        (self.mark[i] == self.epoch).then(|| self.ord[i])
+    /// Appends the table to `buf` for a root whose pin table is `pins`:
+    /// every pin ordinal mapped to its node, and the rows rebased after
+    /// the rows already in `buf`.
+    pub(crate) fn instance(&self, pins: &[NodeId], buf: &mut ArcBuf) {
+        let base = buf.delays.len() as u32;
+        buf.delays.extend_from_slice(&self.rows);
+        buf.arcs.extend(self.arcs.iter().map(|ma| Arc {
+            from: pins[ma.from_pin as usize],
+            to: pins[ma.to_pin as usize],
+            delay: base + ma.delay,
+            inverting: ma.inverting,
+            kind: ma.kind,
+        }));
     }
 }
 
 const CANON_STAGE: u64 = 1;
 const CANON_SOURCE: u64 = 2;
-const CANON_PRECHARGE: u64 = 0x70;
+
+/// Words per walk record of a canonical trace: pin ordinal, parent walk
+/// index, connecting pass-device resistance and gate ordinal, node cap,
+/// precharged flag. The root's parent is `u64::MAX` and its via words
+/// are `[0, u64::MAX]`.
+const WALK_WORDS: usize = 6;
+
+/// Stage-input kind words of a canonical trace.
+const INPUT_PULL_DOWN: u64 = 0;
+const INPUT_PULL_UP: u64 = 1;
+const INPUT_PASS_DATA: u64 = 2;
+
+/// The inputs a source root's emission reads: its one input is pass data
+/// from its own pin, ordinal 0.
+const SOURCE_INPUTS: [u64; 2] = [0, INPUT_PASS_DATA];
 
 /// The case-mask bits of a device gated by a node of qualification `q`:
 /// bit `q` for `Phase(q)` of a two-phase clock (the device is off in the
@@ -235,15 +233,12 @@ fn opt_f64_words(canon: &mut Vec<u64>, v: Option<f64>) {
     }
 }
 
-/// Serializes the downstream walk exactly as `tree_delays` and the
-/// emission loops consume it: per walk node, its pin ordinal, parent
-/// walk index, connecting pass-device resistance and gate ordinal, node
-/// cap, and domino (precharged) flag. Returns the case bits of the pass
-/// devices the walk crosses.
+/// Serializes the downstream walk as [`emit_trace`] reads it: one
+/// [`WALK_WORDS`] record per walk node, preceded by the node count.
+/// Returns the case bits of the pass devices the walk crosses.
 fn walk_canon(
     b: &GraphBuilder<'_>,
-    scratch: &BuildScratch,
-    ms: &mut MacroScratch,
+    scratch: &mut BuildScratch,
     canon: &mut Vec<u64>,
     pins: &mut Vec<NodeId>,
 ) -> u8 {
@@ -253,16 +248,16 @@ fn walk_canon(
     canon.push(scratch.walk.len() as u64);
     for i in 0..scratch.walk.len() {
         let w = scratch.walk[i];
-        canon.push(ms.ordinal(pins, w.node));
+        canon.push(scratch.pin_ordinal(pins, w.node));
         canon.push(w.parent.map_or(u64::MAX, |p| p as u64));
         match w.via {
             Some(did) => {
                 let dev = nl.device(did);
                 mask |= case_bits(b.qualification[dev.gate().index()]);
                 canon.push(dev.resistance(tech).to_bits());
-                canon.push(ms.ordinal(pins, dev.gate()));
+                canon.push(scratch.pin_ordinal(pins, dev.gate()));
             }
-            None => canon.push(u64::MAX),
+            None => canon.extend([0, u64::MAX]),
         }
         canon.push(nl.node_cap(w.node).to_bits());
         canon.push((b.flow.node_class(w.node) == NodeClass::Precharged) as u64);
@@ -270,10 +265,18 @@ fn walk_canon(
     mask
 }
 
-/// The canonical trace of one build root: every scalar the arc-emission
-/// half of the flat builder reads, in a fixed scan order, with NodeIds
-/// replaced by first-encounter ordinals (recorded in `pins`). Two roots
-/// with equal traces produce bit-identical arcs modulo the pin mapping.
+/// The canonical trace of one build root: every scalar arc emission
+/// reads, in a fixed scan order, with NodeIds replaced by first-encounter
+/// ordinals (recorded in `pins`). This is the only place a root's timing
+/// scalars are read off the netlist: [`emit_trace`] turns the trace into
+/// the root's arc table, so two roots with equal traces have equal
+/// tables.
+///
+/// A stage's trace is `CANON_STAGE`, its pull-up and pull-down
+/// resistances (each a present flag and the bits), its walk, its input
+/// count and `(pin, kind)` pairs, then one `(gate pin, resistance)` pair
+/// per firing precharge device. A source's is `CANON_SOURCE` and its
+/// walk.
 ///
 /// Returns the root's case mask under `b`'s case: the case bits of every
 /// pass device the walk crosses and every precharge device on a stage's
@@ -288,12 +291,11 @@ fn root_canon(
     b: &GraphBuilder<'_>,
     root: &(NodeId, RootKind),
     scratch: &mut BuildScratch,
-    ms: &mut MacroScratch,
     canon: &mut Vec<u64>,
     pins: &mut Vec<NodeId>,
 ) -> u8 {
     let nl = b.netlist;
-    ms.begin();
+    scratch.begin_pins();
     match root.1 {
         RootKind::Stage => {
             canon.push(CANON_STAGE);
@@ -307,19 +309,20 @@ fn root_canon(
                 pull_down_resistance_with(nl, b.flow, out, &mut scratch.on_path),
             );
             b.walk_downstream(out, scratch);
-            let mut mask = walk_canon(b, scratch, ms, canon, pins);
+            let mut mask = walk_canon(b, scratch, canon, pins);
             stage_inputs_into(nl, b.flow, out, scratch);
             canon.push(scratch.inputs.len() as u64);
             for i in 0..scratch.inputs.len() {
                 let inp = scratch.inputs[i];
-                canon.push(ms.ordinal(pins, inp.node));
+                canon.push(scratch.pin_ordinal(pins, inp.node));
                 canon.push(match inp.kind {
-                    StageInputKind::PullDownGate => 0,
-                    StageInputKind::PullUpGate => 1,
+                    StageInputKind::PullDownGate => INPUT_PULL_DOWN,
+                    StageInputKind::PullUpGate => INPUT_PULL_UP,
                 });
             }
-            // Precharge devices the emission loop would fire, in channel
-            // order, gated by the same case/qualification test.
+            // Precharge devices that fire in the case, in channel order:
+            // under case analysis a precharge gated by the other phase is
+            // off.
             for &did in nl.node_devices(out).channel {
                 if b.flow.device_role(did) != DeviceRole::Precharge {
                     continue;
@@ -334,8 +337,7 @@ fn root_canon(
                 if !on {
                     continue;
                 }
-                canon.push(CANON_PRECHARGE);
-                canon.push(ms.ordinal(pins, gate));
+                canon.push(scratch.pin_ordinal(pins, gate));
                 canon.push(nl.device(did).resistance(nl.tech()).to_bits());
             }
             mask
@@ -343,9 +345,166 @@ fn root_canon(
         RootKind::Source => {
             canon.push(CANON_SOURCE);
             b.walk_downstream(root.0, scratch);
-            walk_canon(b, scratch, ms, canon, pins)
+            walk_canon(b, scratch, canon, pins)
         }
     }
+}
+
+/// Per-walk-record delay estimates and Elmore time constants of the RC
+/// tree the trace's walk records describe, driven through `driver_r`
+/// under `b`'s delay model. A rising transition derates pass devices by
+/// the technology's `pass_rise_factor`; a non-finite driver disables the
+/// transition (infinite delays, zero time constants).
+fn tree_delays(
+    b: &GraphBuilder<'_>,
+    walk: &[u64],
+    driver_r: f64,
+    rise: bool,
+) -> (Vec<f64>, Vec<f64>) {
+    let n = walk.len() / WALK_WORDS;
+    if !driver_r.is_finite() {
+        return (vec![f64::INFINITY; n], vec![0.0; n]);
+    }
+    let tech = b.netlist.tech();
+    let x = 1.0 - tech.switch_fraction; // fraction remaining at crossing
+    let mut tree = RcTree::new(driver_r);
+    tree.add_cap(tree.root(), f64::from_bits(walk[4]));
+    for w in walk.chunks_exact(WALK_WORDS).skip(1) {
+        let mut r = f64::from_bits(w[2]);
+        if rise {
+            r *= tech.pass_rise_factor;
+        }
+        // Walk indices are RC node ids: both are assigned parent-first.
+        tree.add_child(RcNodeId::from_index(w[1] as usize), r, f64::from_bits(w[4]));
+    }
+    let elmore = elmore_delays(&tree);
+    let delays = match b.model {
+        DelayModel::Elmore => elmore.iter().map(|&e| crossing_estimate(e, x)).collect(),
+        DelayModel::Lumped => vec![crossing_estimate(driver_r * tree.total_cap(), x); n],
+        DelayModel::UpperBound => elmore.iter().map(|&e| e / x).collect(),
+    };
+    (delays, elmore)
+}
+
+/// Emits the arc table of the root whose canonical trace is `canon` into
+/// `table` (cleared first): arcs over pin ordinals, rows numbered from 0.
+/// This is the one function that writes an arc table. It reads only the
+/// trace, `Tech::{switch_fraction, pass_rise_factor}`, `b`'s delay model
+/// and `source_resistance`, so equal traces give equal tables.
+///
+/// A stage drives its walk through its pull-up (rise) and pull-down
+/// (fall) resistances. Each walk node gets one delay row shared by its
+/// pull-down-gate and pass-control arcs, a second (fall disabled) when
+/// the stage has pull-up-gate inputs, and one per firing precharge
+/// device; a row is emitted only when an arc uses it. A source is a
+/// stage driven through `source_resistance` both ways whose one input is
+/// pass data from pin 0, emitted below its own walk root.
+pub(crate) fn emit_trace(
+    b: &GraphBuilder<'_>,
+    source_resistance: f64,
+    canon: &[u64],
+    table: &mut MacroTable,
+) {
+    table.arcs.clear();
+    table.rows.clear();
+    let stage = canon[0] == CANON_STAGE;
+    let opt_f64 = |w: &[u64]| match w[0] {
+        0 => f64::INFINITY,
+        _ => f64::from_bits(w[1]),
+    };
+    let (drive, at) = if stage {
+        ([opt_f64(&canon[1..3]), opt_f64(&canon[3..5])], 5)
+    } else {
+        ([source_resistance; 2], 1)
+    };
+    let n = canon[at] as usize;
+    let walk = &canon[at + 1..at + 1 + n * WALK_WORDS];
+    let rest = &canon[at + 1 + n * WALK_WORDS..];
+    let (inputs, precharges, first): (&[u64], &[u64], usize) = if stage {
+        let k = 1 + 2 * rest[0] as usize;
+        (&rest[1..k], &rest[k..], 0)
+    } else {
+        (&SOURCE_INPUTS, &[], 1)
+    };
+    let kinds = || inputs.chunks_exact(2).map(|inp| inp[1]);
+    let has_main = kinds().any(|k| k != INPUT_PULL_UP);
+    let has_pull = kinds().any(|k| k == INPUT_PULL_UP);
+    let (rise_d, rise_tau) = tree_delays(b, walk, drive[0], true);
+    let (fall_d, fall_tau) = tree_delays(b, walk, drive[1], false);
+    let record = |i: usize| &walk[i * WALK_WORDS..(i + 1) * WALK_WORDS];
+    let mut controls: Vec<u64> = Vec::new();
+    for i in first..n {
+        let w = record(i);
+        // Domino discipline: a precharged node starts its evaluation
+        // phase high and can only FALL until the next precharge; a
+        // "rise" through logic is not a transition it can make. Only
+        // the precharge arc itself may raise it.
+        let row = ArcDelay {
+            rise_delay: if w[5] != 0 { f64::INFINITY } else { rise_d[i] },
+            fall_delay: fall_d[i],
+            rise_tau: rise_tau[i],
+            fall_tau: fall_tau[i],
+        };
+        // Pass controls along the path, root to leaf: when the
+        // latest-arriving control rises, the whole path conducts.
+        controls.clear();
+        let mut j = i;
+        while j != 0 {
+            controls.push(record(j)[3]);
+            j = record(j)[1] as usize;
+        }
+        controls.reverse();
+        let main = (has_main || !controls.is_empty()).then(|| table.row(row));
+        let pull = has_pull.then(|| {
+            table.row(ArcDelay {
+                fall_delay: f64::INFINITY,
+                ..row
+            })
+        });
+        for inp in inputs.chunks_exact(2) {
+            let (d, inverting, kind) = match inp[1] {
+                INPUT_PULL_DOWN => (main, true, ArcKind::Gate),
+                INPUT_PULL_UP => (pull, false, ArcKind::BufferPull),
+                _ => (main, false, ArcKind::PassData),
+            };
+            let d = d.expect("a row exists for every input kind present");
+            table.arc(inp[0], w[0], d, inverting, kind);
+        }
+        for &ctrl in &controls {
+            let d = main.expect("controls present, so the shared row exists");
+            table.arc(ctrl, w[0], d, false, ArcKind::PassControl);
+        }
+    }
+    // Precharge arcs: the precharge clock raises the root and its
+    // subtree.
+    for pre in precharges.chunks_exact(2) {
+        let (pre_rise, pre_tau) = tree_delays(b, walk, f64::from_bits(pre[1]), true);
+        for i in 0..n {
+            let d = table.row(ArcDelay {
+                rise_delay: pre_rise[i],
+                fall_delay: f64::INFINITY,
+                rise_tau: pre_tau[i],
+                fall_tau: pre_tau[i],
+            });
+            table.arc(pre[0], record(i)[0], d, false, ArcKind::Precharge);
+        }
+    }
+}
+
+/// Builds one root alone into `buf`: signs it, emits its table from the
+/// trace, and instances the table on its pins — the arcs and rows a
+/// class build gives the root. Degraded emission and splices use it.
+pub(crate) fn build_root(
+    b: &GraphBuilder<'_>,
+    root: &(NodeId, RootKind),
+    source_resistance: f64,
+    buf: &mut ArcBuf,
+    scratch: &mut BuildScratch,
+) {
+    let (mut canon, mut pins, mut table) = (Vec::new(), Vec::new(), MacroTable::default());
+    root_canon(b, root, scratch, &mut canon, &mut pins);
+    emit_trace(b, source_resistance, &canon, &mut table);
+    table.instance(&pins, buf);
 }
 
 /// The class-lookup hash of a canonical trace. Every root pays it, and
@@ -372,7 +531,6 @@ const SIGN_BLOCK: usize = 256;
 /// plus the traces of the block it signed last.
 struct Signer {
     scratch: BuildScratch,
-    ms: MacroScratch,
     /// Per-root pin buffer: ordinals recorded in the canon are indices
     /// into *this root's* pin table, so it must restart at zero for every
     /// root (a running buffer would leak the root's position into its
@@ -388,7 +546,6 @@ impl Signer {
     fn new(node_count: usize) -> Self {
         Signer {
             scratch: BuildScratch::new(node_count),
-            ms: MacroScratch::new(node_count),
             pin_buf: Vec::new(),
             canon: Vec::new(),
             pins: Vec::new(),
@@ -422,14 +579,7 @@ impl Signer {
             }
             let c0 = self.canon.len();
             self.pin_buf.clear();
-            let mask = root_canon(
-                b,
-                r,
-                &mut self.scratch,
-                &mut self.ms,
-                &mut self.canon,
-                &mut self.pin_buf,
-            );
+            let mask = root_canon(b, r, &mut self.scratch, &mut self.canon, &mut self.pin_buf);
             self.meta.push((
                 (self.canon.len() - c0) as u32,
                 self.pin_buf.len() as u32,
@@ -440,7 +590,7 @@ impl Signer {
     }
 }
 
-/// A test hook called on each root before it is signed or built flat
+/// A test hook called on each root before it is signed or built alone
 /// (tests poison chosen stages with a panicking hook).
 pub(crate) type Fault<'a> = Option<&'a (dyn Fn(NodeId) + Sync)>;
 
@@ -461,28 +611,39 @@ impl Lookup {
         }
     }
 
+    /// Number of classes.
+    fn len(&self) -> usize {
+        self.master_canon_starts.len() - 1
+    }
+
+    /// Class `c`'s master trace.
+    fn trace(&self, c: u32) -> &[u64] {
+        let c = c as usize;
+        &self.master_canon[self.master_canon_starts[c]..self.master_canon_starts[c + 1]]
+    }
+
     /// The class whose master trace is `canon`, which hashes to `hash`.
     /// At most one class has a given trace, so the first match is the
     /// only one.
     fn find(&self, hash: u64, canon: &[u64]) -> Option<u32> {
-        let starts = &self.master_canon_starts;
-        self.by_hash.get(&hash)?.iter().copied().find(|&c| {
-            let c = c as usize;
-            self.master_canon[starts[c]..starts[c + 1]] == *canon
-        })
+        self.by_hash
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&c| self.trace(c) == canon)
     }
 
-    /// The class whose master trace is `canon`: `Ok` if it exists, `Err`
-    /// if it was minted (the next id) with `canon` as its master trace.
-    fn find_or_mint(&mut self, hash: u64, canon: &[u64]) -> Result<u32, u32> {
+    /// The class whose master trace is `canon`, minted (the next id) with
+    /// `canon` as its master trace if there is none.
+    fn find_or_mint(&mut self, hash: u64, canon: &[u64]) -> u32 {
         if let Some(cid) = self.find(hash, canon) {
-            return Ok(cid);
+            return cid;
         }
-        let cid = (self.master_canon_starts.len() - 1) as u32;
+        let cid = self.len() as u32;
         self.by_hash.entry(hash).or_default().push(cid);
         self.master_canon.extend_from_slice(canon);
         self.master_canon_starts.push(self.master_canon.len());
-        Err(cid)
+        cid
     }
 
     /// The lookup of the classes `kept` keeps, renumbered: `kept[c]` is
@@ -497,9 +658,7 @@ impl Lookup {
         }
         let mut out = Lookup::new();
         for c in order {
-            let starts = &self.master_canon_starts;
-            out.master_canon
-                .extend_from_slice(&self.master_canon[starts[c]..starts[c + 1]]);
+            out.master_canon.extend_from_slice(self.trace(c as u32));
             out.master_canon_starts.push(out.master_canon.len());
         }
         out.by_hash = self
@@ -531,9 +690,9 @@ pub(crate) struct CaseShare {
     /// Roots each phase case can change: `sensitive[p]` counts the roots
     /// whose mask has a bit other than `p`'s.
     sensitive: [usize; 2],
-    /// The all-active extraction's `macro.*` counts (classes, analyzed,
-    /// instanced), which an aliasing case reports as its own.
-    counts: [u64; 3],
+    /// The all-active extraction's `macro.*` counts (classes, instanced),
+    /// which an aliasing case reports as its own.
+    counts: [u64; 2],
     /// The build roots, which do not depend on the case.
     roots: Vec<(NodeId, RootKind)>,
     /// Kept class per root ordinal, `u32::MAX` for a root no phase build
@@ -631,7 +790,7 @@ impl Kept {
     /// tables outgrow 32-bit offsets: the phase cases then build alone.
     fn into_share(
         self,
-        counts: [u64; 3],
+        counts: [u64; 2],
         roots: &[(NodeId, RootKind)],
         class_of: &[u32],
         mut pins: Vec<NodeId>,
@@ -718,13 +877,9 @@ impl Classes<'_> {
         }
     }
 
-    /// Root `ri`'s shared table and pin table, or `None` when its class
-    /// is opaque and the root must be built flat.
-    fn shared(&self, ri: usize) -> Option<(&[MacroArc], &[ArcDelay], &[NodeId])> {
-        match &*self.tables[self.class_of[ri] as usize] {
-            MacroTable::Arcs { arcs, rows } => Some((arcs, rows, self.pins_of(ri))),
-            MacroTable::Opaque => None,
-        }
+    /// Root `ri`'s class table.
+    fn table(&self, ri: usize) -> &MacroTable {
+        &self.tables[self.class_of[ri] as usize]
     }
 }
 
@@ -748,7 +903,7 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
 /// The graph build of one case: groups the root set into equivalence
 /// classes, analyzes one master per class, instances the rest, and
 /// finishes a graph whose arc and row lists are bit-identical to a serial
-/// flat build of every root at any thread count. Returns the per-root arc
+/// build of every root alone at any thread count. Returns the per-root arc
 /// and row spans (for splicing) and the [`Extraction`] partition (for
 /// de-sharing); both are `None` when a panic degraded the build.
 ///
@@ -760,8 +915,8 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
 /// of a copy of the all-active graph.
 ///
 /// Extraction (phases A–C) either completes or, on any panic, falls back
-/// to every root being its own class with an opaque table; emission
-/// (phase D) then builds every root flat. An emission chunk that panics
+/// to every root being its own class; emission (phase D) then builds
+/// every root alone. An emission chunk that panics
 /// is rebuilt root by root, each root with fresh scratch under its own
 /// isolation: a root that panics again contributes no arcs and is
 /// reported in the graph's diagnostics. A panic on given inputs is
@@ -796,8 +951,8 @@ pub(crate) fn build(
                 }
             });
             if crossed.iter().all(Result::is_ok) {
-                let [classes, analyzed, instanced] = b.share.counts;
-                add_counts(classes, analyzed, instanced);
+                let [classes, instanced] = b.share.counts;
+                add_counts(classes, instanced);
                 // The alias: no graph of the case's own.
                 return None;
             }
@@ -848,8 +1003,8 @@ pub(crate) fn build(
     ))
 }
 
-/// Phases A–C: sign and group every root, then analyze one master per
-/// class into a pin-indexed table. `None` if any of it panicked.
+/// Phases A–C: sign and group every root, then emit one pin-indexed
+/// table per class from its master trace. `None` if any of it panicked.
 ///
 /// A phase build (`base`) signs only the roots its phase can change. An
 /// invariant root keeps its all-active class; a re-signed root joins the
@@ -901,7 +1056,6 @@ fn extract<'s>(
     // the share's.
     let base_classes = base.map_or(0, |b| b.share.tables.len() as u32);
     let mut class_of: Vec<u32> = Vec::with_capacity(n_roots);
-    let mut masters: Vec<u32> = Vec::new();
     let mut masks: Vec<u8> = Vec::with_capacity(if leave { n_roots } else { 0 });
     let mut pins: Vec<NodeId> = Vec::new();
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
@@ -939,30 +1093,22 @@ fn extract<'s>(
                 c0 += cw as usize;
                 let hash = trace_hash(canon);
                 let kept = base.and_then(|b| b.share.lookup.find(hash, canon));
-                let cid = match kept {
+                class_of.push(match kept {
                     Some(cid) => cid,
-                    None => match lookup.find_or_mint(hash, canon) {
-                        Ok(own) => base_classes + own,
-                        Err(minted) => {
-                            masters.push(ri as u32);
-                            base_classes + minted
-                        }
-                    },
-                };
-                class_of.push(cid);
+                    None => base_classes + lookup.find_or_mint(hash, canon),
+                });
             }
         }
     }
     drop(signers);
-    // Only the lookup entries the share keeps outlive grouping.
-    let leave = leave.then(|| Kept::new(masks, &class_of, masters.len(), lookup));
+    let minted = lookup.len();
 
     // A phase build renumbers by first appearance: `order` lists the
     // provisional ids in final order (a lone build's are already).
     let order: Vec<u32> = match base {
-        None => (0..masters.len() as u32).collect(),
+        None => (0..minted as u32).collect(),
         Some(_) => {
-            let mut final_of = vec![u32::MAX; base_classes as usize + masters.len()];
+            let mut final_of = vec![u32::MAX; base_classes as usize + minted];
             let mut order = Vec::new();
             for cid in class_of.iter_mut() {
                 let f = &mut final_of[*cid as usize];
@@ -980,50 +1126,17 @@ fn extract<'s>(
         class_len[c as usize] += 1;
     }
 
-    // Phase C: analyze one master per new class into a pin-indexed
-    // table.
-    let analyze_chunk = |master_chunk: &[u32]| -> Vec<MacroTable> {
-        let mut scratch = BuildScratch::new(node_count);
-        let mut ms = MacroScratch::new(node_count);
-        // Cleared per master, so its row indices come out relative to
-        // the master's first row.
-        let mut buf = ArcBuf::default();
-        let mut tables = Vec::with_capacity(master_chunk.len());
-        for &m in master_chunk {
-            let m = m as usize;
-            buf.clear();
-            builder.build_root(&roots[m], source_resistance, &mut buf, &mut scratch);
-            ms.begin();
-            for (i, &p) in pins[pin_starts[m]..pin_starts[m + 1]].iter().enumerate() {
-                ms.mark[p.index()] = ms.epoch;
-                ms.ord[p.index()] = i as u32;
-            }
-            let table: Option<Vec<MacroArc>> = buf
-                .arcs
-                .iter()
-                .map(|a| {
-                    Some(MacroArc {
-                        from_pin: ms.lookup(a.from)?,
-                        to_pin: ms.lookup(a.to)?,
-                        delay: a.delay,
-                        inverting: a.inverting,
-                        kind: a.kind,
-                    })
-                })
-                .collect();
-            tables.push(match table {
-                Some(arcs) => MacroTable::Arcs {
-                    arcs,
-                    rows: buf.delays.clone(),
-                },
-                None => MacroTable::Opaque,
-            });
-        }
-        tables
-    };
-    let mut own: Vec<Option<MacroTable>> = Vec::with_capacity(masters.len());
-    for part in tv_fault::isolated_map(chunked(&masters, threads), threads, |(_, mc)| {
-        analyze_chunk(mc)
+    // Phase C: emit each new class's table from its master trace.
+    let own_ids: Vec<u32> = (0..minted as u32).collect();
+    let mut own: Vec<Option<MacroTable>> = Vec::with_capacity(minted);
+    for part in tv_fault::isolated_map(chunked(&own_ids, threads), threads, |(_, ids)| {
+        ids.iter()
+            .map(|&c| {
+                let mut table = MacroTable::default();
+                emit_trace(builder, source_resistance, lookup.trace(c), &mut table);
+                table
+            })
+            .collect::<Vec<_>>()
     }) {
         own.extend(part.ok()?.into_iter().map(Some));
     }
@@ -1034,6 +1147,9 @@ fn extract<'s>(
             None => base.map(|b| Cow::Borrowed(&b.share.tables[pid as usize])),
         })
         .collect::<Option<Vec<_>>>()?;
+    // Only the lookup entries the share keeps outlive extraction. A
+    // build that leaves a share is all-active, so its ids are final.
+    let leave = leave.then(|| Kept::new(masks, &class_of, minted, lookup));
     Some(Classes {
         class_of,
         class_len,
@@ -1045,11 +1161,10 @@ fn extract<'s>(
     })
 }
 
-/// Phase D: emits every root in order — shared classes by pin remap and
-/// a rebased copy of the master's rows, opaque classes (every root, when
-/// `classes` is `None`) by direct flat build — and returns the arcs, the
-/// per-root spans, and the diagnostics of any chunk that had to be
-/// rebuilt root by root.
+/// Phase D: emits every root in order — its class table instanced on its
+/// pins, or, when `classes` is `None`, the root built alone
+/// ([`build_root`]) — and returns the arcs, the per-root spans, and the
+/// diagnostics of any chunk that had to be rebuilt root by root.
 fn emit(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
@@ -1060,39 +1175,27 @@ fn emit(
 ) -> (ArcBuf, RootSpans, Vec<Diagnostic>) {
     let nl = builder.netlist;
     let n_roots = roots.len();
-    let emit_root = |ri: usize, buf: &mut ArcBuf, scratch: &mut BuildScratch| match classes
-        .and_then(|c| c.shared(ri))
-    {
-        Some((arcs, rows, pins)) => {
-            let base = buf.delays.len() as u32;
-            buf.delays.extend_from_slice(rows);
-            buf.arcs.extend(arcs.iter().map(|ma| Arc {
-                from: pins[ma.from_pin as usize],
-                to: pins[ma.to_pin as usize],
-                delay: base + ma.delay,
-                inverting: ma.inverting,
-                kind: ma.kind,
-            }));
-        }
+    let emit_root = |ri: usize, buf: &mut ArcBuf, scratch: &mut BuildScratch| match classes {
+        Some(c) => c.table(ri).instance(c.pins_of(ri), buf),
         None => {
             if let Some(hook) = fault {
                 hook(roots[ri].0);
             }
             graph_build_fault_point();
-            builder.build_root(&roots[ri], source_resistance, buf, scratch);
+            build_root(builder, &roots[ri], source_resistance, buf, scratch);
         }
     };
     type EmitPart = (ArcBuf, Vec<(u32, u32)>);
     let emit_chunk = |(start, root_chunk): (usize, &[(NodeId, RootKind)])| -> EmitPart {
-        // Reserve the exact instanced totals upfront (opaque roots still
-        // grow, but they are the rare case): at a million devices the
-        // chunk emits tens of millions of arcs, and growth doubling would
-        // copy them repeatedly.
-        let (est_arcs, est_rows) = (start..start + root_chunk.len())
-            .filter_map(|ri| classes.and_then(|c| c.shared(ri)))
-            .fold((0, 0), |(a, r), (arcs, rows, _)| {
-                (a + arcs.len(), r + rows.len())
-            });
+        // Reserve the exact instanced totals upfront (a degraded build
+        // still grows): at a million devices the chunk emits tens of
+        // millions of arcs, and growth doubling would copy them
+        // repeatedly.
+        let (est_arcs, est_rows) = classes.map_or((0, 0), |c| {
+            (start..start + root_chunk.len())
+                .map(|ri| c.table(ri))
+                .fold((0, 0), |(a, r), t| (a + t.arcs.len(), r + t.rows.len()))
+        });
         let mut buf = ArcBuf {
             arcs: Vec::with_capacity(est_arcs),
             delays: Vec::with_capacity(est_rows),
@@ -1182,10 +1285,9 @@ fn emit(
     (buf, spans, diagnostics)
 }
 
-/// Work accounting for a clean build: a class whose table shared counts
-/// one analysis and `len - 1` instancings; an opaque class analyzed
-/// every member. Returns the extraction, and the share when the build
-/// leaves one.
+/// Work accounting for a clean build: each class counts one analysis
+/// (its table) and `len - 1` instancings. Returns the extraction, and
+/// the share when the build leaves one.
 fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<CaseShare>) {
     let Classes {
         class_of,
@@ -1196,42 +1298,32 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
         leave,
         ..
     } = c;
-    let mut analyzed: u64 = 0;
-    let mut instanced: u64 = 0;
-    for (table, &len) in tables.iter().zip(&class_len) {
-        match &**table {
-            MacroTable::Arcs { .. } => {
-                analyzed += 1;
-                instanced += (len - 1) as u64;
-            }
-            MacroTable::Opaque => analyzed += len as u64,
-        }
-    }
     let n_classes = tables.len();
-    add_counts(n_classes as u64, analyzed, instanced);
+    let instanced = (class_of.len() - n_classes) as u64;
+    add_counts(n_classes as u64, instanced);
 
     let mut fp = 0x9c0d_e1a2_57a9_0e5d_u64;
     for &cid in &class_of {
         fp = mix64(fp, cid as u64);
     }
-    let counts = [n_classes as u64, analyzed, instanced];
+    let counts = [n_classes as u64, instanced];
     let left =
         leave.and_then(|kept| kept.into_share(counts, roots, &class_of, pins, &pin_starts, tables));
     let ex = Extraction {
         class_of,
         class_len,
         classes: n_classes,
-        analyzed,
         instanced,
         fp,
     };
     (ex, left)
 }
 
-/// Records one case's extraction in the `macro.*` counters.
-fn add_counts(classes: u64, analyzed: u64, instanced: u64) {
+/// Records one case's extraction in the `macro.*` counters: one analysis
+/// per class.
+fn add_counts(classes: u64, instanced: u64) {
     tv_obs::add(tv_obs::Counter::MacroClasses, classes);
-    tv_obs::add(tv_obs::Counter::MacroAnalyzed, analyzed);
+    tv_obs::add(tv_obs::Counter::MacroAnalyzed, classes);
     tv_obs::add(tv_obs::Counter::MacroInstanced, instanced);
 }
 
@@ -1239,7 +1331,6 @@ fn add_counts(classes: u64, analyzed: u64, instanced: u64) {
 mod tests {
     use super::*;
     use crate::graph::{PhaseCase, TimingGraph};
-    use crate::options::DelayModel;
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, FlowAnalysis, RuleSet};
     use tv_netlist::{Netlist, NetlistBuilder, Tech};
@@ -1269,14 +1360,14 @@ mod tests {
         }
     }
 
-    /// The flat reference: every root built directly, serially, into one
+    /// The flat reference: every root built alone, serially, into one
     /// buffer — no classes, no threads, no isolation. Roots in `skip` are
     /// left out.
     fn flat_reference(b: &GraphBuilder<'_>, skip: &[NodeId]) -> TimingGraph {
         let mut buf = ArcBuf::default();
         let mut scratch = BuildScratch::new(b.netlist.node_count());
         for r in b.roots().iter().filter(|r| !skip.contains(&r.0)) {
-            b.build_root(r, 1.0, &mut buf, &mut scratch);
+            build_root(b, r, 1.0, &mut buf, &mut scratch);
         }
         finish_graph(b.netlist.node_count(), buf, b.case, Vec::new())
     }
@@ -1482,12 +1573,11 @@ mod tests {
 
     /// Every root's case mask under `b`'s case, as signing records it.
     fn masks(b: &GraphBuilder<'_>) -> Vec<u8> {
-        let n = b.netlist.node_count();
-        let (mut scratch, mut ms) = (BuildScratch::new(n), MacroScratch::new(n));
+        let mut scratch = BuildScratch::new(b.netlist.node_count());
         let (mut canon, mut pins) = (Vec::new(), Vec::new());
         b.roots()
             .iter()
-            .map(|r| root_canon(b, r, &mut scratch, &mut ms, &mut canon, &mut pins))
+            .map(|r| root_canon(b, r, &mut scratch, &mut canon, &mut pins))
             .collect()
     }
 
@@ -1516,7 +1606,6 @@ mod tests {
             let mask = masks(&all);
             let n = nl.node_count();
             let (mut s1, mut s2) = (BuildScratch::new(n), BuildScratch::new(n));
-            let (mut m1, mut m2) = (MacroScratch::new(n), MacroScratch::new(n));
             for p in 0..2u8 {
                 let pb = builder(nl, &flow, &qual, PhaseCase::phase(p));
                 for (ri, r) in all.roots().iter().enumerate() {
@@ -1538,12 +1627,12 @@ mod tests {
                         "root {ri} phase {p}"
                     );
                     let (mut c1, mut c2, mut p1, mut p2) = (vec![], vec![], vec![], vec![]);
-                    root_canon(&all, r, &mut s1, &mut m1, &mut c1, &mut p1);
-                    root_canon(&pb, r, &mut s2, &mut m2, &mut c2, &mut p2);
+                    root_canon(&all, r, &mut s1, &mut c1, &mut p1);
+                    root_canon(&pb, r, &mut s2, &mut c2, &mut p2);
                     assert_eq!((c1, p1), (c2, p2), "root {ri} phase {p}: trace and pins");
                     let (mut b1, mut b2) = (ArcBuf::default(), ArcBuf::default());
-                    all.build_root(r, 1.0, &mut b1, &mut s1);
-                    pb.build_root(r, 1.0, &mut b2, &mut s2);
+                    build_root(&all, r, 1.0, &mut b1, &mut s1);
+                    build_root(&pb, r, 1.0, &mut b2, &mut s2);
                     let arcs = |b: &ArcBuf| {
                         b.arcs
                             .iter()

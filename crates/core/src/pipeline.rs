@@ -283,7 +283,7 @@ struct GraphSlot {
     splice: Option<SpliceIndex>,
     /// The macromodel class partition from the build, used to de-share
     /// instanced stages a parametric edit touches. `None` when the
-    /// build degraded to flat isolation or spans were not recorded.
+    /// build degraded to per-root builds or spans were not recorded.
     extraction: Option<Extraction>,
 }
 

@@ -1308,6 +1308,8 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == tv_netlist::codes::ANALYSIS_WORKER_PANIC));
+        // No guard tripped: the case completes with the node unresolved.
+        assert_eq!(r.completion, Completion::Complete);
     }
 
     #[test]

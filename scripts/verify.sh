@@ -89,8 +89,8 @@ echo "== extract smoke: hierarchical macromodels share and de-share =="
 # the cold mips32 analyze groups stages into equivalence classes and
 # analyzes one master per class (macro.analyzed well under the stage
 # count), a parametric resize de-shares exactly one instance per phase
-# graph, and the report fingerprints stay bit-identical to the flat
-# path throughout.
+# graph, and the report fingerprints stay bit-identical to a lone
+# per-root build of every stage throughout.
 # The replay must hold at --jobs 1/2/8: the class partition and the
 # emitted arcs are independent of the thread count.
 for j in 1 2 8; do
