@@ -12,7 +12,7 @@
 
 use nmos_tv::core::{report_fingerprint, AnalysisOptions, Analyzer, DelayModel};
 use nmos_tv::flow::RuleSet;
-use nmos_tv::gen::{adder, chains, datapath, manchester, random, regfile, shifter};
+use nmos_tv::gen::{adder, chains, datapath, manchester, mips_mc, random, regfile, shifter};
 use nmos_tv::netlist::{Netlist, Tech};
 
 /// The frozen flow fingerprint over a fresh flow analysis.
@@ -83,8 +83,15 @@ fn model_workloads() -> Vec<(&'static str, Netlist)> {
             "manchester-8x4",
             manchester::manchester_circuit(t.clone(), 8, 4).netlist,
         ),
-        ("precharged-bus-4", chains::precharged_bus(t, 4).netlist),
+        (
+            "precharged-bus-4",
+            chains::precharged_bus(t.clone(), 4).netlist,
+        ),
         ("race-smoke", race),
+        // One T6 core has the full chip's case shape: φ1 replaces about
+        // two fifths of the roots, the all-active view has a divergent
+        // residue, and both phases are acyclic.
+        ("t6-1core", mips_mc::t6_mips_mc(t, 1).netlist),
     ]);
     w
 }
@@ -99,7 +106,7 @@ const MODELS: [DelayModel; 3] = [
 /// captured from the stage builder that walked the netlist a second time
 /// to emit arcs. Where a design's stages drive one-node trees, the lumped
 /// model equals Elmore.
-const MODEL_GOLDENS: [(&str, [u64; 3]); 8] = [
+const MODEL_GOLDENS: [(&str, [u64; 3]); 9] = [
     (
         "adder-16",
         [0xd81f4d67fd462d9e, 0xd81f4d67fd462d9e, 0x2b51a079f3559b82],
@@ -131,6 +138,10 @@ const MODEL_GOLDENS: [(&str, [u64; 3]); 8] = [
     (
         "race-smoke",
         [0x76ac115f3f211bdd, 0x4bcd1749c57fd858, 0xf59ed28c0bbc11cd],
+    ),
+    (
+        "t6-1core",
+        [0x2472bbfc47c55a5e, 0x2cb047b893a749b1, 0x00b5ee7d7ad1db91],
     ),
 ];
 
