@@ -28,7 +28,7 @@ use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, Direction, FlowAnalysis};
 use tv_netlist::{codes, DeviceId, Diagnostic, Netlist, NodeId, NodeRole};
 
-use crate::macromodel::{build_root, Share};
+use crate::macromodel::{build_root, MacroTable, Share};
 use crate::options::DelayModel;
 
 /// What kind of structure an arc models.
@@ -162,7 +162,7 @@ impl PhaseCase {
 /// combinational cycle never drain in Kahn's algorithm and land in
 /// `residue`; the engine finishes those with the budgeted serial
 /// worklist that also provides cycle detection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LevelSchedule {
     /// Leveled node indices, level-major; within a level, ascending.
     pub order: Vec<u32>,
@@ -185,16 +185,11 @@ impl LevelSchedule {
         &self.order[self.level_starts[l] as usize..self.level_starts[l + 1] as usize]
     }
 
-    /// Kahn's algorithm over the finished CSR: in-degrees come straight
-    /// from the in-arc offsets, so only the frontier walk touches arcs.
-    fn build(
-        node_count: usize,
-        arcs: &[Arc],
-        out_starts: &[u32],
-        out_arc_ids: &[u32],
-        in_starts: &[u32],
-    ) -> Self {
-        let mut indeg: Vec<u32> = in_starts.windows(2).map(|w| w[1] - w[0]).collect();
+    /// Kahn's algorithm over `g`: in-degrees are counted, so only the
+    /// frontier walk touches arcs.
+    fn build(g: &impl ArcGraph) -> Self {
+        let node_count = g.node_count();
+        let mut indeg: Vec<u32> = (0..node_count).map(|i| g.in_degree(i) as u32).collect();
         let mut order: Vec<u32> = Vec::with_capacity(node_count);
         let mut level_starts = vec![0u32];
         let mut frontier: Vec<u32> = (0..node_count as u32)
@@ -205,9 +200,8 @@ impl LevelSchedule {
             level_starts.push(order.len() as u32);
             let mut next = Vec::new();
             for &nidx in &frontier {
-                let n = nidx as usize;
-                for &ai in &out_arc_ids[out_starts[n] as usize..out_starts[n + 1] as usize] {
-                    let t = arcs[ai as usize].to.index();
+                for ai in g.out_arcs(nidx as usize) {
+                    let t = g.arc(ai).to.index();
                     indeg[t] -= 1;
                     if indeg[t] == 0 {
                         next.push(t as u32);
@@ -229,6 +223,91 @@ impl LevelSchedule {
             level_starts,
             residue,
         }
+    }
+}
+
+/// Read access to one case's arcs: what propagation, critical paths,
+/// races and the cone engine read. A [`TimingGraph`] is one; inside the
+/// pass pipeline, so is a phase case's view over the all-active graph,
+/// which reads every arc its phase does not change in place.
+///
+/// Every node's in- and out-list is in **case order**: the arc order of
+/// a lone build of the case, by build root and then by emission index
+/// within the root. Arc ids are only handles (a view's differ from a
+/// lone build's), but every walk meets the same arcs in the same order
+/// whichever form the case's graph takes.
+pub trait ArcGraph: Sync {
+    /// The phase case the graph is of.
+    fn case(&self) -> PhaseCase;
+
+    /// Number of nodes the graph was built over.
+    fn node_count(&self) -> usize;
+
+    /// Number of arcs in the case.
+    fn arc_count(&self) -> usize;
+
+    /// The arc with id `id`.
+    fn arc(&self, id: u32) -> &Arc;
+
+    /// The delay row of `arc`.
+    fn delay_of(&self, arc: &Arc) -> &ArcDelay;
+
+    /// Arc ids entering node index `i`, in case order.
+    fn in_arcs(&self, i: usize) -> impl Iterator<Item = u32>;
+
+    /// Number of arcs entering node index `i`.
+    fn in_degree(&self, i: usize) -> usize;
+
+    /// Arc ids leaving node index `i`, in case order.
+    fn out_arcs(&self, i: usize) -> impl Iterator<Item = u32>;
+
+    /// The level schedule of the case.
+    fn schedule(&self) -> &LevelSchedule;
+
+    /// Every arc of the case, in case order.
+    fn arcs_in_order(&self) -> impl Iterator<Item = &Arc>;
+
+    /// Extends `marked` to the forward closure of `seeds` over out-arcs:
+    /// the fanout cone a change to the seed nodes can influence. Nodes
+    /// already marked act as seeds too (their fanout is included); the
+    /// arrival pass uses exactly this to turn a splice's changed nodes
+    /// into the affected set the cone engine re-relaxes.
+    fn fanout_closure(&self, marked: &mut [bool], mut seeds: Vec<usize>) {
+        while let Some(i) = seeds.pop() {
+            for ai in self.out_arcs(i) {
+                let to = self.arc(ai).to.index();
+                if !marked[to] {
+                    marked[to] = true;
+                    seeds.push(to);
+                }
+            }
+        }
+    }
+
+    /// Reverse reachability: every node from which some node in
+    /// `targets` can be reached over arcs (the targets themselves
+    /// included). The dual of [`ArcGraph::fanout_closure`], walking
+    /// in-arcs instead of out-arcs — the fan-in cone that determines a
+    /// target's arrival.
+    fn fanin_cone(&self, targets: &[usize]) -> Vec<bool> {
+        let mut marked = vec![false; self.node_count()];
+        let mut stack: Vec<usize> = Vec::new();
+        for &t in targets {
+            if !marked[t] {
+                marked[t] = true;
+                stack.push(t);
+            }
+        }
+        while let Some(i) = stack.pop() {
+            for ai in self.in_arcs(i) {
+                let from = self.arc(ai).from.index();
+                if !marked[from] {
+                    marked[from] = true;
+                    stack.push(from);
+                }
+            }
+        }
+        marked
     }
 }
 
@@ -323,8 +402,9 @@ impl TimingGraph {
             case,
             model,
         };
-        let built = crate::macromodel::build(&builder, source_resistance, jobs, Share::Off, None);
-        built.expect("a lone build never aliases").0.graph
+        crate::macromodel::build(&builder, source_resistance, jobs, Share::Off, None)
+            .0
+            .graph
     }
 
     /// Number of arcs.
@@ -348,57 +428,55 @@ impl TimingGraph {
         &self.in_arc_ids[self.in_starts[i] as usize..self.in_starts[i + 1] as usize]
     }
 
-    /// Arc indices entering `node`, ascending by arc id.
-    pub fn in_arcs_of(&self, node: NodeId) -> &[u32] {
-        self.in_arcs_of_index(node.index())
-    }
-
     /// Arc indices leaving node index `i`, ascending by arc id.
     pub fn out_arcs_of_index(&self, i: usize) -> &[u32] {
         &self.out_arc_ids[self.out_starts[i] as usize..self.out_starts[i + 1] as usize]
     }
+}
 
-    /// Extends `marked` to the forward closure of `seeds` over out-arcs:
-    /// the fanout cone a change to the seed nodes can influence. Nodes
-    /// already marked act as seeds too (their fanout is included); the
-    /// arrival pass uses exactly this to turn a splice's changed nodes
-    /// into the affected set the cone engine re-relaxes.
-    pub fn fanout_closure(&self, marked: &mut [bool], mut seeds: Vec<usize>) {
-        while let Some(i) = seeds.pop() {
-            for &ai in self.out_arcs_of_index(i) {
-                let to = self.arcs[ai as usize].to.index();
-                if !marked[to] {
-                    marked[to] = true;
-                    seeds.push(to);
-                }
-            }
-        }
+impl ArcGraph for TimingGraph {
+    fn case(&self) -> PhaseCase {
+        self.case
     }
 
-    /// Reverse reachability: every node from which some node in
-    /// `targets` can be reached over arcs (the targets themselves
-    /// included). The dual of [`TimingGraph::fanout_closure`], walking
-    /// in-arcs instead of out-arcs — the fan-in cone that determines a
-    /// target's arrival.
-    pub fn fanin_cone(&self, targets: &[usize]) -> Vec<bool> {
-        let mut marked = vec![false; self.node_count()];
-        let mut stack: Vec<usize> = Vec::new();
-        for &t in targets {
-            if !marked[t] {
-                marked[t] = true;
-                stack.push(t);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            for &ai in self.in_arcs_of_index(i) {
-                let from = self.arcs[ai as usize].from.index();
-                if !marked[from] {
-                    marked[from] = true;
-                    stack.push(from);
-                }
-            }
-        }
-        marked
+    fn node_count(&self) -> usize {
+        TimingGraph::node_count(self)
+    }
+
+    fn arc_count(&self) -> usize {
+        self.arcs.len()
+    }
+
+    #[inline]
+    fn arc(&self, id: u32) -> &Arc {
+        &self.arcs[id as usize]
+    }
+
+    #[inline]
+    fn delay_of(&self, arc: &Arc) -> &ArcDelay {
+        TimingGraph::delay_of(self, arc)
+    }
+
+    #[inline]
+    fn in_arcs(&self, i: usize) -> impl Iterator<Item = u32> {
+        self.in_arcs_of_index(i).iter().copied()
+    }
+
+    fn in_degree(&self, i: usize) -> usize {
+        self.in_arcs_of_index(i).len()
+    }
+
+    #[inline]
+    fn out_arcs(&self, i: usize) -> impl Iterator<Item = u32> {
+        self.out_arcs_of_index(i).iter().copied()
+    }
+
+    fn schedule(&self) -> &LevelSchedule {
+        &self.schedule
+    }
+
+    fn arcs_in_order(&self) -> impl Iterator<Item = &Arc> {
+        self.arcs.iter()
     }
 }
 
@@ -418,6 +496,7 @@ pub(crate) fn finish_graph(
     let ArcBuf { arcs, delays } = buf;
     tv_obs::incr(tv_obs::Counter::GraphBuilds);
     tv_obs::add(tv_obs::Counter::GraphArcs, arcs.len() as u64);
+    let csr = tv_obs::span("graph.csr");
     let n = node_count;
     let mut out_starts = vec![0u32; n + 1];
     let mut in_starts = vec![0u32; n + 1];
@@ -441,8 +520,8 @@ pub(crate) fn finish_graph(
         in_arc_ids[*c as usize] = i as u32;
         *c += 1;
     }
-    let schedule = LevelSchedule::build(n, &arcs, &out_starts, &out_arc_ids, &in_starts);
-    TimingGraph {
+    drop(csr);
+    let mut graph = TimingGraph {
         arcs,
         delays,
         out_starts,
@@ -450,13 +529,17 @@ pub(crate) fn finish_graph(
         case,
         in_starts,
         in_arc_ids,
-        schedule,
+        schedule: LevelSchedule::default(),
         diagnostics,
-    }
+    };
+    let _s = tv_obs::span("graph.schedule");
+    graph.schedule = LevelSchedule::build(&graph);
+    graph
 }
 
 /// Per-root prefix offsets into a graph's arc and delay-row lists, each
 /// with `roots.len() + 1` entries.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RootSpans {
     /// Root `k` owns arcs `arcs[k] as usize .. arcs[k + 1] as usize`.
     pub(crate) arcs: Vec<u32>,
@@ -465,9 +548,25 @@ pub(crate) struct RootSpans {
     pub(crate) rows: Vec<u32>,
 }
 
+impl RootSpans {
+    /// Spans over no root yet.
+    pub(crate) fn new() -> Self {
+        RootSpans {
+            arcs: vec![0],
+            rows: vec![0],
+        }
+    }
+
+    /// Closes the next root's spans at the end of `buf`.
+    pub(crate) fn push(&mut self, buf: &ArcBuf) {
+        self.arcs.push(buf.arcs.len() as u32);
+        self.rows.push(buf.delays.len() as u32);
+    }
+}
+
 /// A graph built with its root list and per-root arc and row spans
 /// recorded — the substrate for the pass pipeline's stage-granular
-/// splicing.
+/// splicing and for the phase views over it.
 pub(crate) struct SpannedBuild {
     /// The finished graph, arc-identical to [`TimingGraph::build_par`].
     pub(crate) graph: TimingGraph,
@@ -480,64 +579,439 @@ pub(crate) struct SpannedBuild {
     pub(crate) spans: Option<RootSpans>,
 }
 
-/// Per-root splice support recorded at graph build time.
-pub(crate) struct SpliceIndex {
-    /// Which arcs and rows each root owns.
+/// A phase case's graph as a **view** over the all-active graph
+/// (DESIGN.md §10, §16). A root whose case mask says the phase cannot
+/// change it has the same arcs and rows in the phase as in the
+/// all-active case, so the view reads them in place. It owns only:
+///
+/// * the arcs and rows of the roots its phase **replaces**, emitted
+///   under the phase;
+/// * the all-active arc span of each replaced root: the arcs absent in
+///   the phase;
+/// * for every node those arcs enter or leave, a patch of its
+///   all-active in- or out-list: the absent arcs to skip and the own
+///   arcs to merge in, in case order;
+/// * its own level schedule.
+///
+/// Arc ids below the all-active arc count are all-active arcs; the
+/// view's own arcs follow them, and their row indices follow the
+/// all-active rows. A phase that replaces no root is the empty view:
+/// every read is the all-active graph's.
+pub(crate) struct PhaseView {
+    case: PhaseCase,
+    /// Root ordinals the phase replaces, ascending.
+    pub(crate) replaced: Vec<u32>,
+    /// The all-active arc span of each replaced root.
+    absent: Vec<(u32, u32)>,
+    /// The replaced roots' phase arcs, root-major in emission order.
+    pub(crate) arcs: Vec<Arc>,
+    /// Their delay rows; an own arc's row is `delays[arc.delay - r]`
+    /// for the all-active row count `r`.
+    pub(crate) delays: Vec<ArcDelay>,
+    /// Each replaced root's span of `arcs` and `delays`.
     pub(crate) spans: RootSpans,
-    /// CSR offsets into `extent_roots` by node index.
-    pub(crate) extent_starts: Vec<u32>,
-    /// Root ordinals whose arc delays read the node's caps or adjacent
-    /// geometry, grouped by node.
-    pub(crate) extent_roots: Vec<u32>,
+    /// Patches of the in-lists of the nodes the absent and own arcs
+    /// enter.
+    ins: Patches,
+    /// Patches of the out-lists of the nodes they leave.
+    outs: Patches,
+    schedule: LevelSchedule,
+    arc_count: usize,
+}
+
+/// One direction's patches, numbered in node order: node `i` has one
+/// when bit `i` of `touched` is set, and its number is the count of set
+/// bits before it (`rank` holds the count before each word), so the
+/// lookup reads two small arrays instead of a node-sized one. Both are
+/// empty when no node is touched. Patch `t` skips the absent arc ids
+/// `gone[gone_starts[t]..gone_starts[t + 1]]` (ascending) and merges in
+/// the own arcs `own[own_starts[t]..own_starts[t + 1]]`: `(key, id)`
+/// pairs in case order, where `key` is the all-active span start of
+/// the arc's root.
+#[derive(Default)]
+struct Patches {
+    touched: Vec<u64>,
+    rank: Vec<u32>,
+    gone_starts: Vec<u32>,
+    gone: Vec<u32>,
+    own_starts: Vec<u32>,
+    own: Vec<(u32, u32)>,
+}
+
+/// `(node, item)` pairs grouped by `bucket_of(node)` into `buckets`
+/// runs, each run in input order: the run offsets and the items.
+fn bucket<T: Copy + Default>(
+    bucket_of: impl Fn(usize) -> usize,
+    buckets: usize,
+    items: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut starts = vec![0u32; buckets + 1];
+    for (i, _) in items.clone() {
+        starts[bucket_of(i) + 1] += 1;
+    }
+    for t in 0..buckets {
+        starts[t + 1] += starts[t];
+    }
+    let mut cursor = starts.clone();
+    let mut out = vec![T::default(); starts[buckets] as usize];
+    for (i, item) in items {
+        let c = &mut cursor[bucket_of(i)];
+        out[*c as usize] = item;
+        *c += 1;
+    }
+    (starts, out)
+}
+
+impl Patches {
+    /// The patches, in the direction `end` picks, for the absent spans
+    /// `absent` of `base` and the own arcs `own` (ids from the
+    /// all-active arc count on), where own arc `j`'s root has absent
+    /// span `absent[root_of[j]]`.
+    fn build(
+        base: &TimingGraph,
+        absent: &[(u32, u32)],
+        own: &[Arc],
+        root_of: &[u32],
+        end: impl Fn(&Arc) -> usize,
+    ) -> Self {
+        let absent_ids = || absent.iter().flat_map(|&(s, e)| s..e);
+        let mut touched = vec![0u64; base.node_count().div_ceil(64)];
+        for a in absent_ids().map(|a| &base.arcs[a as usize]).chain(own) {
+            let i = end(a);
+            touched[i / 64] |= 1 << (i % 64);
+        }
+        let mut rank = Vec::with_capacity(touched.len());
+        let mut count = 0;
+        for w in &touched {
+            rank.push(count);
+            count += w.count_ones();
+        }
+        let mut p = Patches {
+            touched,
+            rank,
+            ..Default::default()
+        };
+        let number = |i| p.number(i).expect("a touched node");
+        let gone = absent_ids().map(|a| (end(&base.arcs[a as usize]), a));
+        let (gone_starts, gone) = bucket(number, count as usize, gone);
+        let first_own = base.arcs.len() as u32;
+        let own = own
+            .iter()
+            .zip(root_of)
+            .enumerate()
+            .map(|(j, (a, &k))| (end(a), (absent[k as usize].0, first_own + j as u32)));
+        let (own_starts, own) = bucket(number, count as usize, own);
+        (p.gone_starts, p.gone, p.own_starts, p.own) = (gone_starts, gone, own_starts, own);
+        p
+    }
+
+    /// Node `i`'s patch number, if it has a patch.
+    #[inline]
+    fn number(&self, i: usize) -> Option<usize> {
+        let word = *self.touched.get(i / 64)?;
+        let bit = 1u64 << (i % 64);
+        let below = (word & (bit - 1)).count_ones() as usize;
+        (word & bit != 0).then(|| self.rank[i / 64] as usize + below)
+    }
+
+    /// Node `i`'s list, `list` in the all-active graph, as the view
+    /// reads it.
+    #[inline]
+    fn read<'a>(&'a self, i: usize, list: &'a [u32]) -> Patched<'a> {
+        let (gone, own) = match self.number(i) {
+            Some(t) => (
+                &self.gone[self.gone_starts[t] as usize..self.gone_starts[t + 1] as usize],
+                &self.own[self.own_starts[t] as usize..self.own_starts[t + 1] as usize],
+            ),
+            None => (&[][..], &[][..]),
+        };
+        Patched {
+            base: list.iter(),
+            gone,
+            own,
+        }
+    }
+}
+
+/// A node's arc ids in a view, in case order: its all-active list
+/// without the absent arcs, with its own arcs merged in. An own arc of
+/// replaced root `r` goes before every surviving all-active arc at or
+/// after the start of `r`'s absent span (those belong to later roots)
+/// and after every one before it.
+struct Patched<'a> {
+    base: std::slice::Iter<'a, u32>,
+    gone: &'a [u32],
+    own: &'a [(u32, u32)],
+}
+
+impl Patched<'_> {
+    /// Number of ids left.
+    fn len(&self) -> usize {
+        self.base.len() - self.gone.len() + self.own.len()
+    }
+}
+
+impl Iterator for Patched<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.own.is_empty() && self.gone.is_empty() {
+            return self.base.next().copied();
+        }
+        loop {
+            let next = self.base.as_slice().first().copied();
+            if let Some((&(key, id), rest)) = self.own.split_first() {
+                if next.is_none_or(|a| key <= a) {
+                    self.own = rest;
+                    return Some(id);
+                }
+            }
+            let a = next?;
+            self.base.next();
+            match self.gone.split_first() {
+                Some((&g, rest)) if g == a => self.gone = rest,
+                _ => return Some(a),
+            }
+        }
+    }
+}
+
+impl PhaseView {
+    /// The view of phase case `case` that replaces the roots `replaced`
+    /// (ascending ordinals into `base`'s roots, whose spans are
+    /// `base_spans`) with the arcs and rows in `own`, root-major with
+    /// rows numbered from 0, whose per-root spans are `spans`.
+    pub(crate) fn new(
+        case: PhaseCase,
+        base: &TimingGraph,
+        base_spans: &RootSpans,
+        replaced: Vec<u32>,
+        mut own: ArcBuf,
+        spans: RootSpans,
+    ) -> Self {
+        let absent: Vec<(u32, u32)> = replaced
+            .iter()
+            .map(|&r| (base_spans.arcs[r as usize], base_spans.arcs[r as usize + 1]))
+            .collect();
+        let absent_count: usize = absent.iter().map(|&(s, e)| (e - s) as usize).sum();
+        let first_row = base.delays.len() as u32;
+        for a in &mut own.arcs {
+            a.delay += first_row;
+        }
+        let mut view = PhaseView {
+            case,
+            arc_count: base.arcs.len() - absent_count + own.arcs.len(),
+            replaced,
+            absent,
+            arcs: own.arcs,
+            delays: own.delays,
+            spans,
+            ins: Patches::default(),
+            outs: Patches::default(),
+            schedule: LevelSchedule::default(),
+        };
+        if view.is_empty() {
+            view.schedule = base.schedule.clone();
+            return view;
+        }
+        let csr = tv_obs::span("graph.csr");
+        let root_of: Vec<u32> = (0..view.absent.len() as u32)
+            .flat_map(|k| {
+                let n = view.spans.arcs[k as usize + 1] - view.spans.arcs[k as usize];
+                std::iter::repeat_n(k, n as usize)
+            })
+            .collect();
+        let patches =
+            |end: fn(&Arc) -> usize| Patches::build(base, &view.absent, &view.arcs, &root_of, end);
+        let (ins, outs) = (patches(|a| a.to.index()), patches(|a| a.from.index()));
+        (view.ins, view.outs) = (ins, outs);
+        drop(csr);
+        let _s = tv_obs::span("graph.schedule");
+        view.schedule = LevelSchedule::build(&view.on(base));
+        view
+    }
+
+    /// Number of arcs in the case.
+    pub(crate) fn arc_count(&self) -> usize {
+        self.arc_count
+    }
+
+    /// Whether the phase replaces no root: every read is the all-active
+    /// graph's.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.replaced.is_empty()
+    }
+
+    /// The view read over `base`, the all-active graph it was built on.
+    pub(crate) fn on<'a>(&'a self, base: &'a TimingGraph) -> View<'a> {
+        View {
+            base,
+            view: self,
+            arcs: [&base.arcs, &self.arcs],
+            delays: [&base.delays, &self.delays],
+        }
+    }
+}
+
+/// A [`PhaseView`] paired with the all-active graph it reads.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    base: &'a TimingGraph,
+    view: &'a PhaseView,
+    /// The all-active arcs and rows, then the view's own: read per arc,
+    /// so held here rather than behind `base` and `view`.
+    arcs: [&'a [Arc]; 2],
+    delays: [&'a [ArcDelay]; 2],
+}
+
+impl ArcGraph for View<'_> {
+    fn case(&self) -> PhaseCase {
+        self.view.case
+    }
+
+    fn node_count(&self) -> usize {
+        self.base.node_count()
+    }
+
+    fn arc_count(&self) -> usize {
+        self.view.arc_count
+    }
+
+    #[inline]
+    fn arc(&self, id: u32) -> &Arc {
+        let [base, own] = self.arcs;
+        match base.get(id as usize) {
+            Some(a) => a,
+            None => &own[id as usize - base.len()],
+        }
+    }
+
+    #[inline]
+    fn delay_of(&self, arc: &Arc) -> &ArcDelay {
+        let [base, own] = self.delays;
+        match base.get(arc.delay as usize) {
+            Some(d) => d,
+            None => &own[arc.delay as usize - base.len()],
+        }
+    }
+
+    #[inline]
+    fn in_arcs(&self, i: usize) -> impl Iterator<Item = u32> {
+        self.view.ins.read(i, self.base.in_arcs_of_index(i))
+    }
+
+    fn in_degree(&self, i: usize) -> usize {
+        self.view.ins.read(i, self.base.in_arcs_of_index(i)).len()
+    }
+
+    #[inline]
+    fn out_arcs(&self, i: usize) -> impl Iterator<Item = u32> {
+        self.view.outs.read(i, self.base.out_arcs_of_index(i))
+    }
+
+    fn schedule(&self) -> &LevelSchedule {
+        &self.view.schedule
+    }
+
+    /// The all-active arcs between the absent spans, with each replaced
+    /// root's own arcs where its absent span was.
+    fn arcs_in_order(&self) -> impl Iterator<Item = &Arc> {
+        let (base, view) = (self.base, self.view);
+        let starts = std::iter::once(0).chain(view.absent.iter().map(|a| a.1));
+        let ends = view.absent.iter().map(|a| a.0);
+        let ends = ends.chain(std::iter::once(base.arcs.len() as u32));
+        starts.zip(ends).enumerate().flat_map(move |(k, (s, e))| {
+            let own = match view.spans.arcs.get(k + 1) {
+                Some(&end) => view.spans.arcs[k] as usize..end as usize,
+                None => 0..0,
+            };
+            base.arcs[s as usize..e as usize]
+                .iter()
+                .chain(&view.arcs[own])
+        })
+    }
+}
+
+/// Per-node extent index of a root list: which roots read each node's
+/// caps or adjacent geometry (see [`GraphBuilder::extents`]).
+pub(crate) struct Extents {
+    /// CSR offsets into `roots` by node index.
+    pub(crate) starts: Vec<u32>,
+    /// Ordinals into the indexed root list, grouped by node.
+    pub(crate) roots: Vec<u32>,
+}
+
+impl Extents {
+    /// Every root whose extent holds one of `dirty`, sorted and
+    /// deduplicated.
+    pub(crate) fn hit(&self, dirty: &[NodeId]) -> Vec<u32> {
+        let mut hit: Vec<u32> = Vec::new();
+        for n in dirty {
+            let i = n.index();
+            hit.extend_from_slice(
+                &self.roots[self.starts[i] as usize..self.starts[i + 1] as usize],
+            );
+        }
+        hit.sort_unstable();
+        hit.dedup();
+        hit
+    }
 }
 
 /// Splices freshly rebuilt delay rows for `affected` root ordinals into
-/// an existing graph in place, leaving every arc and every other root's
-/// rows untouched. Valid only after **parametric** edits (geometry or
-/// capacitance): those cannot change which arcs a stage produces, only
-/// their delay values, so each root's fresh build must match its
-/// recorded spans in arc count and row count, and arc by arc in
-/// endpoints, kind, inversion and row index relative to the root's first
-/// row — all of which this function verifies before overwriting the
-/// root's rows. On any mismatch (or a panic inside a stage build) it
-/// returns `Err` and the caller must discard the graph and rebuild from
-/// scratch: earlier affected roots may already have been overwritten, so
-/// an `Err` graph is *not* restored to its prior state.
+/// an arc list in place, leaving every arc and every other root's rows
+/// untouched. `arcs` and `rows` hold the roots `roots` in the spans
+/// `spans`; an arc's row is `rows[arc.delay - first_row]` (0 for a
+/// graph, the all-active row count for a phase view's own rows).
 ///
-/// On success returns the **changed targets**: every node index, sorted
-/// and deduplicated, with an in-arc whose delay row words differ
+/// Valid only after **parametric** edits (geometry or capacitance):
+/// those cannot change which arcs a stage produces, only their delay
+/// values, so each root's fresh build must match its recorded spans in
+/// arc count and row count, and arc by arc in endpoints, kind, inversion
+/// and row index relative to the root's first row — all of which this
+/// function verifies before overwriting the root's rows. On any mismatch
+/// (or a panic inside a stage build) it returns `Err` and the caller
+/// must discard the arcs and rebuild from scratch: earlier affected
+/// roots may already have been overwritten, so an `Err` is *not*
+/// restored to its prior state.
+///
+/// On success returns the **changed targets** by root: a `(root
+/// ordinal, node index)` pair for every arc whose delay row words differ
 /// bitwise from before the splice. Each row belongs to exactly one root
-/// and the arc-to-row map is verified unchanged, so these are exactly
-/// the nodes whose local evaluation can differ — the arrival pass seeds
-/// its cone with them.
+/// and the arc-to-row map is verified unchanged, so the nodes named are
+/// exactly those whose local evaluation can differ — the arrival pass
+/// seeds its cone with them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn splice_roots(
-    graph: &mut TimingGraph,
+    arcs: &[Arc],
+    rows: &mut [ArcDelay],
+    first_row: u32,
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     roots: &[(NodeId, RootKind)],
-    index: &SpliceIndex,
+    spans: &RootSpans,
     affected: &[u32],
     scratch: &mut BuildScratch,
-) -> Result<Vec<u32>, ()> {
-    let spans = &index.spans;
-    let mut changed: Vec<u32> = Vec::new();
+) -> Result<Vec<(u32, u32)>, ()> {
+    let mut changed: Vec<(u32, u32)> = Vec::new();
     let mut fresh = ArcBuf::default();
     let mut row_changed: Vec<bool> = Vec::new();
     for &k in affected {
-        let k = k as usize;
-        let span = spans.arcs[k] as usize..spans.arcs[k + 1] as usize;
-        let rows = spans.rows[k] as usize..spans.rows[k + 1] as usize;
+        let r = k as usize;
+        let span = spans.arcs[r] as usize..spans.arcs[r + 1] as usize;
+        let own = spans.rows[r] as usize..spans.rows[r + 1] as usize;
         fresh.clear();
         catch_unwind(AssertUnwindSafe(|| {
             graph_build_fault_point();
-            build_root(builder, &roots[k], source_resistance, &mut fresh, scratch)
+            build_root(builder, &roots[r], source_resistance, &mut fresh, scratch)
         }))
         .map_err(|_| ())?;
-        if fresh.arcs.len() != span.len() || fresh.delays.len() != rows.len() {
+        if fresh.arcs.len() != span.len() || fresh.delays.len() != own.len() {
             return Err(());
         }
-        let base = rows.start as u32;
-        for (o, f) in graph.arcs[span].iter().zip(&fresh.arcs) {
+        let base = first_row + own.start as u32;
+        for (o, f) in arcs[span].iter().zip(&fresh.arcs) {
             if o.from != f.from
                 || o.to != f.to
                 || o.kind != f.kind
@@ -547,7 +1021,7 @@ pub(crate) fn splice_roots(
                 return Err(());
             }
         }
-        let old = &mut graph.delays[rows];
+        let old = &mut rows[own];
         row_changed.clear();
         row_changed.extend(
             old.iter()
@@ -559,13 +1033,19 @@ pub(crate) fn splice_roots(
                 .arcs
                 .iter()
                 .filter(|f| row_changed[f.delay as usize])
-                .map(|f| f.to.index() as u32),
+                .map(|f| (k, f.to.index() as u32)),
         );
         old.copy_from_slice(&fresh.delays);
     }
-    changed.sort_unstable();
-    changed.dedup();
     Ok(changed)
+}
+
+/// The node indices of `changed` pairs, sorted and deduplicated.
+pub(crate) fn changed_targets(changed: impl Iterator<Item = (u32, u32)>) -> Vec<u32> {
+    let mut targets: Vec<u32> = changed.map(|(_, t)| t).collect();
+    targets.sort_unstable();
+    targets.dedup();
+    targets
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -579,14 +1059,13 @@ impl<'a> GraphBuilder<'a> {
     /// device: a device read by a root always has a channel terminal in
     /// this set.
     ///
-    /// Returned as an inverted CSR index `(starts, root_ordinals)` over
-    /// node indices: the roots reading node `i` are
-    /// `root_ordinals[starts[i] as usize..starts[i + 1] as usize]`.
+    /// Returned as an inverted CSR index over node indices, with
+    /// ordinals into `roots`.
     pub(crate) fn extents(
         &self,
         roots: &[(NodeId, RootKind)],
         scratch: &mut BuildScratch,
-    ) -> (Vec<u32>, Vec<u32>) {
+    ) -> Extents {
         let nl = self.netlist;
         let mut pairs: Vec<(u32, u32)> = Vec::new(); // (node index, root ordinal)
         let mut ext: Vec<NodeId> = Vec::new();
@@ -637,7 +1116,10 @@ impl<'a> GraphBuilder<'a> {
             ordinals[*c as usize] = ordinal;
             *c += 1;
         }
-        (starts, ordinals)
+        Extents {
+            starts,
+            roots: ordinals,
+        }
     }
 }
 
@@ -720,6 +1202,11 @@ pub(crate) struct BuildScratch {
     pub(crate) inputs: Vec<StageInput>,
     /// Work stack for the pull-down input scan.
     frontier: Vec<NodeId>,
+    /// Trace, pin and table buffers of a root built alone
+    /// (`macromodel::build_root`).
+    pub(crate) canon: Vec<u64>,
+    pub(crate) pins: Vec<NodeId>,
+    pub(crate) table: MacroTable,
 }
 
 impl BuildScratch {
@@ -1020,6 +1507,48 @@ pub(crate) fn stage_inputs_into(
             }
         }
     }
+}
+
+/// Asserts that `g` reads exactly as `lone`, a lone build of the same
+/// case: the same arc count, every node's in- and out-list with the same
+/// `(from, to, kind, inverting, row words)` sequence, the same arc
+/// sequence in case order, and the same schedule.
+#[cfg(test)]
+pub(crate) fn assert_reads_as(g: &impl ArcGraph, lone: &TimingGraph, what: &str) {
+    type Read = (NodeId, NodeId, ArcKind, bool, [u64; 4]);
+    fn read(g: &impl ArcGraph, ids: impl Iterator<Item = u32>) -> Vec<Read> {
+        ids.map(|ai| {
+            let a = g.arc(ai);
+            (a.from, a.to, a.kind, a.inverting, g.delay_of(a).words())
+        })
+        .collect()
+    }
+    assert_eq!(g.arc_count(), lone.arc_count(), "{what}: arc count");
+    assert_eq!(g.node_count(), lone.node_count(), "{what}: node count");
+    for i in 0..lone.node_count() {
+        assert_eq!(g.in_degree(i), lone.in_arcs_of_index(i).len(), "{what}");
+        assert_eq!(
+            read(g, g.in_arcs(i)),
+            read(lone, ArcGraph::in_arcs(lone, i)),
+            "{what}: in-arcs of node {i}"
+        );
+        assert_eq!(
+            read(g, g.out_arcs(i)),
+            read(lone, ArcGraph::out_arcs(lone, i)),
+            "{what}: out-arcs of node {i}"
+        );
+    }
+    let seq = |a: &Arc, w: &ArcDelay| (a.from, a.to, a.kind, a.inverting, w.words());
+    assert!(
+        g.arcs_in_order()
+            .map(|a| seq(a, g.delay_of(a)))
+            .eq(lone.arcs.iter().map(|a| seq(a, lone.delay_of(a)))),
+        "{what}: arcs in case order"
+    );
+    let (s, t) = (g.schedule(), &lone.schedule);
+    assert_eq!(s.order, t.order, "{what}: schedule order");
+    assert_eq!(s.level_starts, t.level_starts, "{what}: level starts");
+    assert_eq!(s.residue, t.residue, "{what}: residue");
 }
 
 #[cfg(test)]
@@ -1446,28 +1975,25 @@ mod tests {
         let mut scratch = BuildScratch::new(nl.node_count());
         // Splices root `k` against row spans bent by `bend`.
         let mut splice_with = |k: usize, bend: &dyn Fn(&mut Vec<u32>)| {
-            let (sb, _) = build(&builder, 1.0, 2, Share::Off, None).unwrap();
+            let (sb, _) = build(&builder, 1.0, 2, Share::Off, None);
             let mut graph = sb.graph;
             let mut spans = sb.spans.expect("clean build records spans");
             bend(&mut spans.rows);
-            let index = SpliceIndex {
-                spans,
-                extent_starts: Vec::new(),
-                extent_roots: Vec::new(),
-            };
             let before = graph.delays.clone();
             let out = splice_roots(
-                &mut graph,
+                &graph.arcs,
+                &mut graph.delays,
+                0,
                 &builder,
                 1.0,
                 &sb.roots,
-                &index,
+                &spans,
                 &[k as u32],
                 &mut scratch,
             );
             (out, before == graph.delays)
         };
-        let (sb, _) = build(&builder, 1.0, 1, Share::Off, None).unwrap();
+        let (sb, _) = build(&builder, 1.0, 1, Share::Off, None);
         let rows = sb.spans.expect("clean build records spans").rows;
         let k = (0..sb.roots.len())
             .find(|&k| rows[k + 1] - rows[k] >= 2)

@@ -20,7 +20,7 @@ use tv_clocks::latch::Latch;
 use tv_netlist::{Netlist, NodeId};
 use tv_rc::SlopeModel;
 
-use crate::graph::TimingGraph;
+use crate::graph::{ArcGraph, TimingGraph};
 use crate::propagate::{early_through, propagate_full, Arrivals, Guards, Workspace};
 
 /// A same-phase race-through hazard.
@@ -82,7 +82,7 @@ pub(crate) fn phase_storages(latches: &[Latch], phase: u8) -> Vec<NodeId> {
 /// potential victim, so its racing arrival is the minimum over its
 /// *incoming* arcs.
 pub(crate) fn races(
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
     arrivals: &Arrivals,
     storages: &[NodeId],
 ) -> Vec<RaceHazard> {
@@ -90,10 +90,9 @@ pub(crate) fn races(
         .iter()
         .filter_map(|&s| {
             let m = graph
-                .in_arcs_of(s)
-                .iter()
-                .map(|&ai| {
-                    let arc = &graph.arcs[ai as usize];
+                .in_arcs(s.index())
+                .map(|ai| {
+                    let arc = graph.arc(ai);
                     early_through(arrivals.early[arc.from.index()], graph.delay_of(arc))
                 })
                 .fold(f64::INFINITY, f64::min);

@@ -71,7 +71,7 @@ pub use analyzer::{
 pub use checks::{check_electrical, CheckIssue};
 pub use error::TvError;
 pub use fingerprint::{flow_fingerprint, report_fingerprint, Fnv};
-pub use graph::{Arc, ArcDelay, ArcKind, LevelSchedule, PhaseCase, TimingGraph};
+pub use graph::{Arc, ArcDelay, ArcGraph, ArcKind, LevelSchedule, PhaseCase, TimingGraph};
 pub use hold::{race_check, RaceHazard};
 pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};

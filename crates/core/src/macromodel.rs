@@ -38,15 +38,17 @@
 //! a pass device its walk crosses, or a precharge device on its channel,
 //! is gated by a node qualified to phase `q`. A root whose mask has no
 //! bit but `p` is *invariant* in case `p` — its walk, trace, pins and
-//! arcs there are its all-active ones — so the all-active build leaves a
-//! `CaseShare` (masks, partition, pin tables, master traces and
-//! tables), and a phase build signs only the roots its phase can change.
-//! A phase that changes no root is an **alias**: its graph is the
-//! all-active graph, and nothing is built for it (DESIGN.md §16).
+//! arcs there are its all-active ones. So the all-active build leaves a
+//! `CaseShare` (masks, partition, master traces and tables), and a phase
+//! case is built as a **view** over the all-active graph
+//! (`build_view`): it signs and emits only the roots its phase
+//! replaces, and reads every invariant root's arcs in place. A phase
+//! that replaces no root is the empty view (DESIGN.md §10, §16).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::mem::take;
 use std::ops::Range;
 
 use tv_clocks::qualify::Qualification;
@@ -59,7 +61,8 @@ use crate::fingerprint::mix64;
 use crate::graph::{
     degraded_build_note, finish_graph, graph_build_fault_point, pull_down_resistance_with,
     pull_up_resistance, stage_inputs_into, Arc, ArcBuf, ArcDelay, ArcKind, BuildScratch,
-    GraphBuilder, RootKind, RootSpans, SpannedBuild, StageInputKind, PAR_MIN_ROOTS,
+    GraphBuilder, PhaseView, RootKind, RootSpans, SpannedBuild, StageInputKind, TimingGraph,
+    PAR_MIN_ROOTS,
 };
 use crate::options::DelayModel;
 
@@ -85,12 +88,6 @@ impl Extraction {
     /// Number of equivalence classes at extraction time.
     pub fn classes(&self) -> usize {
         self.classes
-    }
-
-    /// Tables emitted from a master trace: one per class at extraction
-    /// time, so always [`Extraction::classes`].
-    pub fn analyzed(&self) -> u64 {
-        self.classes as u64
     }
 
     /// Roots emitted by instancing a shared macromodel.
@@ -493,7 +490,9 @@ pub(crate) fn emit_trace(
 
 /// Builds one root alone into `buf`: signs it, emits its table from the
 /// trace, and instances the table on its pins — the arcs and rows a
-/// class build gives the root. Degraded emission and splices use it.
+/// class build gives the root. Degraded emission and splices use it;
+/// the trace, pins and table buffers are the scratch's, so a splice of
+/// many roots allocates them once.
 pub(crate) fn build_root(
     b: &GraphBuilder<'_>,
     root: &(NodeId, RootKind),
@@ -501,10 +500,14 @@ pub(crate) fn build_root(
     buf: &mut ArcBuf,
     scratch: &mut BuildScratch,
 ) {
-    let (mut canon, mut pins, mut table) = (Vec::new(), Vec::new(), MacroTable::default());
+    let (mut canon, mut pins) = (take(&mut scratch.canon), take(&mut scratch.pins));
+    let mut table = take(&mut scratch.table);
+    canon.clear();
+    pins.clear();
     root_canon(b, root, scratch, &mut canon, &mut pins);
     emit_trace(b, source_resistance, &canon, &mut table);
     table.instance(&pins, buf);
+    (scratch.canon, scratch.pins, scratch.table) = (canon, pins, table);
 }
 
 /// The class-lookup hash of a canonical trace. Every root pays it, and
@@ -678,38 +681,46 @@ impl Lookup {
 }
 
 /// What the all-active build of a clocked design leaves for the phase
-/// builds of the same analysis (see the module docs): the part of the
-/// all-active partition they read ([`Kept`]). A phase build reads the
-/// classes, pins and tables of the roots it does not re-sign, and looks
-/// the traces of the roots it does re-sign up against the kept classes
-/// first.
+/// views of the same analysis (see the module docs): the part of the
+/// all-active partition they read ([`Kept`]). A phase view reads the
+/// classes of the roots it does not replace, and looks the traces of the
+/// roots it does replace up against the kept classes first.
 #[derive(Default)]
 pub(crate) struct CaseShare {
     /// Case mask per root ordinal.
     masks: Vec<u8>,
-    /// Roots each phase case can change: `sensitive[p]` counts the roots
+    /// Roots each phase case replaces: `sensitive[p]` counts the roots
     /// whose mask has a bit other than `p`'s.
     sensitive: [usize; 2],
     /// The all-active extraction's `macro.*` counts (classes, instanced),
-    /// which an aliasing case reports as its own.
+    /// which an empty view reports as its own.
     counts: [u64; 2],
     /// The build roots, which do not depend on the case.
     roots: Vec<(NodeId, RootKind)>,
-    /// Kept class per root ordinal, `u32::MAX` for a root no phase build
-    /// reads from the share (its pin span is empty).
+    /// Kept class per root ordinal, `u32::MAX` for a root no phase view
+    /// reads from the share.
     class_of: Vec<u32>,
-    pins: Vec<NodeId>,
-    pin_starts: Vec<u32>,
     /// Lookup and tables of the kept classes.
     lookup: Lookup,
     tables: Vec<MacroTable>,
 }
 
 impl CaseShare {
-    /// Whether phase case `p` changes no root, so that its graph is the
-    /// all-active graph arc for arc and row for row.
-    pub(crate) fn aliases(&self, p: u8) -> bool {
+    /// Whether phase case `p` replaces no root, so that its view is
+    /// empty.
+    pub(crate) fn replaces_none(&self, p: u8) -> bool {
         self.sensitive[p.min(1) as usize] == 0
+    }
+
+    /// The root ordinals phase case `p` replaces, ascending.
+    pub(crate) fn replaced(&self, p: u8) -> Vec<u32> {
+        let b = Base {
+            share: self,
+            phase: p,
+        };
+        (0..self.masks.len() as u32)
+            .filter(|&r| !b.invariant(r as usize))
+            .collect()
     }
 }
 
@@ -728,14 +739,14 @@ impl Base<'_> {
 }
 
 /// What an all-active build that leaves a share keeps past grouping. A
-/// phase build reads the share's classes, pins and tables only for the
-/// roots invariant in it, and a re-signed root only needs to find a
-/// class holding such a root: joining any other class is the same as
-/// minting it anew, since the partition, the renumbered ids and the
-/// table (a function of the trace) come out equal. So the share keeps
-/// the roots invariant in some phase that does not alias, and their
-/// classes, renumbered in class order (so a share that keeps every class
-/// keeps the build's ids and lookup as they are).
+/// phase view reads the share's classes only for the roots invariant in
+/// it, and a replaced root only needs to find a class holding such a
+/// root: joining any other class is the same as minting it anew, since
+/// the partition, the renumbered ids and the table (a function of the
+/// trace) come out equal. So the share keeps the roots invariant in some
+/// phase whose view is not empty, and their classes, renumbered in class
+/// order (so a share that keeps every class keeps the build's ids and
+/// lookup as they are).
 struct Kept {
     masks: Vec<u8>,
     sensitive: [usize; 2],
@@ -778,57 +789,43 @@ impl Kept {
         kept
     }
 
-    /// Whether some phase build reads root `ri` from the share.
+    /// Whether some phase view reads root `ri` from the share.
     fn reads(&self, ri: usize) -> bool {
         let m = self.masks[ri];
         (0..2u8).any(|p| self.sensitive[p as usize] > 0 && m & !phase_bit(p) == 0)
     }
 
-    /// The share: the kept roots' classes and pin tables out of the
-    /// build's (the pin tables compacted in place), the kept classes'
-    /// tables, and the extraction's `counts`. `None` if the kept pin
-    /// tables outgrow 32-bit offsets: the phase cases then build alone.
+    /// The share: the kept roots' classes out of the build's, the kept
+    /// classes' tables, and the extraction's `counts`.
     fn into_share(
         self,
         counts: [u64; 2],
         roots: &[(NodeId, RootKind)],
         class_of: &[u32],
-        mut pins: Vec<NodeId>,
-        pin_starts: &[usize],
         tables: Vec<Cow<'_, MacroTable>>,
-    ) -> Option<CaseShare> {
-        let mut kept_tables: Vec<Option<MacroTable>> = (0..self.classes).map(|_| None).collect();
-        for (c, t) in tables.into_iter().enumerate() {
-            if let Some(slot) = kept_tables.get_mut(self.class[c] as usize) {
-                *slot = Some(t.into_owned());
-            }
-        }
-        let mut share = CaseShare {
+    ) -> CaseShare {
+        // Kept ids follow class order, so the kept tables do too.
+        let tables = tables
+            .into_iter()
+            .zip(&self.class)
+            .filter(|&(_, &k)| k != u32::MAX)
+            .map(|(t, _)| t.into_owned())
+            .collect();
+        let class_of = (0..roots.len())
+            .map(|ri| match self.reads(ri) {
+                true => self.class[class_of[ri] as usize],
+                false => u32::MAX,
+            })
+            .collect();
+        CaseShare {
+            masks: self.masks,
             sensitive: self.sensitive,
             counts,
             roots: roots.to_vec(),
-            class_of: vec![u32::MAX; roots.len()],
-            pin_starts: vec![0],
-            tables: kept_tables.into_iter().collect::<Option<_>>()?,
-            ..Default::default()
-        };
-        let mut end = 0;
-        for ri in 0..roots.len() {
-            if self.reads(ri) {
-                share.class_of[ri] = self.class[class_of[ri] as usize];
-                pins.copy_within(pin_starts[ri]..pin_starts[ri + 1], end);
-                end += pin_starts[ri + 1] - pin_starts[ri];
-            }
-            share.pin_starts.push(u32::try_from(end).ok()?);
+            class_of,
+            lookup: self.lookup,
+            tables,
         }
-        if end < pins.len() {
-            pins.truncate(end);
-            pins.shrink_to_fit();
-        }
-        share.pins = pins;
-        share.masks = self.masks;
-        share.lookup = self.lookup;
-        Some(share)
     }
 }
 
@@ -836,31 +833,22 @@ impl Kept {
 pub(crate) enum Share<'s> {
     /// A lone build: nothing shared.
     Off,
-    /// An all-active build followed by phase builds: a clean build leaves
+    /// An all-active build followed by phase views: a clean build leaves
     /// its [`CaseShare`] here.
     Leave(&'s mut Option<CaseShare>),
-    /// A phase build reading the all-active build's share.
-    Read(&'s CaseShare),
 }
 
-/// What a build produced: the case's own graph with its extraction
-/// (when clean), or `None` for a phase case that changes no root, whose
-/// graph is the all-active one.
-pub(crate) type Built = Option<(SpannedBuild, Option<Extraction>)>;
-
-/// What phases A–C learn: the class partition, every root's pin table,
-/// and one macromodel table per class. A phase build borrows the tables
-/// of the all-active classes it keeps, and the pin tables of its
-/// invariant roots, from the share.
+/// What phases A–C learn: the class partition, the pin tables of the
+/// roots signed, and one macromodel table per class. A phase view
+/// borrows the tables of the all-active classes it keeps from the share.
 struct Classes<'s> {
     class_of: Vec<u32>,
     class_len: Vec<u32>,
     /// Pin tables of the roots this build signed (invariant roots of a
-    /// phase build have empty spans and read the share's).
+    /// phase view have empty spans).
     pins: Vec<NodeId>,
     pin_starts: Vec<usize>,
     tables: Vec<Cow<'s, MacroTable>>,
-    base: Option<Base<'s>>,
     /// What an all-active build that leaves a share keeps.
     leave: Option<Kept>,
 }
@@ -868,13 +856,7 @@ struct Classes<'s> {
 impl Classes<'_> {
     /// Root `ri`'s pin table.
     fn pins_of(&self, ri: usize) -> &[NodeId] {
-        match self.base {
-            Some(b) if b.invariant(ri) => {
-                let s = b.share;
-                &s.pins[s.pin_starts[ri] as usize..s.pin_starts[ri + 1] as usize]
-            }
-            _ => &self.pins[self.pin_starts[ri]..self.pin_starts[ri + 1]],
-        }
+        &self.pins[self.pin_starts[ri]..self.pin_starts[ri + 1]]
     }
 
     /// Root `ri`'s class table.
@@ -904,15 +886,10 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
 /// classes, analyzes one master per class, instances the rest, and
 /// finishes a graph whose arc and row lists are bit-identical to a serial
 /// build of every root alone at any thread count. Returns the per-root arc
-/// and row spans (for splicing) and the [`Extraction`] partition (for
-/// de-sharing); both are `None` when a panic degraded the build.
-///
-/// A lone build passes `Share::Off`. In an analysis that builds several
-/// cases, the all-active build leaves a [`CaseShare`] (`Share::Leave`)
-/// and a phase build reads it (`Share::Read`). The graph, spans,
-/// partition and `macro.*` counters are those of a lone build of the
-/// case, except that a phase that changes no root returns `None` instead
-/// of a copy of the all-active graph.
+/// and row spans (for splicing and phase views) and the [`Extraction`]
+/// partition (for de-sharing); both are `None` when a panic degraded the
+/// build. An all-active build followed by phase views leaves a
+/// [`CaseShare`] (`Share::Leave`) when it is clean.
 ///
 /// Extraction (phases A–C) either completes or, on any panic, falls back
 /// to every root being its own class; emission (phase D) then builds
@@ -921,68 +898,46 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
 /// isolation: a root that panics again contributes no arcs and is
 /// reported in the graph's diagnostics. A panic on given inputs is
 /// deterministic, so the surviving arc list is the same at any thread
-/// count. An aliasing phase still crosses every root's fault hooks once,
-/// and a panic there degrades it exactly like a failed extraction.
+/// count.
 pub(crate) fn build(
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     jobs: usize,
     share: Share<'_>,
     fault: Fault<'_>,
-) -> Built {
+) -> (SpannedBuild, Option<Extraction>) {
     let nl = builder.netlist;
     let threads = jobs.max(1);
-    let read = match &share {
-        Share::Read(s) => Some(*s),
-        _ => None,
-    };
-    let base = read
-        .zip(builder.case.active)
-        .map(|(share, phase)| Base { share, phase });
-    let roots = base.map_or_else(|| builder.roots(), |b| b.share.roots.clone());
-    let classes = match base {
-        Some(b) if b.share.aliases(b.phase) => {
-            let crossed = tv_fault::isolated_map(vec![()], 1, |()| {
-                for r in &roots {
-                    if let Some(hook) = fault {
-                        hook(r.0);
-                    }
-                    graph_build_fault_point();
-                }
-            });
-            if crossed.iter().all(Result::is_ok) {
-                let [classes, instanced] = b.share.counts;
-                add_counts(classes, instanced);
-                // The alias: no graph of the case's own.
-                return None;
-            }
-            // A fault in the crossing degrades the case like a failed
-            // extraction.
-            None
-        }
-        _ => extract(
+    let roots = builder.roots();
+    let leave = matches!(share, Share::Leave(_));
+    let classes = {
+        let _s = tv_obs::span("graph.sign");
+        extract(
             builder,
             &roots,
             source_resistance,
             threads,
             fault,
-            base,
-            matches!(share, Share::Leave(_)),
-        ),
+            None,
+            leave,
+        )
     };
     if classes.is_none() {
         tv_obs::incr(tv_obs::Counter::FaultDegraded);
     }
-    let (buf, spans, diagnostics) = emit(
-        builder,
-        &roots,
-        classes.as_ref(),
-        source_resistance,
-        threads,
-        fault,
-    );
+    let (buf, spans, diagnostics) = {
+        let _s = tv_obs::span("graph.emit");
+        emit(
+            builder,
+            &roots,
+            classes.as_ref(),
+            source_resistance,
+            threads,
+            fault,
+        )
+    };
     // Consumed before `finish_graph`, so the pin tables never overlap
-    // the CSR arrays at peak — except the share's part of them.
+    // the CSR arrays at peak.
     let (extraction, left) = match classes.filter(|_| diagnostics.is_empty()) {
         Some(c) => {
             let (ex, left) = account(c, &roots);
@@ -993,20 +948,104 @@ pub(crate) fn build(
     if let Share::Leave(slot) = share {
         *slot = left;
     }
-    Some((
+    (
         SpannedBuild {
             graph: finish_graph(nl.node_count(), buf, builder.case, diagnostics),
             roots,
             spans: extraction.is_some().then_some(spans),
         },
         extraction,
-    ))
+    )
+}
+
+/// The view of phase case `builder.case` over `base`, the clean
+/// all-active graph that left `share`, with its root spans. Signs,
+/// groups and emits only the roots the phase replaces, then finishes the
+/// view's lists and schedule ([`PhaseView::new`]). The view's arcs,
+/// lists and schedule read as a lone build of the case, and the returned
+/// partition and `macro.*` counters are that build's too; an empty view
+/// returns no partition of its own (it is the all-active one).
+///
+/// Every root crosses the fault hooks once, replaced or not, so a fault
+/// plan counts the same hits as a lone build. `None` if any of it
+/// panicked: the caller then builds the case alone, which is the
+/// degraded path.
+pub(crate) fn build_view(
+    builder: &GraphBuilder<'_>,
+    source_resistance: f64,
+    jobs: usize,
+    (base, base_spans): (&TimingGraph, &RootSpans),
+    share: &CaseShare,
+    fault: Fault<'_>,
+) -> Option<(PhaseView, Option<Extraction>)> {
+    let _span = tv_obs::span("graph.view");
+    let phase = builder.case.active?;
+    let roots = &share.roots;
+    if share.replaces_none(phase) {
+        let crossed = tv_fault::isolated_map(vec![()], 1, |()| {
+            for r in roots {
+                if let Some(hook) = fault {
+                    hook(r.0);
+                }
+                graph_build_fault_point();
+            }
+        });
+        if crossed.iter().any(Result::is_err) {
+            tv_obs::incr(tv_obs::Counter::FaultDegraded);
+            return None;
+        }
+        let [classes, instanced] = share.counts;
+        add_counts(classes, instanced);
+        let empty = PhaseView::new(
+            builder.case,
+            base,
+            base_spans,
+            Vec::new(),
+            ArcBuf::default(),
+            RootSpans::new(),
+        );
+        return Some((empty, None));
+    }
+    let base_share = Base { share, phase };
+    let classes = {
+        let _s = tv_obs::span("graph.sign");
+        extract(
+            builder,
+            roots,
+            source_resistance,
+            jobs.max(1),
+            fault,
+            Some(base_share),
+            false,
+        )
+    };
+    let Some(classes) = classes else {
+        tv_obs::incr(tv_obs::Counter::FaultDegraded);
+        return None;
+    };
+    let replaced = share.replaced(phase);
+    let (own, spans) = {
+        let _s = tv_obs::span("graph.emit");
+        let mut own = ArcBuf::default();
+        let mut spans = RootSpans::new();
+        for &r in &replaced {
+            let r = r as usize;
+            classes.table(r).instance(classes.pins_of(r), &mut own);
+            spans.push(&own);
+        }
+        (own, spans)
+    };
+    let (extraction, _) = account(classes, roots);
+    let view = PhaseView::new(builder.case, base, base_spans, replaced, own, spans);
+    tv_obs::incr(tv_obs::Counter::GraphBuilds);
+    tv_obs::add(tv_obs::Counter::GraphArcs, view.arc_count() as u64);
+    Some((view, Some(extraction)))
 }
 
 /// Phases A–C: sign and group every root, then emit one pin-indexed
 /// table per class from its master trace. `None` if any of it panicked.
 ///
-/// A phase build (`base`) signs only the roots its phase can change. An
+/// A phase view (`base`) signs only the roots its phase replaces. An
 /// invariant root keeps its all-active class; a re-signed root joins the
 /// share's class with its trace if there is one, and a class of the
 /// build's own otherwise. Classes are then renumbered by first
@@ -1156,7 +1195,6 @@ fn extract<'s>(
         pins,
         pin_starts,
         tables,
-        base,
         leave,
     })
 }
@@ -1292,8 +1330,6 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
     let Classes {
         class_of,
         class_len,
-        pins,
-        pin_starts,
         tables,
         leave,
         ..
@@ -1307,8 +1343,7 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
         fp = mix64(fp, cid as u64);
     }
     let counts = [n_classes as u64, instanced];
-    let left =
-        leave.and_then(|kept| kept.into_share(counts, roots, &class_of, pins, &pin_starts, tables));
+    let left = leave.map(|kept| kept.into_share(counts, roots, &class_of, tables));
     let ex = Extraction {
         class_of,
         class_len,
@@ -1336,7 +1371,7 @@ mod tests {
     use tv_netlist::{Netlist, NetlistBuilder, Tech};
 
     fn lone_build(b: &GraphBuilder<'_>, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
-        build(b, 1.0, jobs, Share::Off, None).expect("a lone build never aliases")
+        build(b, 1.0, jobs, Share::Off, None)
     }
 
     fn spanned(nl: &Netlist, case: PhaseCase, jobs: usize) -> (SpannedBuild, Option<Extraction>) {
@@ -1460,9 +1495,9 @@ mod tests {
         ] {
             let ex = assert_hier_matches_flat(&mc.netlist, case);
             assert!(
-                ex.instanced() >= 2 * ex.analyzed(),
-                "3 identical cores must dedup heavily: analyzed {} instanced {}",
-                ex.analyzed(),
+                ex.instanced() >= 2 * ex.classes() as u64,
+                "3 identical cores must dedup heavily: classes {} instanced {}",
+                ex.classes(),
                 ex.instanced()
             );
         }
@@ -1514,7 +1549,7 @@ mod tests {
         let [rx, ry, rw] = [x, y, w].map(|n| ordinal(&roots, n));
         assert_eq!(ex.class_of[rx], ex.class_of[ry], "x and y share a class");
         assert_ne!(ex.class_of[rx], ex.class_of[rw], "w carries no load");
-        assert_eq!((ex.classes(), ex.analyzed(), ex.instanced()), (2, 2, 1));
+        assert_eq!((ex.classes(), ex.instanced()), (2, 1));
     }
 
     #[test]
@@ -1554,8 +1589,7 @@ mod tests {
         };
         let expected = flat_reference(&b, &bad);
         for jobs in [1usize, 2, 4, 8] {
-            let (sb, ex) =
-                build(&b, 1.0, jobs, Share::Off, Some(&hook)).expect("a lone build never aliases");
+            let (sb, ex) = build(&b, 1.0, jobs, Share::Off, Some(&hook));
             assert!(sb.spans.is_none() && ex.is_none(), "jobs {jobs}");
             assert_same_graph(&sb.graph, &expected, &format!("jobs {jobs}"));
             let errors = sb
@@ -1655,10 +1689,11 @@ mod tests {
         }
     }
 
-    /// Builds every case of `nl` at jobs 1/2/8 both through the case share
-    /// and alone, asserts that graph, spans and extraction agree (an
-    /// aliasing phase agreeing with the all-active build), and returns
-    /// the lone extractions `[all-active, φ1, φ2]` with the root list.
+    /// Builds every case of `nl` at jobs 1/2/8 both as a view over the
+    /// all-active build and alone, asserts that they read alike and
+    /// that their partitions agree (an empty view's being the all-active
+    /// one), and returns the lone extractions `[all-active, φ1, φ2]`
+    /// with the root list.
     fn shared_agrees_with_lone(nl: &Netlist) -> ([Extraction; 3], Vec<(NodeId, RootKind)>) {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
@@ -1671,34 +1706,37 @@ mod tests {
         for jobs in [1usize, 2, 8] {
             let mut share = None;
             let b = builder(nl, &flow, &qual, cases[0]);
-            let (comb, comb_ex) = build(&b, 1.0, jobs, Share::Leave(&mut share), None)
-                .expect("an all-active build never aliases");
+            let (comb, comb_ex) = build(&b, 1.0, jobs, Share::Leave(&mut share), None);
             let share = share.expect("a clean all-active build leaves a share");
+            let comb_spans = comb.spans.as_ref().expect("clean build records spans");
             let mut lone = Vec::new();
-            for (k, &case) in cases.iter().enumerate() {
+            for &case in &cases {
                 let what = format!("case {case:?} jobs {jobs}");
                 let b = builder(nl, &flow, &qual, case);
                 let (sb, ex) = lone_build(&b, jobs);
                 let ex = ex.expect("clean build must extract");
-                let (graph, spans, shared) = match k {
-                    0 => (&comb.graph, &comb.spans, comb_ex.as_ref()),
-                    _ => match build(&b, 1.0, jobs, Share::Read(&share), None) {
-                        None => (&comb.graph, &comb.spans, comb_ex.as_ref()),
-                        Some((psb, pex)) => {
-                            assert_same_graph(&psb.graph, &sb.graph, &what);
-                            let s = psb.spans.expect("clean build records spans");
-                            let t = sb.spans.as_ref().unwrap();
-                            assert_eq!((&s.arcs, &s.rows), (&t.arcs, &t.rows), "{what}");
-                            assert_eq!(pex.as_ref(), Some(&ex), "{what}");
-                            lone.push(ex);
-                            continue;
+                let mine = match case.active {
+                    None => {
+                        assert_same_graph(&comb.graph, &sb.graph, &what);
+                        assert_eq!(comb.spans, sb.spans, "{what}");
+                        comb_ex.as_ref()
+                    }
+                    Some(_) => {
+                        let (view, vex) =
+                            build_view(&b, 1.0, jobs, (&comb.graph, comb_spans), &share, None)
+                                .expect("a clean view");
+                        crate::graph::assert_reads_as(&view.on(&comb.graph), &sb.graph, &what);
+                        match vex {
+                            Some(vex) => {
+                                assert_eq!(vex, ex, "{what}");
+                                lone.push(ex);
+                                continue;
+                            }
+                            None => comb_ex.as_ref(),
                         }
-                    },
+                    }
                 };
-                assert_same_graph(graph, &sb.graph, &what);
-                let (s, t) = (spans.as_ref().unwrap(), sb.spans.as_ref().unwrap());
-                assert_eq!((&s.arcs, &s.rows), (&t.arcs, &t.rows), "{what}");
-                assert_eq!(shared, Some(&ex), "{what}");
+                assert_eq!(mine, Some(&ex), "{what}");
                 lone.push(ex);
             }
             last = Some((lone.try_into().ok().unwrap(), comb.roots));

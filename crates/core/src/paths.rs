@@ -2,7 +2,7 @@
 
 use tv_netlist::{Netlist, NodeId};
 
-use crate::graph::TimingGraph;
+use crate::graph::ArcGraph;
 use crate::propagate::{Arrivals, Edge, PhaseResult};
 
 /// One step of a timing path.
@@ -73,7 +73,7 @@ impl TimingPath {
 ///
 /// Returns `None` if that transition never happens in this case.
 pub fn backtrack(
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
     arrivals: &Arrivals,
     node: NodeId,
     edge: Edge,
@@ -99,13 +99,13 @@ pub fn backtrack(
         match pred {
             None => break, // reached a source
             Some(p) => {
-                let arc = &graph.arcs[p.arc as usize];
+                let arc = graph.arc(p.arc);
                 cur = arc.from;
                 cur_edge = p.from_edge;
             }
         }
         guard += 1;
-        if guard > graph.arcs.len() + 8 {
+        if guard > graph.arc_count() + 8 {
             // Only possible when propagation was cut off mid-cycle; the
             // partial path is still informative.
             break;
@@ -116,7 +116,7 @@ pub fn backtrack(
 }
 
 /// The `k` worst endpoint paths of a phase result, latest first.
-pub fn critical_paths(graph: &TimingGraph, result: &PhaseResult, k: usize) -> Vec<TimingPath> {
+pub fn critical_paths(graph: &impl ArcGraph, result: &PhaseResult, k: usize) -> Vec<TimingPath> {
     result
         .endpoints
         .iter()
@@ -131,7 +131,7 @@ pub fn critical_paths(graph: &TimingGraph, result: &PhaseResult, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PhaseCase;
+    use crate::graph::{PhaseCase, TimingGraph};
     use crate::options::DelayModel;
     use crate::propagate::propagate;
     use tv_clocks::qualify::qualify_with_flow;

@@ -38,11 +38,12 @@
 //! their fanout cone over the previous run's arrivals (the cone engine)
 //! instead of walking the whole graph.
 //!
-//! The cases share their build work too: a full all-active build leaves
-//! a case share for the phase builds of the same run, which re-sign only
-//! the roots their phase can change, and a phase that changes no root
-//! aliases the all-active graph slot — one build or splice, and one
-//! delta certificate, serve both cases (DESIGN.md §10, §16).
+//! The cases share their graphs too: a full all-active build leaves a
+//! case share, and each phase case is built as a **view** over the
+//! all-active graph that owns only the roots its phase replaces. A slot
+//! set holds one graph plus two views; a parametric splice rewrites an
+//! invariant root once, in the all-active graph, and a replaced root in
+//! the view that owns it (DESIGN.md §10, §16).
 //!
 //! Each case slot keeps its latest result with its critical paths and
 //! races, so an unchanged case — cyclic or not — is served without a
@@ -75,10 +76,11 @@ use crate::checks::{check_electrical, CheckIssue};
 use crate::error::TvError;
 use crate::fingerprint::{flow_fingerprint, hash_words, mix64, PhaseParts, ReportParts};
 use crate::graph::{
-    splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpliceIndex, TimingGraph,
+    changed_targets, splice_roots, ArcGraph, BuildScratch, Extents, GraphBuilder, PhaseCase,
+    PhaseView, RootKind, RootSpans, TimingGraph,
 };
 use crate::hold::RaceHazard;
-use crate::macromodel::{build, CaseShare, Extraction, Share};
+use crate::macromodel::{build, build_view, CaseShare, Extraction, Share};
 use crate::options::AnalysisOptions;
 use crate::paths::{backtrack, critical_paths, TimingPath};
 use crate::propagate::{
@@ -200,9 +202,9 @@ pub enum PassOutcome {
         /// Number of nodes the cone re-relaxed.
         recomputed: usize,
     },
-    /// Extract and graph passes of a phase case only: the case changes no
-    /// build root, so it reads the all-active graph — nothing was
-    /// extracted, emitted or finished for it.
+    /// Extract and graph passes of a phase case only: the case replaces
+    /// no build root, so its view is empty and reads the all-active
+    /// graph — nothing was extracted, emitted or finished for it.
     Shared,
 }
 
@@ -266,7 +268,9 @@ struct FlowOutput {
     diagnostics: Vec<Diagnostic>,
 }
 
-/// A cached timing graph for one case.
+/// A cached timing graph: the all-active case's, or a phase case's
+/// built alone (when no all-active share was at hand, or its view build
+/// degraded).
 struct GraphSlot {
     input_fp: u64,
     /// Like `input_fp` but excluding the geometry and capacitance
@@ -277,39 +281,57 @@ struct GraphSlot {
     /// here yields exactly the edits the graph has not absorbed.
     built_revision: Revision,
     graph: TimingGraph,
-    roots: Vec<(tv_netlist::NodeId, RootKind)>,
-    /// `None` when spans were not recorded (one-shot mode, or a build
-    /// worker panicked) — such a slot always rebuilds in full.
-    splice: Option<SpliceIndex>,
+    roots: Vec<(NodeId, RootKind)>,
+    /// Per-root arc and row spans; `None` when a build worker panicked.
+    /// Such a slot always rebuilds in full and serves no view.
+    spans: Option<RootSpans>,
+    /// The per-node extent index for splicing; `None` in one-shot mode.
+    extents: Option<Extents>,
     /// The macromodel class partition from the build, used to de-share
     /// instanced stages a parametric edit touches. `None` when the
-    /// build degraded to per-root builds or spans were not recorded.
+    /// build degraded to per-root builds or in one-shot mode.
     extraction: Option<Extraction>,
 }
 
-/// A case's graph: its own, or — for a phase case that changes no build
-/// root — the all-active graph, which it then reads arc for arc.
-enum CaseGraph {
-    Own(Box<GraphSlot>),
-    /// The fingerprints the alias was last confirmed under. It holds
-    /// while `shape_fp` does: whether a root can change under a case
-    /// depends only on topology, flow and qualification.
-    Alias {
-        input_fp: u64,
-        shape_fp: u64,
-    },
+/// A phase case's view over the all-active graph slot.
+struct ViewSlot {
+    input_fp: u64,
+    shape_fp: u64,
+    built_revision: Revision,
+    /// The all-active graph fingerprint the view's invariant arcs
+    /// reflect: the view holds while the all-active graph moves on from
+    /// here by reuse, revalidation or splice.
+    base_fp: u64,
+    view: PhaseView,
+    /// The replaced roots with their extents under the phase, for
+    /// splicing; `None` in one-shot mode.
+    splice: Option<(Vec<(NodeId, RootKind)>, Extents)>,
+    /// The phase's class partition; `None` for the empty view, whose
+    /// partition is the all-active one.
+    extraction: Option<Extraction>,
 }
 
-/// The graph slot case `k` reads: its own, or the all-active slot it
-/// aliases.
-fn case_graph(graphs: &[Option<CaseGraph>; 3], k: usize) -> Option<&GraphSlot> {
-    let k = match graphs[k].as_ref()? {
-        CaseGraph::Own(_) => k,
-        CaseGraph::Alias { .. } => case_slot(None),
-    };
-    match graphs[k].as_ref()? {
+/// A case's graph: the all-active graph or a phase built alone, or a
+/// phase view over the all-active graph.
+enum CaseGraph {
+    Own(Box<GraphSlot>),
+    View(Box<ViewSlot>),
+}
+
+impl CaseGraph {
+    fn input_fp(&self) -> u64 {
+        match self {
+            CaseGraph::Own(s) => s.input_fp,
+            CaseGraph::View(v) => v.input_fp,
+        }
+    }
+}
+
+/// The all-active slot, when it holds a graph.
+fn comb_graph(graphs: &[Option<CaseGraph>; 3]) -> Option<&GraphSlot> {
+    match graphs[case_slot(None)].as_ref()? {
         CaseGraph::Own(s) => Some(s),
-        CaseGraph::Alias { .. } => None,
+        CaseGraph::View(_) => None,
     }
 }
 
@@ -344,8 +366,7 @@ impl CaseSlot {
 }
 
 /// What the graph pass certifies about a case's arcs, handed to the
-/// arrival pass. An aliasing phase case is handed the all-active case's
-/// delta: one build or splice serves both.
+/// arrival pass (and, for the all-active case, to the phase views).
 struct CaseDelta {
     /// Graph-pass input fingerprint the arcs currently reflect.
     graph_fp: u64,
@@ -356,6 +377,30 @@ struct CaseDelta {
     /// structure, sources and endpoints are unchanged across that step.
     /// `None` means a full rebuild — nothing is certified.
     since: Option<(u64, Vec<u32>)>,
+    /// The splice's changed targets by root, `(root ordinal, node
+    /// index)`: a phase view takes those of the roots it does not
+    /// replace.
+    by_root: Vec<(u32, u32)>,
+}
+
+impl CaseDelta {
+    /// The certificate of a full rebuild.
+    fn rebuilt(graph_fp: u64) -> Self {
+        CaseDelta {
+            graph_fp,
+            since: None,
+            by_root: Vec::new(),
+        }
+    }
+
+    /// The certificate of a step from `prev` that changed `changed`.
+    fn moved(graph_fp: u64, prev: u64, changed: Vec<(u32, u32)>) -> Self {
+        CaseDelta {
+            graph_fp,
+            since: Some((prev, changed_targets(changed.iter().copied()))),
+            by_root: changed,
+        }
+    }
 }
 
 /// Demand-driven pass manager over a [`Design`].
@@ -380,8 +425,8 @@ pub struct PassManager {
     flow: Option<Slot<FlowOutput>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
-    /// Graph slots: `[comb, phase 0, phase 1]`. A phase slot may alias
-    /// the comb slot.
+    /// Graph slots: `[comb, phase 0, phase 1]`. A phase slot is normally
+    /// a view over the comb slot's graph.
     graphs: [Option<CaseGraph>; 3],
     /// Case results, indexed like `graphs`.
     cases: [Option<CaseSlot>; 3],
@@ -496,7 +541,7 @@ impl PassManager {
     ) -> Option<TimingPath> {
         let nl = design.netlist();
         if self.current == Some((design.stamp(), options_fp(options))) {
-            if let Some(slot) = case_graph(&self.graphs, case_slot(None)) {
+            if let Some(slot) = comb_graph(&self.graphs) {
                 return point_to_point(
                     nl,
                     &slot.graph,
@@ -540,10 +585,7 @@ impl PassManager {
             PassId::Qualify => self.qual.as_ref().map(|s| s.output_fp),
             PassId::Latches => self.latches.as_ref().map(|s| s.output_fp),
             PassId::Extract(c) => self.extraction(c).map(|e| e.fingerprint()),
-            PassId::Graph(c) => self.graphs[case_slot(c)].as_ref().map(|g| match g {
-                CaseGraph::Own(s) => s.input_fp,
-                CaseGraph::Alias { input_fp, .. } => *input_fp,
-            }),
+            PassId::Graph(c) => self.graphs[case_slot(c)].as_ref().map(CaseGraph::input_fp),
             PassId::Arrivals(_) => None,
             PassId::Checks => self.checks.as_ref().map(|s| s.input_fp),
         }
@@ -551,10 +593,14 @@ impl PassManager {
 
     /// The macromodel extraction for a case's cached graph, if the most
     /// recent build extracted one (`None` in one-shot mode or after a
-    /// degraded build). A case aliasing the all-active graph has the
-    /// all-active partition.
+    /// degraded build). A phase whose view is empty has the all-active
+    /// partition.
     pub fn extraction(&self, case: Option<u8>) -> Option<&Extraction> {
-        case_graph(&self.graphs, case_slot(case)).and_then(|s| s.extraction.as_ref())
+        match self.graphs[case_slot(case)].as_ref()? {
+            CaseGraph::Own(s) => s.extraction.as_ref(),
+            CaseGraph::View(v) if v.view.is_empty() => self.extraction(None),
+            CaseGraph::View(v) => v.extraction.as_ref(),
+        }
     }
 
     /// Runs the passes and assembles the owned report: the session path
@@ -657,98 +703,144 @@ impl PassManager {
         // flow.
         let mut share: Option<CaseShare> = None;
         // The all-active delta while the all-active graph is clean and
-        // kept, so that a phase case may read it.
+        // kept, so that a phase view may read it.
         let mut comb: Option<CaseDelta> = None;
+        let run = GraphRun {
+            warm: self.warm,
+            nl,
+            flow,
+            qual,
+            stamp,
+            design,
+            options,
+            flow_fp,
+            qual_fp,
+            jobs,
+        };
 
         // --- cases: all-active, then each phase under case analysis ---
         let cases = case_list(nl, options);
         for (i, &active) in cases.iter().enumerate() {
             let k = case_slot(active);
-            let cross = match active {
-                None if cases.len() > 1 => Share::Leave(&mut share),
-                Some(p) => match &share {
-                    Some(s) if comb.is_some() || !s.aliases(p) => Share::Read(s),
-                    _ => Share::Off,
-                },
-                None => Share::Off,
-            };
-            let own = graph_pass(
-                &mut self.graphs[k],
-                &mut self.trace,
-                &mut self.scratch,
-                self.warm,
-                nl,
-                flow,
-                qual,
-                PhaseCase { active },
-                stamp,
-                design,
-                options,
-                flow_fp,
-                qual_fp,
-                jobs,
-                cross,
-                comb.is_some(),
-            );
-            let delta = match &own {
-                Some(delta) => delta,
-                None => comb
-                    .as_ref()
-                    .ok_or(internal("a case aliases no clean all-active graph"))?,
+            let case = PhaseCase { active };
+            let delta = match active {
+                None => {
+                    let cross = match cases.len() {
+                        1 => Share::Off,
+                        _ => Share::Leave(&mut share),
+                    };
+                    let slot = &mut self.graphs[k];
+                    graph_pass(slot, &mut self.trace, &mut self.scratch, &run, case, cross)
+                }
+                Some(_) => {
+                    let (head, tail) = self.graphs.split_at_mut(1);
+                    let base = match (&head[0], &comb) {
+                        (Some(CaseGraph::Own(s)), Some(d)) => Some((&**s, d)),
+                        _ => None,
+                    };
+                    let slot = &mut tail[k - 1];
+                    let trace = &mut self.trace;
+                    phase_pass(slot, trace, &mut self.scratch, &run, case, base, &share)
+                }
             };
             // The last graph pass is the share's last reader: free it
             // before the case's arrivals allocate.
             if i + 1 == cases.len() {
                 share = None;
             }
-            let graph = &case_graph(&self.graphs, k)
-                .ok_or(internal("graph pass left no case slot"))?
-                .graph;
-            let clean = graph.diagnostics.is_empty();
-            // The arc limit is checked on the combinational graph, before
-            // any arrival work.
-            let limit = options
-                .max_arcs
-                .filter(|_| enforce_limits && active.is_none());
-            if let Some(limit) = limit {
-                let count = graph.arc_count();
-                if count > limit {
-                    return Err(TvError::TooLarge {
-                        what: "arcs",
-                        count,
-                        limit,
-                    });
+            let slot = self.graphs[k]
+                .as_ref()
+                .ok_or(internal("graph pass left no case slot"))?;
+            let mut clean = true;
+            let outcome = match slot {
+                CaseGraph::Own(s) => {
+                    let graph = &s.graph;
+                    clean = graph.diagnostics.is_empty();
+                    // The arc limit is checked on the combinational
+                    // graph, before any arrival work.
+                    let limit = options
+                        .max_arcs
+                        .filter(|_| enforce_limits && active.is_none());
+                    if let Some(limit) = limit {
+                        let count = graph.arc_count();
+                        if count > limit {
+                            return Err(TvError::TooLarge {
+                                what: "arcs",
+                                count,
+                                limit,
+                            });
+                        }
+                    }
+                    case_pass(
+                        &mut self.cases[k],
+                        self.warm,
+                        &mut self.workspace,
+                        nl,
+                        active,
+                        graph,
+                        &graph.diagnostics,
+                        latches,
+                        options,
+                        opts_fp,
+                        jobs,
+                        guards,
+                        &delta,
+                    )
                 }
-            }
-            let outcome = case_pass(
-                &mut self.cases[k],
-                self.warm,
-                &mut self.workspace,
-                nl,
-                active,
-                graph,
-                latches,
-                options,
-                opts_fp,
-                jobs,
-                guards,
-                delta,
-            );
+                // An empty view reads exactly the all-active graph, so
+                // its case walks that graph directly.
+                CaseGraph::View(v) if v.view.is_empty() => {
+                    let base = comb_graph(&self.graphs)
+                        .ok_or(internal("a view outlived its all-active graph"))?;
+                    case_pass(
+                        &mut self.cases[k],
+                        self.warm,
+                        &mut self.workspace,
+                        nl,
+                        active,
+                        &base.graph,
+                        &[],
+                        latches,
+                        options,
+                        opts_fp,
+                        jobs,
+                        guards,
+                        &delta,
+                    )
+                }
+                CaseGraph::View(v) => {
+                    let base = comb_graph(&self.graphs)
+                        .ok_or(internal("a view outlived its all-active graph"))?;
+                    case_pass(
+                        &mut self.cases[k],
+                        self.warm,
+                        &mut self.workspace,
+                        nl,
+                        active,
+                        &v.view.on(&base.graph),
+                        &[],
+                        latches,
+                        options,
+                        opts_fp,
+                        jobs,
+                        guards,
+                        &delta,
+                    )
+                }
+            };
             self.trace.push(PassEvent {
                 pass: PassId::Arrivals(active),
                 outcome,
             });
             if active.is_none() && clean {
-                comb = own;
+                comb = Some(delta);
             }
             // A one-shot run never reads a case's graph again once its
             // arrivals, paths and races are done: free it before the
-            // next case builds, so at most one case graph is alive at a
-            // time. The all-active graph stays only to serve the next
-            // case as an alias.
+            // next case builds. The all-active graph stays while a
+            // later phase may be built as a view over it.
             if !self.warm {
-                let next = cases.get(i + 1).copied().flatten();
-                let keep = next.zip(share.as_ref()).is_some_and(|(p, s)| s.aliases(p));
+                let keep = share.is_some();
                 for (j, g) in self.graphs.iter_mut().enumerate() {
                     if j != case_slot(None) || !keep {
                         *g = None;
@@ -1028,28 +1120,30 @@ pub(crate) fn path_query_cold(
         workspace,
         ..
     } = &mut pm;
-    let k = case_slot(None);
-    graph_pass(
-        &mut graphs[k],
-        trace,
-        scratch,
-        false,
+    let run = GraphRun {
+        warm: false,
         nl,
-        &flow.as_ref()?.value.analysis,
-        &qual.as_ref()?.value,
-        PhaseCase::all_active(),
+        flow: &flow.as_ref()?.value.analysis,
+        qual: &qual.as_ref()?.value,
         stamp,
-        None,
+        design: None,
         options,
         flow_fp,
         qual_fp,
-        options.effective_jobs(),
+        jobs: options.effective_jobs(),
+    };
+    let slot = &mut graphs[case_slot(None)];
+    graph_pass(
+        slot,
+        trace,
+        scratch,
+        &run,
+        PhaseCase::all_active(),
         Share::Off,
-        false,
     );
     point_to_point(
         nl,
-        &case_graph(graphs, k)?.graph,
+        &comb_graph(graphs)?.graph,
         from,
         to,
         &options.slope,
@@ -1101,13 +1195,80 @@ fn flow_pass(nl: &Netlist, stamp: DesignStamp, options: &AnalysisOptions) -> Slo
     }
 }
 
-/// The graph pass for one case: reuse on a clean input fingerprint,
-/// splice on a parametric-only delta (matching shape, recorded spans,
-/// clean diagnostics, node-granular dirty set), full rebuild otherwise.
-/// A phase case that aliases the all-active graph (`alias_ok`: that
-/// graph is clean and kept) keeps the alias while its shape holds. A
-/// full build takes part in the case share as `share` says, and a phase
-/// build that finds no root its phase can change becomes an alias.
+/// What every graph pass of one run reads.
+struct GraphRun<'a> {
+    /// Whether builds record extents for splicing (a session manager).
+    warm: bool,
+    nl: &'a Netlist,
+    flow: &'a FlowAnalysis,
+    qual: &'a [Qualification],
+    stamp: DesignStamp,
+    /// The design, which enables dirty-set queries for splicing.
+    design: Option<&'a Design>,
+    options: &'a AnalysisOptions,
+    flow_fp: u64,
+    qual_fp: u64,
+    jobs: usize,
+}
+
+impl GraphRun<'_> {
+    /// The graph builder of `case`.
+    fn builder(&self, case: PhaseCase) -> GraphBuilder<'_> {
+        GraphBuilder {
+            netlist: self.nl,
+            flow: self.flow,
+            qualification: self.qual,
+            case,
+            model: self.options.model,
+        }
+    }
+
+    /// The graph pass input fingerprint of `case`, and its shape
+    /// fingerprint: the same without the geometry and capacitance
+    /// counters, so a matching shape under a mismatching input means
+    /// only delay values moved.
+    fn fps(&self, case: PhaseCase) -> (u64, u64) {
+        let s = self.stamp;
+        let case_tag = case.active.map_or(0, |p| 1 + p as u64);
+        let model_tag = self.options.model as u64;
+        let (flow_fp, qual_fp) = (self.flow_fp, self.qual_fp);
+        (
+            hash_words(&[
+                s.design, s.topo, s.geom, s.cap, s.tech, model_tag, case_tag, flow_fp, qual_fp,
+            ]),
+            hash_words(&[
+                s.design, s.topo, s.tech, model_tag, case_tag, flow_fp, qual_fp,
+            ]),
+        )
+    }
+
+    /// The design revision a graph built now reflects.
+    fn revision(&self) -> Revision {
+        self.design.map_or(Revision(0), |d| d.revision())
+    }
+}
+
+/// Records how `case`'s extract and graph passes were satisfied.
+fn graph_outcome(
+    trace: &mut Vec<PassEvent>,
+    case: PhaseCase,
+    extract: PassOutcome,
+    graph: PassOutcome,
+) {
+    trace.push(PassEvent {
+        pass: PassId::Extract(case.active),
+        outcome: extract,
+    });
+    trace.push(PassEvent {
+        pass: PassId::Graph(case.active),
+        outcome: graph,
+    });
+}
+
+/// The graph pass of the all-active case, or of a phase case built
+/// alone: reuse on a clean input fingerprint, splice on a
+/// parametric-only delta ([`keep_graph`]), full rebuild otherwise. A
+/// full build takes part in the case share as `share` says.
 ///
 /// Returns the [`CaseDelta`] certificate for the arrival pass: the
 /// graph fingerprint the arcs now reflect, and — when the pass reused,
@@ -1116,230 +1277,304 @@ fn flow_pass(nl: &Netlist, stamp: DesignStamp, options: &AnalysisOptions) -> Slo
 /// certificate's "sources and endpoints unchanged" clause holds because
 /// every non-rebuild outcome pins topology, flow, and qualification
 /// (via `shape_fp`), which determine the latch set and hence every
-/// case's source/endpoint lists. `None` means the case aliases: the
-/// all-active delta certifies it.
-#[allow(clippy::too_many_arguments)]
+/// case's source/endpoint lists.
 fn graph_pass(
-    slot_opt: &mut Option<CaseGraph>,
+    slot: &mut Option<CaseGraph>,
     trace: &mut Vec<PassEvent>,
     scratch: &mut BuildScratch,
-    warm: bool,
-    nl: &Netlist,
-    flow: &FlowAnalysis,
-    qual: &[Qualification],
+    run: &GraphRun<'_>,
     case: PhaseCase,
-    stamp: DesignStamp,
-    design: Option<&Design>,
-    options: &AnalysisOptions,
-    flow_fp: u64,
-    qual_fp: u64,
-    jobs: usize,
     share: Share<'_>,
-    alias_ok: bool,
-) -> Option<CaseDelta> {
+) -> CaseDelta {
     let _span = tv_obs::span("pass.graph");
-    let pass = PassId::Graph(case.active);
-    let extract_pass = PassId::Extract(case.active);
-    let case_tag = case.active.map_or(0, |p| 1 + p as u64);
-    let model_tag = options.model as u64;
-    let input_fp = hash_words(&[
-        stamp.design,
-        stamp.topo,
-        stamp.geom,
-        stamp.cap,
-        stamp.tech,
-        model_tag,
-        case_tag,
-        flow_fp,
-        qual_fp,
-    ]);
-    let outcomes = |trace: &mut Vec<PassEvent>, outcome: PassOutcome| {
-        trace.push(PassEvent {
-            pass: extract_pass,
-            outcome,
-        });
-        trace.push(PassEvent { pass, outcome });
-    };
-    if let Some(CaseGraph::Own(s)) = slot_opt.as_ref() {
-        if s.input_fp == input_fp {
-            outcomes(trace, PassOutcome::Reused);
-            return Some(CaseDelta {
-                graph_fp: input_fp,
-                since: Some((input_fp, Vec::new())),
-            });
+    if let Some(CaseGraph::Own(s)) = slot.as_mut() {
+        if let Some(delta) = keep_graph(s, trace, scratch, run, case) {
+            return delta;
         }
     }
-    let shape_fp = hash_words(&[
-        stamp.design,
-        stamp.topo,
-        stamp.tech,
-        model_tag,
-        case_tag,
-        flow_fp,
-        qual_fp,
-    ]);
-    if let Some(CaseGraph::Alias {
-        input_fp: alias_in,
-        shape_fp: alias_shape,
-    }) = slot_opt.as_mut()
-    {
-        if alias_ok && *alias_shape == shape_fp {
-            let outcome = if *alias_in == input_fp {
-                PassOutcome::Reused
-            } else {
-                PassOutcome::Shared
-            };
-            *alias_in = input_fp;
-            outcomes(trace, outcome);
-            return None;
-        }
-    }
-    let builder = GraphBuilder {
-        netlist: nl,
-        flow,
-        qualification: qual,
-        case,
-        model: options.model,
-    };
+    *slot = None;
+    let built = build_graph(run, case, share, scratch);
+    let delta = CaseDelta::rebuilt(built.input_fp);
+    *slot = Some(CaseGraph::Own(Box::new(built)));
+    let computed = PassOutcome::Computed;
+    graph_outcome(trace, case, computed, computed);
+    delta
+}
 
-    // Splice attempt. Sound because (a) parametric edits cannot change
-    // walk topology, stage membership, or the root set — those depend
-    // only on topology, flow, and qualification, all pinned by
-    // `shape_fp`; and (b) every edit dirties all terminals of the
-    // touched device (or the node whose cap changed), and every device
-    // or cap a root's delays read has a node in that root's extent — so
-    // `dirty ∩ extent` covers every stale root. `splice_roots` still
-    // verifies arc shape per root and falls back on any surprise.
-    'splice: {
-        let Some(d) = design else { break 'splice };
-        let Some(CaseGraph::Own(s)) = slot_opt.as_mut() else {
-            break 'splice;
-        };
-        if s.shape_fp != shape_fp || !s.graph.diagnostics.is_empty() {
-            break 'splice;
-        }
-        let GraphSlot {
-            input_fp: slot_in,
-            built_revision,
-            graph,
-            roots,
-            splice,
-            extraction,
-            ..
-        } = &mut **s;
-        let Some(idx) = splice.as_ref() else {
-            break 'splice;
-        };
-        let DirtySince::Nodes(dirty) = d.dirty_since(*built_revision) else {
-            break 'splice;
-        };
-        let mut affected: Vec<u32> = Vec::new();
-        for n in &dirty {
-            let i = n.index();
-            affected.extend_from_slice(
-                &idx.extent_roots[idx.extent_starts[i] as usize..idx.extent_starts[i + 1] as usize],
-            );
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        if affected.is_empty() {
-            // The edit landed entirely outside this graph's read set
-            // (e.g. a cap tweak on a node no stage's tree reaches):
-            // revalidate without touching an arc.
-            let prev_fp = *slot_in;
-            *slot_in = input_fp;
-            *built_revision = d.revision();
-            outcomes(trace, PassOutcome::Revalidated);
-            return Some(CaseDelta {
-                graph_fp: input_fp,
-                since: Some((prev_fp, Vec::new())),
-            });
-        }
-        scratch.fit(nl.node_count());
-        if let Ok(changed) = splice_roots(
-            graph,
-            &builder,
-            SOURCE_RESISTANCE,
-            roots,
-            idx,
-            &affected,
-            scratch,
-        ) {
-            let prev_fp = *slot_in;
-            *slot_in = input_fp;
-            *built_revision = d.revision();
-            // De-share: every affected root that was instanced from a
-            // shared macromodel is split into a singleton class before
-            // its re-analysis, so the splice never rewrites siblings.
-            let desplit = extraction.as_mut().map_or(0, |e| e.desplit(&affected));
-            trace.push(PassEvent {
-                pass: extract_pass,
-                outcome: PassOutcome::Spliced {
-                    roots: desplit as usize,
-                },
-            });
-            trace.push(PassEvent {
-                pass,
-                outcome: PassOutcome::Spliced {
-                    roots: affected.len(),
-                },
-            });
-            return Some(CaseDelta {
-                graph_fp: input_fp,
-                since: Some((prev_fp, changed)),
-            });
-        }
+/// A full build of `case` into a fresh slot, with the extent index when
+/// the run is warm.
+fn build_graph(
+    run: &GraphRun<'_>,
+    case: PhaseCase,
+    share: Share<'_>,
+    scratch: &mut BuildScratch,
+) -> GraphSlot {
+    let (input_fp, shape_fp) = run.fps(case);
+    let builder = run.builder(case);
+    let (sb, extraction) = build(&builder, SOURCE_RESISTANCE, run.jobs, share, None);
+    let extents = sb.spans.as_ref().filter(|_| run.warm).map(|_| {
+        scratch.fit(run.nl.node_count());
+        builder.extents(&sb.roots, scratch)
+    });
+    GraphSlot {
+        input_fp,
+        shape_fp,
+        built_revision: run.revision(),
+        graph: sb.graph,
+        roots: if run.warm { sb.roots } else { Vec::new() },
+        spans: sb.spans,
+        extents,
+        extraction: extraction.filter(|_| run.warm),
+    }
+}
+
+/// Serves `case` from its own graph slot without a rebuild when it can:
+/// reuse on a clean input fingerprint, revalidation when the edit missed
+/// every root's extent, and a splice of the affected roots after a
+/// parametric-only delta (matching shape, recorded spans and extents,
+/// clean diagnostics, node-granular dirty set). `None` when the case
+/// must be rebuilt.
+///
+/// The splice is sound because (a) parametric edits cannot change walk
+/// topology, stage membership, or the root set — those depend only on
+/// topology, flow, and qualification, all pinned by `shape_fp`; and (b)
+/// every edit dirties all terminals of the touched device (or the node
+/// whose cap changed), and every device or cap a root's delays read has
+/// a node in that root's extent — so `dirty ∩ extent` covers every stale
+/// root. `splice_roots` still verifies arc shape per root and falls back
+/// on any surprise.
+fn keep_graph(
+    s: &mut GraphSlot,
+    trace: &mut Vec<PassEvent>,
+    scratch: &mut BuildScratch,
+    run: &GraphRun<'_>,
+    case: PhaseCase,
+) -> Option<CaseDelta> {
+    let (input_fp, shape_fp) = run.fps(case);
+    if s.input_fp == input_fp {
+        graph_outcome(trace, case, PassOutcome::Reused, PassOutcome::Reused);
+        return Some(CaseDelta::moved(input_fp, input_fp, Vec::new()));
+    }
+    let d = run.design?;
+    if s.shape_fp != shape_fp || !s.graph.diagnostics.is_empty() {
+        return None;
+    }
+    let (spans, extents) = (s.spans.as_ref()?, s.extents.as_ref()?);
+    let DirtySince::Nodes(dirty) = d.dirty_since(s.built_revision) else {
+        return None;
+    };
+    let affected = extents.hit(&dirty);
+    let prev_fp = s.input_fp;
+    if affected.is_empty() {
+        // The edit landed entirely outside this graph's read set (e.g. a
+        // cap tweak on a node no stage's tree reaches): revalidate
+        // without touching an arc.
+        (s.input_fp, s.built_revision) = (input_fp, d.revision());
+        let revalidated = PassOutcome::Revalidated;
+        graph_outcome(trace, case, revalidated, revalidated);
+        return Some(CaseDelta::moved(input_fp, prev_fp, Vec::new()));
+    }
+    scratch.fit(run.nl.node_count());
+    let graph = &mut s.graph;
+    let changed = splice_roots(
+        &graph.arcs,
+        &mut graph.delays,
+        0,
+        &run.builder(case),
+        SOURCE_RESISTANCE,
+        &s.roots,
+        spans,
+        &affected,
+        scratch,
+    );
+    let Ok(changed) = changed else {
         // Shape mismatch (or a contained panic) mid-splice: the graph is
         // partially overwritten and must be discarded, and the scratch
-        // may hold a half-finished walk. Fall through to the full
-        // rebuild, which replaces the slot wholesale.
+        // may hold a half-finished walk.
         *scratch = BuildScratch::default();
-    }
+        return None;
+    };
+    (s.input_fp, s.built_revision) = (input_fp, d.revision());
+    spliced(trace, case, s.extraction.as_mut(), &affected);
+    Some(CaseDelta::moved(input_fp, prev_fp, changed))
+}
 
-    let (sb, extraction) = match build(&builder, SOURCE_RESISTANCE, jobs, share, None) {
-        Some(built) => built,
-        None => {
-            *slot_opt = Some(CaseGraph::Alias { input_fp, shape_fp });
-            outcomes(trace, PassOutcome::Shared);
-            return None;
-        }
+/// Records a splice of the `affected` root ordinals: every one that was
+/// instanced from a shared macromodel is first split into a singleton
+/// class, so the splice never rewrites siblings.
+fn spliced(
+    trace: &mut Vec<PassEvent>,
+    case: PhaseCase,
+    extraction: Option<&mut Extraction>,
+    affected: &[u32],
+) {
+    let desplit = extraction.map_or(0, |e| e.desplit(affected));
+    graph_outcome(
+        trace,
+        case,
+        PassOutcome::Spliced {
+            roots: desplit as usize,
+        },
+        PassOutcome::Spliced {
+            roots: affected.len(),
+        },
+    );
+}
+
+/// The graph pass of phase case `case`. A view over the all-active
+/// graph (`base`: its clean slot and this run's delta) is kept while it
+/// can be ([`keep_view`]), and a phase built alone while its own slot
+/// can be ([`keep_graph`]). Otherwise the case is rebuilt: as a view
+/// when the all-active build left `share` this run, alone when it did
+/// not or the view's build degraded. A view that replaces no root
+/// reports `Shared` where a graph would report a rebuild or a splice.
+fn phase_pass(
+    slot: &mut Option<CaseGraph>,
+    trace: &mut Vec<PassEvent>,
+    scratch: &mut BuildScratch,
+    run: &GraphRun<'_>,
+    case: PhaseCase,
+    base: Option<(&GraphSlot, &CaseDelta)>,
+    share: &Option<CaseShare>,
+) -> CaseDelta {
+    let _span = tv_obs::span("pass.graph");
+    let kept = match slot.as_mut() {
+        Some(CaseGraph::View(v)) => base.and_then(|b| keep_view(v, b, trace, scratch, run, case)),
+        Some(CaseGraph::Own(s)) => keep_graph(s, trace, scratch, run, case),
+        None => None,
     };
-    let slot = if warm {
-        let splice = sb.spans.map(|spans| {
-            scratch.fit(nl.node_count());
-            let (extent_starts, extent_roots) = builder.extents(&sb.roots, scratch);
-            SpliceIndex {
-                spans,
-                extent_starts,
-                extent_roots,
-            }
+    if let Some(delta) = kept {
+        return delta;
+    }
+    *slot = None;
+    let (input_fp, shape_fp) = run.fps(case);
+    let view = base.zip(share.as_ref()).and_then(|((b, comb), share)| {
+        let builder = run.builder(case);
+        let spans = b.spans.as_ref()?;
+        let (view, extraction) = build_view(
+            &builder,
+            SOURCE_RESISTANCE,
+            run.jobs,
+            (&b.graph, spans),
+            share,
+            None,
+        )?;
+        let splice = (run.warm && !view.is_empty()).then(|| {
+            let roots: Vec<_> = view.replaced.iter().map(|&r| b.roots[r as usize]).collect();
+            scratch.fit(run.nl.node_count());
+            let extents = builder.extents(&roots, scratch);
+            (roots, extents)
         });
-        GraphSlot {
+        Some(ViewSlot {
             input_fp,
             shape_fp,
-            built_revision: design.map_or(Revision(0), |d| d.revision()),
-            graph: sb.graph,
-            roots: sb.roots,
+            built_revision: run.revision(),
+            base_fp: comb.graph_fp,
+            view,
             splice,
-            extraction,
+            extraction: extraction.filter(|_| run.warm),
+        })
+    });
+    let outcome = match view {
+        Some(v) => {
+            let outcome = match v.view.is_empty() {
+                true => PassOutcome::Shared,
+                false => PassOutcome::Computed,
+            };
+            *slot = Some(CaseGraph::View(Box::new(v)));
+            outcome
         }
-    } else {
-        GraphSlot {
-            input_fp,
-            shape_fp,
-            built_revision: Revision(0),
-            graph: sb.graph,
-            roots: Vec::new(),
-            splice: None,
-            extraction: None,
+        None => {
+            let built = build_graph(run, case, Share::Off, scratch);
+            *slot = Some(CaseGraph::Own(Box::new(built)));
+            PassOutcome::Computed
         }
     };
-    *slot_opt = Some(CaseGraph::Own(Box::new(slot)));
-    outcomes(trace, PassOutcome::Computed);
-    Some(CaseDelta {
-        graph_fp: input_fp,
-        since: None,
-    })
+    graph_outcome(trace, case, outcome, outcome);
+    CaseDelta::rebuilt(input_fp)
+}
+
+/// Serves `case` from its view without a rebuild when it can. The view
+/// reads the all-active arcs as of `v.base_fp`, so it holds only while
+/// its shape does and this run's all-active delta `comb` steps from
+/// exactly there (by reuse, revalidation or splice); `None` otherwise,
+/// and the case is rebuilt.
+///
+/// An invariant root's arcs and rows are its all-active ones, so the
+/// all-active splice already rewrote it: of the edit, the view splices
+/// only the replaced roots the phase's own extents hit. The case's
+/// affected roots are the invariant roots the all-active extents hit
+/// (an invariant root's extent is the same in both cases) plus those,
+/// and its changed targets are the all-active splice's for invariant
+/// roots plus its own. An empty view reports `Shared`.
+fn keep_view(
+    v: &mut ViewSlot,
+    (base, comb): (&GraphSlot, &CaseDelta),
+    trace: &mut Vec<PassEvent>,
+    scratch: &mut BuildScratch,
+    run: &GraphRun<'_>,
+    case: PhaseCase,
+) -> Option<CaseDelta> {
+    let (input_fp, shape_fp) = run.fps(case);
+    let (comb_prev, _) = comb.since.as_ref()?;
+    if v.shape_fp != shape_fp || v.base_fp != *comb_prev {
+        return None;
+    }
+    let prev_fp = v.input_fp;
+    let replaced = &v.view.replaced;
+    let invariant = |r: &u32| replaced.binary_search(r).is_err();
+    let mut changed: Vec<(u32, u32)> = comb
+        .by_root
+        .iter()
+        .copied()
+        .filter(|(r, _)| invariant(r))
+        .collect();
+    let outcome = if prev_fp == input_fp {
+        PassOutcome::Reused
+    } else if v.view.is_empty() {
+        PassOutcome::Shared
+    } else {
+        let d = run.design?;
+        let (roots, extents) = v.splice.as_ref()?;
+        let DirtySince::Nodes(dirty) = d.dirty_since(v.built_revision) else {
+            return None;
+        };
+        let own = extents.hit(&dirty);
+        let mut affected: Vec<u32> = base.extents.as_ref()?.hit(&dirty);
+        affected.retain(invariant);
+        affected.extend(own.iter().map(|&k| replaced[k as usize]));
+        affected.sort_unstable();
+        if affected.is_empty() {
+            PassOutcome::Revalidated
+        } else {
+            scratch.fit(run.nl.node_count());
+            let view = &mut v.view;
+            let own_changed = splice_roots(
+                &view.arcs,
+                &mut view.delays,
+                base.graph.delays.len() as u32,
+                &run.builder(case),
+                SOURCE_RESISTANCE,
+                roots,
+                &view.spans,
+                &own,
+                scratch,
+            );
+            let Ok(own_changed) = own_changed else {
+                *scratch = BuildScratch::default();
+                return None;
+            };
+            changed.extend(own_changed);
+            spliced(trace, case, v.extraction.as_mut(), &affected);
+            (v.input_fp, v.base_fp, v.built_revision) = (input_fp, comb.graph_fp, d.revision());
+            return Some(CaseDelta::moved(input_fp, prev_fp, changed));
+        }
+    };
+    graph_outcome(trace, case, outcome, outcome);
+    v.input_fp = input_fp;
+    v.base_fp = comb.graph_fp;
+    v.built_revision = run.revision();
+    Some(CaseDelta::moved(input_fp, prev_fp, changed))
 }
 
 /// The arrival pass for one case, with the case's paths and races, and
@@ -1369,7 +1604,8 @@ fn case_pass(
     ws: &mut Workspace,
     nl: &Netlist,
     active: Option<u8>,
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
+    graph_diagnostics: &[Diagnostic],
     latches: &[Latch],
     options: &AnalysisOptions,
     opts_fp: u64,
@@ -1411,7 +1647,7 @@ fn case_pass(
     // The nodes whose in-arc words changed since the kept result, when
     // the cone engine may start from it.
     let seeds: Option<&[u32]> = match (slot.as_ref(), &delta.since) {
-        (Some(s), _) if !s.complete() || !graph.schedule.residue.is_empty() => None,
+        (Some(s), _) if !s.complete() || !graph.schedule().residue.is_empty() => None,
         _ if hit => Some(&[]),
         (Some(s), Some((prev_fp, changed))) if s.key == Some((*prev_fp, opts_fp)) => Some(changed),
         _ => None,
@@ -1458,7 +1694,7 @@ fn case_pass(
         ws,
         None,
     );
-    // An aliasing phase case walks the all-active graph.
+    // An empty view's case walks the all-active graph.
     result.case = PhaseCase { active };
     if warm {
         tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
@@ -1473,7 +1709,7 @@ fn case_pass(
     *slot = Some(CaseSlot {
         key: keep.then_some(key),
         arcs: graph.arc_count(),
-        graph_diagnostics: graph.diagnostics.clone(),
+        graph_diagnostics: graph_diagnostics.to_vec(),
         result,
         paths,
         races,
@@ -1482,12 +1718,10 @@ fn case_pass(
 }
 
 /// What the report derives from a case's fresh result: its top-K
-/// critical paths and, for a phase case, its races. The case comes from
-/// the case loop, not from `graph`, which an aliasing phase case shares
-/// with the all-active case.
+/// critical paths and, for a phase case, its races.
 fn derive(
     active: Option<u8>,
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
     result: &PhaseResult,
     storages: &[NodeId],
     top_k: usize,
@@ -2088,7 +2322,7 @@ mod tests {
     }
 
     /// The designs the case-share tests run on: seeded random logic (its
-    /// φ1 case changes no root, so it aliases), the small and mips32
+    /// φ1 case replaces no root, so its view is empty), the small and mips32
     /// datapaths, one T6 core, and the race golden.
     fn share_designs() -> Vec<(&'static str, Netlist)> {
         let t = Tech::nmos4um();
@@ -2115,13 +2349,29 @@ mod tests {
         ]
     }
 
+    /// Asserts that case `k` of `pm` reads exactly as `fresh`, a lone
+    /// build of the case, and returns whether it is an empty view.
+    fn assert_case_reads_as(pm: &PassManager, k: usize, fresh: &TimingGraph, what: &str) -> bool {
+        match pm.graphs[k].as_ref().expect("a case graph") {
+            CaseGraph::Own(s) => {
+                crate::graph::assert_reads_as(&s.graph, fresh, what);
+                false
+            }
+            CaseGraph::View(v) => {
+                let base = &comb_graph(&pm.graphs).expect("the all-active graph").graph;
+                crate::graph::assert_reads_as(&v.view.on(base), fresh, what);
+                v.view.is_empty()
+            }
+        }
+    }
+
     #[test]
     fn shared_case_builds_equal_fresh_per_case_builds() {
         for (name, nl) in share_designs() {
             let flow = tv_flow::analyze(&nl, &tv_flow::RuleSet::all());
             let qual = qualify_with_flow(&nl, &flow);
             let design = Design::new(nl.clone());
-            let mut aliased = false;
+            let mut empty = false;
             for jobs in [1usize, 2, 8] {
                 let opts = AnalysisOptions {
                     jobs,
@@ -2133,8 +2383,6 @@ mod tests {
                     let what = format!("{name} case {active:?} jobs {jobs}");
                     let case = PhaseCase { active };
                     let k = case_slot(active);
-                    aliased |= matches!(pm.graphs[k], Some(CaseGraph::Alias { .. }));
-                    let graph = &case_graph(&pm.graphs, k).expect("a graph").graph;
                     let fresh = TimingGraph::build_par(
                         &nl,
                         &flow,
@@ -2144,19 +2392,9 @@ mod tests {
                         SOURCE_RESISTANCE,
                         1,
                     );
-                    assert_eq!(graph.arc_count(), fresh.arc_count(), "{what}");
-                    for (a, b) in graph.arcs.iter().zip(&fresh.arcs) {
-                        assert_eq!(
-                            (a.from, a.to, a.delay, a.inverting, a.kind),
-                            (b.from, b.to, b.delay, b.inverting, b.kind),
-                            "{what}"
-                        );
-                    }
-                    let words =
-                        |g: &TimingGraph| g.delays.iter().map(|d| d.words()).collect::<Vec<_>>();
-                    assert_eq!(words(graph), words(&fresh), "{what}");
-                    assert_eq!(graph.schedule.order, fresh.schedule.order, "{what}");
-                    assert_eq!(graph.schedule.residue, fresh.schedule.residue, "{what}");
+                    let is_view = matches!(pm.graphs[k], Some(CaseGraph::View(_)));
+                    assert_eq!(is_view, active.is_some(), "{what}: a phase is a view");
+                    empty |= assert_case_reads_as(&pm, k, &fresh, &what);
                     let builder = GraphBuilder {
                         netlist: &nl,
                         flow: &flow,
@@ -2164,12 +2402,178 @@ mod tests {
                         case,
                         model: opts.model,
                     };
-                    let (_, lone) = build(&builder, SOURCE_RESISTANCE, jobs, Share::Off, None)
-                        .expect("a lone build never aliases");
+                    let (_, lone) = build(&builder, SOURCE_RESISTANCE, jobs, Share::Off, None);
                     assert_eq!(pm.extraction(active), lone.as_ref(), "{what}");
                 }
             }
-            assert_eq!(aliased, name == "random", "{name}: which designs alias");
+            assert_eq!(
+                empty,
+                name == "random",
+                "{name}: which designs have an empty view"
+            );
+        }
+    }
+
+    /// One stage root `s` reaching node `z` both through a φ1-gated and
+    /// through a φ2-gated pass device, between two stages that reach `z`
+    /// through unclocked ones. The all-active walk reaches `z` through
+    /// the φ1 branch first, so under φ2 the root gives `z` control arcs
+    /// the all-active graph lacks: its phase arcs are no subsequence of
+    /// its all-active ones, and `z`'s φ2 in-list interleaves the view's
+    /// own arcs between the two invariant roots' arcs.
+    #[test]
+    fn a_root_reaching_a_node_through_both_phases_merges_in_case_order() {
+        let mut b = tv_netlist::NetlistBuilder::new(Tech::nmos4um());
+        let [phi1, phi2] = [b.clock("phi1", 0), b.clock("phi2", 1)];
+        let [a, e] = [b.input("a"), b.input("e")];
+        let z = b.node("z");
+        let mut stages = Vec::new();
+        for name in ["s0", "s", "s2"] {
+            let out = b.node(name);
+            b.inverter(format!("i{name}"), a, out);
+            stages.push(out);
+        }
+        let [x, y] = [b.node("x"), b.node("y")];
+        b.pass("p1", phi1, stages[1], x);
+        b.pass("p2", phi2, stages[1], y);
+        b.pass("qx", e, x, z);
+        b.pass("qy", a, y, z);
+        b.pass("q0", e, stages[0], z);
+        b.pass("q2", e, stages[2], z);
+        let o = b.output("o");
+        b.inverter("io", z, o);
+        let nl = b.finish().expect("valid netlist");
+        let flow = tv_flow::analyze(&nl, &tv_flow::RuleSet::all());
+        let qual = qualify_with_flow(&nl, &flow);
+        let design = Design::new(nl.clone());
+        let lone = |case| {
+            TimingGraph::build_par(
+                &nl,
+                &flow,
+                &qual,
+                case,
+                crate::options::DelayModel::Elmore,
+                SOURCE_RESISTANCE,
+                1,
+            )
+        };
+        let controls = |g: &TimingGraph| {
+            g.in_arcs_of_index(z.index())
+                .iter()
+                .map(|&ai| &g.arcs[ai as usize])
+                .filter(|a| a.kind == crate::graph::ArcKind::PassControl)
+                .map(|a| a.from)
+                .collect::<Vec<_>>()
+        };
+        assert!(!controls(&lone(PhaseCase::all_active())).contains(&phi2));
+        assert!(controls(&lone(PhaseCase::phase(1))).contains(&phi2));
+        for jobs in [1usize, 2, 8] {
+            let opts = AnalysisOptions {
+                jobs,
+                ..AnalysisOptions::default()
+            };
+            let mut pm = PassManager::new();
+            pm.analyze(&design, &opts);
+            for p in 0..2u8 {
+                let k = case_slot(Some(p));
+                let what = format!("phase {p} jobs {jobs}");
+                assert!(matches!(pm.graphs[k], Some(CaseGraph::View(_))), "{what}");
+                assert!(!assert_case_reads_as(
+                    &pm,
+                    k,
+                    &lone(PhaseCase::phase(p)),
+                    &what
+                ));
+            }
+        }
+    }
+
+    /// Seeded resize and setcap edits, each followed by the graph passes
+    /// of every case twice over: the phases as views over the all-active
+    /// graph, and the phases built alone. Each view must splice the same
+    /// number of roots to the same changed targets as its lone graph,
+    /// and read as a fresh build afterwards.
+    #[test]
+    fn view_splices_change_the_targets_a_lone_graph_splice_changes() {
+        for (name, nl) in share_designs() {
+            let flow = tv_flow::analyze(&nl, &tv_flow::RuleSet::all());
+            let qual = qualify_with_flow(&nl, &flow);
+            let opts = AnalysisOptions::default();
+            let mut design = Design::new(nl);
+            let mut rng = tv_gen::rng::Rng64::new(0x5EED_1E57);
+            let mut views: [Option<CaseGraph>; 3] = Default::default();
+            let mut lones: [Option<CaseGraph>; 2] = Default::default();
+            let mut scratch = BuildScratch::default();
+            let mut own_splices = 0;
+            for step in 0..8 {
+                if step > 0 {
+                    let nl = design.netlist();
+                    if rng.usize_range(0, 2) == 0 {
+                        let devs: Vec<_> = nl.devices().map(|d| d.id).collect();
+                        let d = devs[rng.usize_range(0, devs.len())];
+                        let w = rng.f64_range(3.0, 9.0);
+                        design.resize_device(d, w, 2.0).expect("resize");
+                    } else {
+                        let nodes: Vec<NodeId> = nl
+                            .node_ids()
+                            .filter(|&n| !nl.node(n).role().is_rail())
+                            .collect();
+                        let n = nodes[rng.usize_range(0, nodes.len())];
+                        let pf = rng.f64_range(0.01, 0.08);
+                        design.set_node_cap(n, pf).expect("setcap");
+                    }
+                }
+                let run = GraphRun {
+                    warm: true,
+                    nl: design.netlist(),
+                    flow: &flow,
+                    qual: &qual,
+                    stamp: design.stamp(),
+                    design: Some(&design),
+                    options: &opts,
+                    flow_fp: 1,
+                    qual_fp: 2,
+                    jobs: 2,
+                };
+                let mut trace = Vec::new();
+                let mut share = None;
+                let comb = graph_pass(
+                    &mut views[0],
+                    &mut trace,
+                    &mut scratch,
+                    &run,
+                    PhaseCase::all_active(),
+                    Share::Leave(&mut share),
+                );
+                for p in 0..2u8 {
+                    let case = PhaseCase::phase(p);
+                    let what = format!("{name} step {step} phase {p}");
+                    let (head, tail) = views.split_at_mut(1);
+                    let Some(CaseGraph::Own(base)) = head[0].as_ref() else {
+                        panic!("{what}: no all-active graph");
+                    };
+                    let mut vt = Vec::new();
+                    let slot = &mut tail[p as usize];
+                    let base = Some((&**base, &comb));
+                    let view = phase_pass(slot, &mut vt, &mut scratch, &run, case, base, &share);
+                    let mut lt = Vec::new();
+                    let slot = &mut lones[p as usize];
+                    let lone = graph_pass(slot, &mut lt, &mut scratch, &run, case, Share::Off);
+                    assert_eq!(view.since, lone.since, "{what}: changed targets");
+                    if !matches!(vt[1].outcome, PassOutcome::Shared) {
+                        assert_eq!(vt[1], lt[1], "{what}: graph pass outcome");
+                    }
+                    own_splices += matches!(vt[1].outcome, PassOutcome::Spliced { .. }) as usize;
+                    let Some(CaseGraph::Own(l)) = lones[p as usize].as_ref() else {
+                        panic!("{what}: a lone build");
+                    };
+                    let mut pm = PassManager::new();
+                    pm.graphs = std::mem::take(&mut views);
+                    assert_case_reads_as(&pm, case_slot(Some(p)), &l.graph, &what);
+                    views = std::mem::take(&mut pm.graphs);
+                }
+            }
+            assert!(own_splices > 0, "{name}: no view spliced");
         }
     }
 

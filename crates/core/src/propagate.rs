@@ -41,7 +41,7 @@ use std::time::Instant;
 use tv_netlist::{codes, Diagnostic, Netlist, NodeId};
 use tv_rc::SlopeModel;
 
-use crate::graph::{Arc, ArcDelay, ArcKind, PhaseCase, TimingGraph};
+use crate::graph::{Arc, ArcDelay, ArcGraph, ArcKind, PhaseCase, TimingGraph};
 
 /// A signal transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -270,7 +270,7 @@ impl Workspace {
 
     /// Marks the fanout closure of `seeds` in `graph` as the affected set
     /// of the next [`propagate_cone`], and returns its size.
-    pub(crate) fn mark_cone(&mut self, graph: &TimingGraph, seeds: &[u32]) -> usize {
+    pub(crate) fn mark_cone(&mut self, graph: &impl ArcGraph, seeds: &[u32]) -> usize {
         let n = graph.node_count();
         mark(&mut self.affected, n, seeds.iter().map(|&i| i as usize));
         graph.fanout_closure(
@@ -282,9 +282,8 @@ impl Workspace {
 }
 
 /// Shared read-only context for node evaluation.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    graph: &'a TimingGraph,
+struct Ctx<'a, G> {
+    graph: &'a G,
     slope: &'a SlopeModel,
     /// Node index → slot index (level order, then residue).
     slot_of: &'a [u32],
@@ -293,6 +292,14 @@ struct Ctx<'a> {
     /// Fault-injection hook (tests only); called before each evaluation.
     fault: Option<&'a (dyn Fn(u32) + Sync)>,
 }
+
+impl<G> Clone for Ctx<'_, G> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<G> Copy for Ctx<'_, G> {}
 
 /// Candidate `(rise arrival, rise trigger, fall arrival, fall trigger)`
 /// the arc offers its target through its delay row `d`, padded with the
@@ -375,7 +382,7 @@ fn relax(
 /// Evaluates one leveled node: both lanes over its in-arcs in ascending
 /// arc-id order. Pure in the finished prefix, so the result does not
 /// depend on how the level was chunked across workers.
-fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
+fn compute_node<G: ArcGraph>(ctx: Ctx<'_, G>, done: &[Slot], node: u32) -> (Slot, u32) {
     if let Some(hook) = ctx.fault {
         hook(node);
     }
@@ -391,8 +398,8 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
     let ni = node as usize;
     let mut s = Slot::init(ctx.is_source[ni], ctx.is_early[ni]);
     let mut relaxed = 0u32;
-    for &ai in ctx.graph.in_arcs_of_index(ni) {
-        let arc = &ctx.graph.arcs[ai as usize];
+    for ai in ctx.graph.in_arcs(ni) {
+        let arc = ctx.graph.arc(ai);
         let d = ctx.graph.delay_of(arc);
         let from = &done[ctx.slot_of[arc.from.index()] as usize];
         relax(ai, arc, d, from, &mut s, ctx.slope, true);
@@ -440,7 +447,7 @@ fn arc_transitions(arc: &Arc, d: &ArcDelay) -> [Option<(usize, usize)>; 2] {
 /// prefix), then Kahn-peel the subgraph they induce; a leftover state
 /// proves a reachable cycle.
 fn residue_diverges(
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
     slots: &[Slot],
     slot_of: &[u32],
     in_residue: &[bool],
@@ -462,7 +469,7 @@ fn residue_diverges(
     }
     // Seed: arcs entering the residue from the finished prefix, whose
     // slot values are final.
-    for a in &graph.arcs {
+    for a in graph.arcs_in_order() {
         if in_residue[a.to.index()] && !in_residue[a.from.index()] {
             let s = &slots[slot_of[a.from.index()] as usize];
             for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
@@ -479,8 +486,8 @@ fn residue_diverges(
     // (anything a non-leveled node feeds is itself non-leveled).
     while let Some(st) = stack.pop() {
         let (node, bit) = (st as usize / 2, st as usize % 2);
-        for &ai in graph.out_arcs_of_index(node) {
-            let a = &graph.arcs[ai as usize];
+        for ai in graph.out_arcs(node) {
+            let a = graph.arc(ai);
             for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 let to_st = 2 * a.to.index() + te;
                 if fe == bit && !finite[to_st] {
@@ -496,8 +503,8 @@ fn residue_diverges(
     for &r in residue {
         let ri = r as usize;
         total += finite[2 * ri] as usize + finite[2 * ri + 1] as usize;
-        for &ai in graph.out_arcs_of_index(ri) {
-            let a = &graph.arcs[ai as usize];
+        for ai in graph.out_arcs(ri) {
+            let a = graph.arc(ai);
             for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 if finite[2 * ri + fe] && finite[2 * a.to.index() + te] {
                     indeg[2 * a.to.index() + te] += 1;
@@ -518,8 +525,8 @@ fn residue_diverges(
     while let Some(st) = peel.pop() {
         peeled += 1;
         let (node, bit) = (st as usize / 2, st as usize % 2);
-        for &ai in graph.out_arcs_of_index(node) {
-            let a = &graph.arcs[ai as usize];
+        for ai in graph.out_arcs(node) {
+            let a = graph.arc(ai);
             for (fe, te) in arc_transitions(a, graph.delay_of(a)).into_iter().flatten() {
                 let to_st = 2 * a.to.index() + te;
                 if fe == bit && finite[to_st] {
@@ -644,7 +651,7 @@ pub fn propagate_guarded(
 /// the per-node evaluation reproduces [`compute_node`]'s arithmetic arc
 /// for arc.
 pub(crate) fn propagate_cone(
-    graph: &TimingGraph,
+    graph: &impl ArcGraph,
     sources: &[NodeId],
     early_sources: &[NodeId],
     endpoints: &[NodeId],
@@ -654,7 +661,7 @@ pub(crate) fn propagate_cone(
 ) {
     let _span = tv_obs::span("propagate");
     let n = graph.node_count();
-    let sched = &graph.schedule;
+    let sched = graph.schedule();
     debug_assert!(
         sched.residue.is_empty(),
         "cone propagation requires a fully leveled graph"
@@ -679,8 +686,8 @@ pub(crate) fn propagate_cone(
         }
         cone_nodes += 1;
         let mut s = Slot::init(ws.is_source[ni], ws.is_early[ni]);
-        for &ai in graph.in_arcs_of_index(ni) {
-            let arc = &graph.arcs[ai as usize];
+        for ai in graph.in_arcs(ni) {
+            let arc = graph.arc(ai);
             let fi = arc.from.index();
             let from = Slot {
                 rise: arr.rise[fi],
@@ -722,7 +729,7 @@ pub(crate) fn propagate_cone(
     // the frozen report fingerprint, and the full walk of a residue-free
     // graph relaxes every in-arc exactly once — one per arc in total.
     // The obs counters above record what the cone really did.
-    result.relaxations = graph.arcs.len();
+    result.relaxations = graph.arc_count();
 }
 
 /// The full engine: the levelized (optionally parallel) walk, then the
@@ -730,9 +737,9 @@ pub(crate) fn propagate_cone(
 /// called with each node index before evaluation; tests use a panicking
 /// hook to exercise worker isolation, production callers pass `None`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate_full(
+pub(crate) fn propagate_full<G: ArcGraph>(
     netlist: &Netlist,
-    graph: &TimingGraph,
+    graph: &G,
     sources: &[NodeId],
     early_sources: &[NodeId],
     endpoints: &[NodeId],
@@ -744,7 +751,7 @@ pub(crate) fn propagate_full(
 ) -> PhaseResult {
     let _span = tv_obs::span("propagate");
     let n = netlist.node_count();
-    let sched = &graph.schedule;
+    let sched = graph.schedule();
     debug_assert_eq!(sched.order.len() + sched.residue.len(), n);
 
     let Workspace {
@@ -910,7 +917,7 @@ pub(crate) fn propagate_full(
                     enqueue(ri, queue, queued);
                 }
             }
-            for a in &graph.arcs {
+            for a in graph.arcs_in_order() {
                 if in_residue[a.to.index()] && (late || early_reached(a.from.index())) {
                     enqueue(a.from.index(), queue, queued);
                 }
@@ -918,7 +925,7 @@ pub(crate) fn propagate_full(
             let budget = match guards.relax_budget {
                 _ if !late => usize::MAX,
                 Some(b) => b,
-                None => 64 * (graph.arcs.len() + n).max(1),
+                None => 64 * (graph.arc_count() + n).max(1),
             };
             let mut residue_relax = 0usize;
             let mut pops = 0u64;
@@ -937,8 +944,8 @@ pub(crate) fn propagate_full(
                     break;
                 }
                 let from = slots[slot_of[ni] as usize];
-                for &ai in graph.out_arcs_of_index(ni) {
-                    let arc = &graph.arcs[ai as usize];
+                for ai in graph.out_arcs(ni) {
+                    let arc = graph.arc(ai);
                     let to = arc.to.index();
                     let target = &mut slots[slot_of[to] as usize];
                     let moved = relax(ai, arc, graph.delay_of(arc), &from, target, slope, late);
@@ -1047,7 +1054,7 @@ pub(crate) fn propagate_full(
     unresolved.dedup();
 
     PhaseResult {
-        case: graph.case,
+        case: graph.case(),
         arrivals: arr,
         endpoints: eps,
         cyclic,

@@ -98,6 +98,25 @@ for j in 1 2 8; do
     | diff -u tests/data/extract_smoke.golden -
 done
 
+echo "== t6 view smoke: a two-core tv gen design at --jobs 1/2/8 =="
+# Two T6 cores have the chip's clock-case shape: phase views over an
+# all-active graph whose divergent residue is flagged cyclic, so every
+# run exits 1, and the three reports (and diagnostics) must be
+# byte-identical. About 0.3 s.
+t6_dir="$(mktemp -d /tmp/tv-t6.XXXXXX)"
+./target/release/tv gen --cores 2 --out "$t6_dir/t6.sim" > /dev/null
+for j in 1 2 8; do
+  code=0
+  ./target/release/tv analyze "$t6_dir/t6.sim" --jobs "$j" \
+    > "$t6_dir/out$j.txt" 2> "$t6_dir/err$j.txt" || code=$?
+  [ "$code" -eq 1 ] || { echo "t6 view smoke: --jobs $j exited $code, want 1"; exit 1; }
+done
+for j in 2 8; do
+  diff -u "$t6_dir/out1.txt" "$t6_dir/out$j.txt"
+  diff -u "$t6_dir/err1.txt" "$t6_dir/err$j.txt"
+done
+rm -rf "$t6_dir"
+
 echo "== race smoke: same-phase race-through vs golden =="
 # The committed .sim holds a same-phase series pair in each phase and a
 # same-phase latch ring whose latest-arrival relaxation diverges. Its

@@ -359,7 +359,7 @@ fn graph_build_fault_in_a_shared_phase_extraction_degrades_like_a_lone_build() {
             "mips32",
             datapath(t.clone(), DatapathConfig::mips32()).netlist,
         ),
-        // φ1 changes no root here: the case aliases the all-active graph.
+        // φ1 replaces no root here: its view is empty.
         (
             "random",
             nmos_tv::gen::random::random_logic(t, 1_000, 0xFA17, mix).netlist,
