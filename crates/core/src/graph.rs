@@ -52,7 +52,8 @@ pub enum ArcKind {
 /// [`TimingGraph::delays`], read through [`TimingGraph::delay_of`].
 /// Those words depend only on the RC-tree node the arc drives, so every
 /// gate input and pass control of a stage that reaches the same tree
-/// node shares one row instead of carrying its own copy.
+/// node shares one row instead of carrying its own copy, and every
+/// instance of a stage class reads its class's rows.
 #[derive(Debug, Clone, Copy)]
 pub struct Arc {
     /// Upstream node (a gate input, pass control, or data source).
@@ -103,7 +104,8 @@ impl ArcDelay {
 /// themselves, over pin ordinals, come only from
 /// `macromodel::emit_trace`). Each arc's `delay` indexes `delays`;
 /// [`ArcBuf::append`] rebases the indices when per-worker parts are
-/// concatenated in root order.
+/// concatenated in root order. A clean build's parts hold arcs only:
+/// their rows are the class row block, set once after emission.
 #[derive(Default)]
 pub(crate) struct ArcBuf {
     pub(crate) arcs: Vec<Arc>,
@@ -321,9 +323,14 @@ pub trait ArcGraph: Sync {
 pub struct TimingGraph {
     /// All arcs.
     pub arcs: Vec<Arc>,
-    /// Delay rows, indexed by [`Arc::delay`]. Each build root owns a
-    /// contiguous run of rows in emission order, so the row list — like
-    /// the arc list — is the same at any thread count.
+    /// Delay rows, indexed by [`Arc::delay`]. A clean build holds one
+    /// block per stage class — every class table's rows, concatenated
+    /// in class-id order — and every instance's arcs index its class's
+    /// block, so the row list, like the arc list, is the same at any
+    /// thread count. A degraded build (every root built alone) gives
+    /// each root a block of its own. A session's splice appends a
+    /// private block for a root whose edit changes rows it shares with
+    /// its siblings (`splice_roots`).
     pub delays: Vec<ArcDelay>,
     /// CSR offsets into [`TimingGraph::out_arc_ids`]: arcs leaving node
     /// `i` are `out_arc_ids[out_starts[i] as usize..out_starts[i+1] as
@@ -378,14 +385,15 @@ impl TimingGraph {
 
     /// Builds the graph with up to `jobs` worker threads. Each driving
     /// stage is an independent RC problem, so workers build disjoint root
-    /// chunks and the per-chunk arc and row vectors are concatenated in
-    /// root order — the resulting arc and row lists are **identical** to
-    /// the serial build at any thread count.
+    /// chunks and the per-chunk arc vectors are concatenated in root
+    /// order — the resulting arc and row lists are **identical** to the
+    /// serial build at any thread count.
     ///
     /// This routes through `macromodel::build`: stages with equal
-    /// canonical traces are analyzed once and instanced by pin remap,
-    /// with every root built alone as the fallback. The arc and row
-    /// lists are bit-identical either way (DESIGN.md §16).
+    /// canonical traces are analyzed once and instanced by pin remap over
+    /// one row block per class, with every root built alone (rows of its
+    /// own) as the fallback. The arc list and every arc's row words are
+    /// bit-identical either way (DESIGN.md §16).
     pub fn build_par(
         netlist: &Netlist,
         flow: &FlowAnalysis,
@@ -537,30 +545,29 @@ pub(crate) fn finish_graph(
     graph
 }
 
-/// Per-root prefix offsets into a graph's arc and delay-row lists, each
-/// with `roots.len() + 1` entries.
+/// Per-root spans of a graph's arc and delay-row lists.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RootSpans {
-    /// Root `k` owns arcs `arcs[k] as usize .. arcs[k + 1] as usize`.
+    /// Prefix offsets, `roots.len() + 1` entries: root `k` owns arcs
+    /// `arcs[k] as usize .. arcs[k + 1] as usize`.
     pub(crate) arcs: Vec<u32>,
-    /// Root `k` owns rows `rows[k] as usize .. rows[k + 1] as usize`;
-    /// every arc of root `k` indexes a row inside that range.
-    pub(crate) rows: Vec<u32>,
+    /// Root `k`'s row span `(start, len)`: every arc of root `k` indexes
+    /// a row in `start .. start + len`. Siblings of one class share a
+    /// span until a splice gives one of them a block of its own.
+    pub(crate) rows: Vec<(u32, u32)>,
+    /// Every row block that some root reads and that holds rows: its
+    /// first row and how many roots read it, ascending by first row.
+    pub(crate) blocks: Vec<(u32, u32)>,
 }
 
 impl RootSpans {
-    /// Spans over no root yet.
-    pub(crate) fn new() -> Self {
+    /// Spans over no root.
+    pub(crate) fn empty() -> Self {
         RootSpans {
             arcs: vec![0],
-            rows: vec![0],
+            rows: Vec::new(),
+            blocks: Vec::new(),
         }
-    }
-
-    /// Closes the next root's spans at the end of `buf`.
-    pub(crate) fn push(&mut self, buf: &ArcBuf) {
-        self.arcs.push(buf.arcs.len() as u32);
-        self.rows.push(buf.delays.len() as u32);
     }
 }
 
@@ -594,9 +601,12 @@ pub(crate) struct SpannedBuild {
 /// * its own level schedule.
 ///
 /// Arc ids below the all-active arc count are all-active arcs; the
-/// view's own arcs follow them, and their row indices follow the
-/// all-active rows. A phase that replaces no root is the empty view:
-/// every read is the all-active graph's.
+/// view's own arcs follow them. The view's own rows are one block per
+/// class its replaced roots read, like a clean graph's, and their row
+/// ids carry the [`OWN_ROW`] tag, so they stay apart from the
+/// all-active row ids however far an all-active splice grows that
+/// list. A phase that replaces no root is the empty view: every read is
+/// the all-active graph's.
 pub(crate) struct PhaseView {
     case: PhaseCase,
     /// Root ordinals the phase replaces, ascending.
@@ -605,10 +615,10 @@ pub(crate) struct PhaseView {
     absent: Vec<(u32, u32)>,
     /// The replaced roots' phase arcs, root-major in emission order.
     pub(crate) arcs: Vec<Arc>,
-    /// Their delay rows; an own arc's row is `delays[arc.delay - r]`
-    /// for the all-active row count `r`.
+    /// Their delay rows; an own arc's row is
+    /// `delays[(arc.delay ^ OWN_ROW) as usize]`.
     pub(crate) delays: Vec<ArcDelay>,
-    /// Each replaced root's span of `arcs` and `delays`.
+    /// Each replaced root's span of `arcs` and of `delays` (untagged).
     pub(crate) spans: RootSpans,
     /// Patches of the in-lists of the nodes the absent and own arcs
     /// enter.
@@ -777,11 +787,17 @@ impl Iterator for Patched<'_> {
     }
 }
 
+/// The tag bit of a view's own row ids: an arc whose `delay` has it set
+/// reads row `delay ^ OWN_ROW` of the view's own rows, any other arc
+/// the all-active row `delay`. A row list never reaches 2³¹ rows.
+pub(crate) const OWN_ROW: u32 = 1 << 31;
+
 impl PhaseView {
     /// The view of phase case `case` that replaces the roots `replaced`
     /// (ascending ordinals into `base`'s roots, whose spans are
     /// `base_spans`) with the arcs and rows in `own`, root-major with
-    /// rows numbered from 0, whose per-root spans are `spans`.
+    /// rows numbered from 0 (untagged), whose per-root spans are
+    /// `spans`.
     pub(crate) fn new(
         case: PhaseCase,
         base: &TimingGraph,
@@ -795,9 +811,8 @@ impl PhaseView {
             .map(|&r| (base_spans.arcs[r as usize], base_spans.arcs[r as usize + 1]))
             .collect();
         let absent_count: usize = absent.iter().map(|&(s, e)| (e - s) as usize).sum();
-        let first_row = base.delays.len() as u32;
         for a in &mut own.arcs {
-            a.delay += first_row;
+            a.delay |= OWN_ROW;
         }
         let mut view = PhaseView {
             case,
@@ -889,11 +904,7 @@ impl ArcGraph for View<'_> {
 
     #[inline]
     fn delay_of(&self, arc: &Arc) -> &ArcDelay {
-        let [base, own] = self.delays;
-        match base.get(arc.delay as usize) {
-            Some(d) => d,
-            None => &own[arc.delay as usize - base.len()],
-        }
+        &self.delays[(arc.delay >> 31) as usize][(arc.delay & !OWN_ROW) as usize]
     }
 
     #[inline]
@@ -960,37 +971,46 @@ impl Extents {
 }
 
 /// Splices freshly rebuilt delay rows for `affected` root ordinals into
-/// an arc list in place, leaving every arc and every other root's rows
-/// untouched. `arcs` and `rows` hold the roots `roots` in the spans
-/// `spans`; an arc's row is `rows[arc.delay - first_row]` (0 for a
-/// graph, the all-active row count for a phase view's own rows).
+/// an arc list, leaving every arc's topology and every other root's
+/// rows untouched. `arcs` and `rows` hold the roots `roots` in the
+/// spans `spans`; an arc's row id is `tag + ` its index into `rows`
+/// (`tag` is 0 for a graph, [`OWN_ROW`] for a phase view's own rows).
+///
+/// Rows are copied on write. A root whose fresh rows equal its old ones
+/// writes nothing. A root whose block other roots also read (its class
+/// block, shared with its siblings) gets the fresh rows appended as a
+/// private block: its arcs are re-pointed there and its span and the
+/// block reader counts follow. A root that is its block's only reader
+/// rewrites it in place. So a root gets at most one private block, every
+/// block keeps at least one reader, and the row list never outgrows one
+/// block per root.
 ///
 /// Valid only after **parametric** edits (geometry or capacitance):
 /// those cannot change which arcs a stage produces, only their delay
 /// values, so each root's fresh build must match its recorded spans in
 /// arc count and row count, and arc by arc in endpoints, kind, inversion
 /// and row index relative to the root's first row — all of which this
-/// function verifies before overwriting the root's rows. On any mismatch
+/// function verifies before writing the root's rows. On any mismatch
 /// (or a panic inside a stage build) it returns `Err` and the caller
 /// must discard the arcs and rebuild from scratch: earlier affected
-/// roots may already have been overwritten, so an `Err` is *not*
-/// restored to its prior state.
+/// roots may already have been rewritten, so an `Err` is *not* restored
+/// to its prior state.
 ///
 /// On success returns the **changed targets** by root: a `(root
 /// ordinal, node index)` pair for every arc whose delay row words differ
-/// bitwise from before the splice. Each row belongs to exactly one root
-/// and the arc-to-row map is verified unchanged, so the nodes named are
-/// exactly those whose local evaluation can differ — the arrival pass
-/// seeds its cone with them.
+/// bitwise from before the splice. The arc-to-row map is verified
+/// unchanged and no row another root reads is written, so the nodes
+/// named are exactly those whose local evaluation can differ — the
+/// arrival pass seeds its cone with them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn splice_roots(
-    arcs: &[Arc],
-    rows: &mut [ArcDelay],
-    first_row: u32,
+    arcs: &mut [Arc],
+    rows: &mut Vec<ArcDelay>,
+    tag: u32,
     builder: &GraphBuilder<'_>,
     source_resistance: f64,
     roots: &[(NodeId, RootKind)],
-    spans: &RootSpans,
+    spans: &mut RootSpans,
     affected: &[u32],
     scratch: &mut BuildScratch,
 ) -> Result<Vec<(u32, u32)>, ()> {
@@ -1000,34 +1020,38 @@ pub(crate) fn splice_roots(
     for &k in affected {
         let r = k as usize;
         let span = spans.arcs[r] as usize..spans.arcs[r + 1] as usize;
-        let own = spans.rows[r] as usize..spans.rows[r + 1] as usize;
+        let (start, len) = spans.rows[r];
         fresh.clear();
         catch_unwind(AssertUnwindSafe(|| {
             graph_build_fault_point();
             build_root(builder, &roots[r], source_resistance, &mut fresh, scratch)
         }))
         .map_err(|_| ())?;
-        if fresh.arcs.len() != span.len() || fresh.delays.len() != own.len() {
+        if fresh.arcs.len() != span.len() || fresh.delays.len() != len as usize {
             return Err(());
         }
-        let base = first_row + own.start as u32;
-        for (o, f) in arcs[span].iter().zip(&fresh.arcs) {
+        let first = tag + start;
+        for (o, f) in arcs[span.clone()].iter().zip(&fresh.arcs) {
             if o.from != f.from
                 || o.to != f.to
                 || o.kind != f.kind
                 || o.inverting != f.inverting
-                || o.delay.wrapping_sub(base) != f.delay
+                || o.delay.wrapping_sub(first) != f.delay
             {
                 return Err(());
             }
         }
-        let old = &mut rows[own];
+        let own = start as usize..(start + len) as usize;
         row_changed.clear();
         row_changed.extend(
-            old.iter()
+            rows[own.clone()]
+                .iter()
                 .zip(&fresh.delays)
                 .map(|(o, f)| o.words() != f.words()),
         );
+        if !row_changed.contains(&true) {
+            continue;
+        }
         changed.extend(
             fresh
                 .arcs
@@ -1035,7 +1059,23 @@ pub(crate) fn splice_roots(
                 .filter(|f| row_changed[f.delay as usize])
                 .map(|f| (k, f.to.index() as u32)),
         );
-        old.copy_from_slice(&fresh.delays);
+        let block = spans
+            .blocks
+            .binary_search_by_key(&start, |b| b.0)
+            .map_err(|_| ())?;
+        if spans.blocks[block].1 == 1 {
+            rows[own].copy_from_slice(&fresh.delays);
+            continue;
+        }
+        let moved = rows.len() as u32;
+        debug_assert!(moved + len <= OWN_ROW, "row ids stay below the tag bit");
+        rows.extend_from_slice(&fresh.delays);
+        for (o, f) in arcs[span].iter_mut().zip(&fresh.arcs) {
+            o.delay = tag + moved + f.delay;
+        }
+        spans.blocks[block].1 -= 1;
+        spans.blocks.push((moved, 1));
+        spans.rows[r].0 = moved;
     }
     Ok(changed)
 }
@@ -1974,41 +2014,44 @@ mod tests {
         };
         let mut scratch = BuildScratch::new(nl.node_count());
         // Splices root `k` against row spans bent by `bend`.
-        let mut splice_with = |k: usize, bend: &dyn Fn(&mut Vec<u32>)| {
+        let mut splice_with = |k: usize, bend: &dyn Fn(&mut (u32, u32))| {
             let (sb, _) = build(&builder, 1.0, 2, Share::Off, None);
             let mut graph = sb.graph;
             let mut spans = sb.spans.expect("clean build records spans");
-            bend(&mut spans.rows);
-            let before = graph.delays.clone();
+            bend(&mut spans.rows[k]);
+            let before = (graph.delays.clone(), graph.arcs.clone());
             let out = splice_roots(
-                &graph.arcs,
+                &mut graph.arcs,
                 &mut graph.delays,
                 0,
                 &builder,
                 1.0,
                 &sb.roots,
-                &spans,
+                &mut spans,
                 &[k as u32],
                 &mut scratch,
             );
-            (out, before == graph.delays)
+            let untouched = before.0 == graph.delays
+                && before
+                    .1
+                    .iter()
+                    .zip(&graph.arcs)
+                    .all(|(a, b)| a.delay == b.delay);
+            (out, untouched)
         };
         let (sb, _) = build(&builder, 1.0, 1, Share::Off, None);
         let rows = sb.spans.expect("clean build records spans").rows;
         let k = (0..sb.roots.len())
-            .find(|&k| rows[k + 1] - rows[k] >= 2)
+            .find(|&k| rows[k].1 >= 2)
             .expect("some stage has two delay rows");
 
         // Honest spans: the unchanged root splices with nothing changed.
         assert_eq!(splice_with(k, &|_| {}), (Ok(Vec::new()), true));
         // One row short: the fresh build's row count disagrees.
-        let (out, untouched) = splice_with(k, &|r| r[k + 1] -= 1);
+        let (out, untouched) = splice_with(k, &|r| r.1 -= 1);
         assert!(out.is_err() && untouched);
         // Same count, shifted by one: relative row indices disagree.
-        let (out, untouched) = splice_with(k, &|r| {
-            r[k] += 1;
-            r[k + 1] += 1;
-        });
+        let (out, untouched) = splice_with(k, &|r| r.0 += 1);
         assert!(out.is_err() && untouched);
     }
 

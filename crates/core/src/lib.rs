@@ -58,7 +58,6 @@ pub mod fingerprint;
 pub mod graph;
 pub mod hold;
 pub mod macromodel;
-pub mod optimize;
 pub mod options;
 pub mod paths;
 pub mod pipeline;
@@ -73,7 +72,6 @@ pub use error::TvError;
 pub use fingerprint::{flow_fingerprint, report_fingerprint, Fnv};
 pub use graph::{Arc, ArcDelay, ArcGraph, ArcKind, LevelSchedule, PhaseCase, TimingGraph};
 pub use hold::{race_check, RaceHazard};
-pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};
 pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, ReportSummary, PASS_TABLE};

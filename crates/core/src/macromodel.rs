@@ -165,16 +165,16 @@ impl MacroTable {
         });
     }
 
-    /// Appends the table to `buf` for a root whose pin table is `pins`:
-    /// every pin ordinal mapped to its node, and the rows rebased after
-    /// the rows already in `buf`.
-    pub(crate) fn instance(&self, pins: &[NodeId], buf: &mut ArcBuf) {
-        let base = buf.delays.len() as u32;
-        buf.delays.extend_from_slice(&self.rows);
-        buf.arcs.extend(self.arcs.iter().map(|ma| Arc {
+    /// Appends the table's arcs to `arcs` for a root whose pin table is
+    /// `pins` and whose copy of the table's rows starts at row id
+    /// `first_row`: every pin ordinal mapped to its node, and every row
+    /// index offset by `first_row`. It copies no row: the instances of a
+    /// class all read the one block of its rows.
+    pub(crate) fn instance(&self, pins: &[NodeId], first_row: u32, arcs: &mut Vec<Arc>) {
+        arcs.extend(self.arcs.iter().map(|ma| Arc {
             from: pins[ma.from_pin as usize],
             to: pins[ma.to_pin as usize],
-            delay: base + ma.delay,
+            delay: first_row + ma.delay,
             inverting: ma.inverting,
             kind: ma.kind,
         }));
@@ -489,10 +489,11 @@ pub(crate) fn emit_trace(
 }
 
 /// Builds one root alone into `buf`: signs it, emits its table from the
-/// trace, and instances the table on its pins — the arcs and rows a
-/// class build gives the root. Degraded emission and splices use it;
-/// the trace, pins and table buffers are the scratch's, so a splice of
-/// many roots allocates them once.
+/// trace, appends the table's rows as a block of the root's own and
+/// instances the table on its pins over that block — the arcs a class
+/// build gives the root, with rows of its own. Degraded emission and
+/// splices use it; the trace, pins and table buffers are the scratch's,
+/// so a splice of many roots allocates them once.
 pub(crate) fn build_root(
     b: &GraphBuilder<'_>,
     root: &(NodeId, RootKind),
@@ -506,7 +507,9 @@ pub(crate) fn build_root(
     pins.clear();
     root_canon(b, root, scratch, &mut canon, &mut pins);
     emit_trace(b, source_resistance, &canon, &mut table);
-    table.instance(&pins, buf);
+    let first_row = buf.delays.len() as u32;
+    buf.delays.extend_from_slice(&table.rows);
+    table.instance(&pins, first_row, &mut buf.arcs);
     (scratch.canon, scratch.pins, scratch.table) = (canon, pins, table);
 }
 
@@ -863,6 +866,41 @@ impl Classes<'_> {
     fn table(&self, ri: usize) -> &MacroTable {
         &self.tables[self.class_of[ri] as usize]
     }
+
+    /// The row block of the roots `members`: the rows of every class one
+    /// of them belongs to, one block per class in class-id order (so the
+    /// same at any `jobs`), with the members' row spans, in order, and
+    /// the blocks' reader counts. The spans' arc offsets are left to the
+    /// emission.
+    fn row_block(
+        &self,
+        members: impl Iterator<Item = usize> + Clone,
+    ) -> (Vec<ArcDelay>, RootSpans) {
+        let mut readers = vec![0u32; self.tables.len()];
+        for ri in members.clone() {
+            readers[self.class_of[ri] as usize] += 1;
+        }
+        let (mut rows, mut first, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
+        for (table, &n) in self.tables.iter().zip(&readers) {
+            first.push(rows.len() as u32);
+            if n > 0 && !table.rows.is_empty() {
+                blocks.push((rows.len() as u32, n));
+                rows.extend_from_slice(&table.rows);
+            }
+        }
+        let spans = members
+            .map(|ri| {
+                let c = self.class_of[ri] as usize;
+                (first[c], self.tables[c].rows.len() as u32)
+            })
+            .collect();
+        let spans = RootSpans {
+            arcs: Vec::new(),
+            rows: spans,
+            blocks,
+        };
+        (rows, spans)
+    }
 }
 
 /// `items` cut into at most `threads` contiguous chunks (one below
@@ -884,16 +922,18 @@ fn chunked<T>(items: &[T], threads: usize) -> Vec<(usize, &[T])> {
 
 /// The graph build of one case: groups the root set into equivalence
 /// classes, analyzes one master per class, instances the rest, and
-/// finishes a graph whose arc and row lists are bit-identical to a serial
-/// build of every root alone at any thread count. Returns the per-root arc
-/// and row spans (for splicing and phase views) and the [`Extraction`]
-/// partition (for de-sharing); both are `None` when a panic degraded the
-/// build. An all-active build followed by phase views leaves a
-/// [`CaseShare`] (`Share::Leave`) when it is clean.
+/// finishes a graph that reads as a serial build of every root alone at
+/// any thread count: the same arc list, each arc reading the same row
+/// words. Its rows are one block per class, in class-id order, and
+/// every instance's arcs index its class's block. Returns the per-root
+/// arc and row spans (for splicing and phase views) and the
+/// [`Extraction`] partition (for de-sharing); both are `None` when a
+/// panic degraded the build. An all-active build followed by phase
+/// views leaves a [`CaseShare`] (`Share::Leave`) when it is clean.
 ///
 /// Extraction (phases A–C) either completes or, on any panic, falls back
 /// to every root being its own class; emission (phase D) then builds
-/// every root alone. An emission chunk that panics
+/// every root alone, with rows of its own. An emission chunk that panics
 /// is rebuilt root by root, each root with fresh scratch under its own
 /// isolation: a root that panics again contributes no arcs and is
 /// reported in the graph's diagnostics. A panic on given inputs is
@@ -925,17 +965,23 @@ pub(crate) fn build(
     if classes.is_none() {
         tv_obs::incr(tv_obs::Counter::FaultDegraded);
     }
-    let (buf, spans, diagnostics) = {
+    let block = classes.as_ref().map(|c| c.row_block(0..roots.len()));
+    let (mut buf, arcs, diagnostics) = {
         let _s = tv_obs::span("graph.emit");
+        let spans = block.as_ref().map(|(_, spans)| &spans.rows[..]);
         emit(
             builder,
             &roots,
-            classes.as_ref(),
+            classes.as_ref().zip(spans),
             source_resistance,
             threads,
             fault,
         )
     };
+    let spans = block.map(|(rows, spans)| {
+        buf.delays = rows;
+        RootSpans { arcs, ..spans }
+    });
     // Consumed before `finish_graph`, so the pin tables never overlap
     // the CSR arrays at peak.
     let (extraction, left) = match classes.filter(|_| diagnostics.is_empty()) {
@@ -952,7 +998,7 @@ pub(crate) fn build(
         SpannedBuild {
             graph: finish_graph(nl.node_count(), buf, builder.case, diagnostics),
             roots,
-            spans: extraction.is_some().then_some(spans),
+            spans: spans.filter(|_| extraction.is_some()),
         },
         extraction,
     )
@@ -960,7 +1006,8 @@ pub(crate) fn build(
 
 /// The view of phase case `builder.case` over `base`, the clean
 /// all-active graph that left `share`, with its root spans. Signs,
-/// groups and emits only the roots the phase replaces, then finishes the
+/// groups and emits only the roots the phase replaces — their rows one
+/// block per class they read, like a clean graph's — then finishes the
 /// view's lists and schedule ([`PhaseView::new`]). The view's arcs,
 /// lists and schedule read as a lone build of the case, and the returned
 /// partition and `macro.*` counters are that build's too; an empty view
@@ -1002,7 +1049,7 @@ pub(crate) fn build_view(
             base_spans,
             Vec::new(),
             ArcBuf::default(),
-            RootSpans::new(),
+            RootSpans::empty(),
         );
         return Some((empty, None));
     }
@@ -1026,12 +1073,18 @@ pub(crate) fn build_view(
     let replaced = share.replaced(phase);
     let (own, spans) = {
         let _s = tv_obs::span("graph.emit");
-        let mut own = ArcBuf::default();
-        let mut spans = RootSpans::new();
-        for &r in &replaced {
+        let (delays, mut spans) = classes.row_block(replaced.iter().map(|&r| r as usize));
+        let mut own = ArcBuf {
+            arcs: Vec::new(),
+            delays,
+        };
+        spans.arcs.push(0);
+        for (&r, &(first, _)) in replaced.iter().zip(&spans.rows) {
             let r = r as usize;
-            classes.table(r).instance(classes.pins_of(r), &mut own);
-            spans.push(&own);
+            classes
+                .table(r)
+                .instance(classes.pins_of(r), first, &mut own.arcs);
+            spans.arcs.push(own.arcs.len() as u32);
         }
         (own, spans)
     };
@@ -1199,22 +1252,26 @@ fn extract<'s>(
     })
 }
 
-/// Phase D: emits every root in order — its class table instanced on its
-/// pins, or, when `classes` is `None`, the root built alone
-/// ([`build_root`]) — and returns the arcs, the per-root spans, and the
+/// Phase D: emits every root's arcs in order — its class table
+/// instanced on its pins over its class's rows (root `ri`'s row span is
+/// `rows[ri]`), or, when `classes` is `None`, the root built alone with
+/// rows of its own ([`build_root`]) — and returns the arcs (with the
+/// degraded build's rows), the per-root arc span offsets, and the
 /// diagnostics of any chunk that had to be rebuilt root by root.
 fn emit(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
-    classes: Option<&Classes<'_>>,
+    classes: Option<(&Classes<'_>, &[(u32, u32)])>,
     source_resistance: f64,
     threads: usize,
     fault: Fault<'_>,
-) -> (ArcBuf, RootSpans, Vec<Diagnostic>) {
+) -> (ArcBuf, Vec<u32>, Vec<Diagnostic>) {
     let nl = builder.netlist;
     let n_roots = roots.len();
     let emit_root = |ri: usize, buf: &mut ArcBuf, scratch: &mut BuildScratch| match classes {
-        Some(c) => c.table(ri).instance(c.pins_of(ri), buf),
+        Some((c, rows)) => c
+            .table(ri)
+            .instance(c.pins_of(ri), rows[ri].0, &mut buf.arcs),
         None => {
             if let Some(hook) = fault {
                 hook(roots[ri].0);
@@ -1223,30 +1280,27 @@ fn emit(
             build_root(builder, &roots[ri], source_resistance, buf, scratch);
         }
     };
-    type EmitPart = (ArcBuf, Vec<(u32, u32)>);
+    type EmitPart = (ArcBuf, Vec<u32>);
     let emit_chunk = |(start, root_chunk): (usize, &[(NodeId, RootKind)])| -> EmitPart {
-        // Reserve the exact instanced totals upfront (a degraded build
-        // still grows): at a million devices the chunk emits tens of
-        // millions of arcs, and growth doubling would copy them
+        // Reserve the exact instanced arc total upfront (a degraded
+        // build still grows): at a million devices the chunk emits tens
+        // of millions of arcs, and growth doubling would copy them
         // repeatedly.
-        let (est_arcs, est_rows) = classes.map_or((0, 0), |c| {
+        let est_arcs = classes.map_or(0, |(c, _)| {
             (start..start + root_chunk.len())
-                .map(|ri| c.table(ri))
-                .fold((0, 0), |(a, r), t| (a + t.arcs.len(), r + t.rows.len()))
+                .map(|ri| c.table(ri).arcs.len())
+                .sum()
         });
         let mut buf = ArcBuf {
             arcs: Vec::with_capacity(est_arcs),
-            delays: Vec::with_capacity(est_rows),
+            delays: Vec::new(),
         };
-        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
+        let mut counts: Vec<u32> = Vec::with_capacity(root_chunk.len());
         let mut scratch = BuildScratch::new(nl.node_count());
         for ri in start..start + root_chunk.len() {
-            let (arcs_before, rows_before) = (buf.arcs.len(), buf.delays.len());
+            let arcs_before = buf.arcs.len();
             emit_root(ri, &mut buf, &mut scratch);
-            counts.push((
-                (buf.arcs.len() - arcs_before) as u32,
-                (buf.delays.len() - rows_before) as u32,
-            ));
+            counts.push((buf.arcs.len() - arcs_before) as u32);
         }
         (buf, counts)
     };
@@ -1257,7 +1311,7 @@ fn emit(
                          diagnostics: &mut Vec<Diagnostic>|
      -> EmitPart {
         let mut buf = ArcBuf::default();
-        let mut counts: Vec<(u32, u32)> = Vec::with_capacity(root_chunk.len());
+        let mut counts: Vec<u32> = Vec::with_capacity(root_chunk.len());
         let attempts =
             tv_fault::isolated_map((start..start + root_chunk.len()).collect(), 1, |ri| {
                 let mut part = ArcBuf::default();
@@ -1267,11 +1321,11 @@ fn emit(
         for (r, attempt) in root_chunk.iter().zip(attempts) {
             match attempt {
                 Ok(part) => {
-                    counts.push((part.arcs.len() as u32, part.delays.len() as u32));
+                    counts.push(part.arcs.len() as u32);
                     buf.append(part);
                 }
                 Err(()) => {
-                    counts.push((0, 0));
+                    counts.push(0);
                     diagnostics.push(Diagnostic::error(
                         codes::ANALYSIS_WORKER_PANIC,
                         format!(
@@ -1299,18 +1353,13 @@ fn emit(
     let arc_total: usize = parts.iter().map(|(b, _)| b.arcs.len()).sum();
     let row_total: usize = parts.iter().map(|(b, _)| b.delays.len()).sum();
     let mut buf = ArcBuf::default();
-    let mut spans = RootSpans {
-        arcs: Vec::with_capacity(n_roots + 1),
-        rows: Vec::with_capacity(n_roots + 1),
-    };
-    spans.arcs.push(0);
-    spans.rows.push(0);
+    let mut spans: Vec<u32> = Vec::with_capacity(n_roots + 1);
+    spans.push(0);
     // The serial build produces one part: `append` takes its vectors
     // whole rather than copying ~GBs of arcs.
     for (i, (part, counts)) in parts.into_iter().enumerate() {
-        for (a, r) in counts {
-            spans.arcs.push(spans.arcs.last().unwrap() + a);
-            spans.rows.push(spans.rows.last().unwrap() + r);
+        for a in counts {
+            spans.push(spans.last().unwrap() + a);
         }
         buf.append(part);
         if i == 0 {
@@ -1318,8 +1367,7 @@ fn emit(
             buf.delays.reserve_exact(row_total - buf.delays.len());
         }
     }
-    debug_assert_eq!(*spans.arcs.last().unwrap() as usize, buf.arcs.len());
-    debug_assert_eq!(*spans.rows.last().unwrap() as usize, buf.delays.len());
+    debug_assert_eq!(*spans.last().unwrap() as usize, buf.arcs.len());
     (buf, spans, diagnostics)
 }
 
@@ -1365,7 +1413,7 @@ fn add_counts(classes: u64, instanced: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{PhaseCase, TimingGraph};
+    use crate::graph::{assert_reads_as, PhaseCase, TimingGraph};
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, FlowAnalysis, RuleSet};
     use tv_netlist::{Netlist, NetlistBuilder, Tech};
@@ -1396,8 +1444,8 @@ mod tests {
     }
 
     /// The flat reference: every root built alone, serially, into one
-    /// buffer — no classes, no threads, no isolation. Roots in `skip` are
-    /// left out.
+    /// buffer — no classes, no threads, no isolation, a block of rows per
+    /// root. Roots in `skip` are left out.
     fn flat_reference(b: &GraphBuilder<'_>, skip: &[NodeId]) -> TimingGraph {
         let mut buf = ArcBuf::default();
         let mut scratch = BuildScratch::new(b.netlist.node_count());
@@ -1407,53 +1455,65 @@ mod tests {
         finish_graph(b.netlist.node_count(), buf, b.case, Vec::new())
     }
 
-    fn assert_same_graph(g: &TimingGraph, flat: &TimingGraph, what: &str) {
-        assert_eq!(g.arc_count(), flat.arc_count(), "{what}");
-        assert_eq!(g.delays.len(), flat.delays.len(), "{what}");
-        for (h, f) in g.arcs.iter().zip(flat.arcs.iter()) {
-            assert_eq!(h.from, f.from, "{what}");
-            assert_eq!(h.to, f.to, "{what}");
-            assert_eq!(h.kind, f.kind, "{what}");
-            assert_eq!(h.inverting, f.inverting, "{what}");
-            assert_eq!(h.delay, f.delay, "{what}");
-            assert_eq!(g.delay_of(h).words(), flat.delay_of(f).words(), "{what}");
-        }
-    }
-
     fn assert_hier_matches_flat(nl: &Netlist, case: PhaseCase) -> Extraction {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let flat = flat_reference(&builder(nl, &flow, &qual, case), &[]);
+        let b = builder(nl, &flow, &qual, case);
+        let flat = flat_reference(&b, &[]);
         let mut last = None;
         for jobs in [1usize, 2, 8] {
-            let (sb, ex) = spanned(nl, case, jobs);
+            let (sb, ex) = lone_build(&b, jobs);
             let ex = ex.expect("clean build must extract");
-            assert_same_graph(&sb.graph, &flat, &format!("jobs {jobs}"));
-            assert_rows_owned(&sb);
+            assert_reads_as(&sb.graph, &flat, &format!("jobs {jobs}"));
+            assert_rows_owned(&b, &sb, &ex);
             last = Some(ex);
         }
         last.unwrap()
     }
 
-    /// Every arc in root `k`'s arc span indexes a row inside root `k`'s
-    /// row span, and the spans tile both lists exactly.
-    fn assert_rows_owned(sb: &SpannedBuild) {
+    /// The arc spans tile the arc list, and every arc of root `k` indexes
+    /// a row inside `k`'s row span. The rows are one block per class: the
+    /// members of a class share one span, as long as the rows of a member
+    /// built alone; the class spans tile the row list in class-id order,
+    /// so the row count is the sum of the class tables' rows; and each
+    /// block's reader count is its class's member count.
+    fn assert_rows_owned(b: &GraphBuilder<'_>, sb: &SpannedBuild, ex: &Extraction) {
         let spans = sb.spans.as_ref().expect("clean build records spans");
         let g = &sb.graph;
         assert_eq!(spans.arcs.len(), sb.roots.len() + 1);
-        assert_eq!(spans.rows.len(), sb.roots.len() + 1);
+        assert_eq!(spans.rows.len(), sb.roots.len());
         assert_eq!(*spans.arcs.last().unwrap() as usize, g.arc_count());
-        assert_eq!(*spans.rows.last().unwrap() as usize, g.delays.len());
+        let mut class_span = vec![None; ex.class_len.len()];
         for k in 0..sb.roots.len() {
-            let rows = spans.rows[k]..spans.rows[k + 1];
+            let (start, len) = spans.rows[k];
             for a in &g.arcs[spans.arcs[k] as usize..spans.arcs[k + 1] as usize] {
                 assert!(
-                    rows.contains(&a.delay),
-                    "root {k}: arc row {} outside its span {rows:?}",
-                    a.delay
+                    (start..start + len).contains(&a.delay),
+                    "root {k}: arc row {} outside its span {:?}",
+                    a.delay,
+                    spans.rows[k]
                 );
             }
+            let c = ex.class_of[k] as usize;
+            let span = *class_span[c].get_or_insert(spans.rows[k]);
+            assert_eq!(span, spans.rows[k], "root {k} reads its class's rows");
         }
+        let (mut next, mut blocks) = (0, Vec::new());
+        let mut scratch = BuildScratch::new(b.netlist.node_count());
+        for (c, span) in class_span.into_iter().enumerate() {
+            let (start, len) = span.expect("every class has a member");
+            assert_eq!(start, next, "class {c}: blocks in class-id order");
+            let member = ex.class_of.iter().position(|&m| m as usize == c).unwrap();
+            let mut alone = ArcBuf::default();
+            build_root(b, &sb.roots[member], 1.0, &mut alone, &mut scratch);
+            assert_eq!(len as usize, alone.delays.len(), "class {c}: table rows");
+            if len > 0 {
+                blocks.push((start, ex.class_len[c]));
+            }
+            next += len;
+        }
+        assert_eq!(next as usize, g.delays.len(), "one block per class");
+        assert_eq!(spans.blocks, blocks, "block readers");
     }
 
     #[test]
@@ -1473,13 +1533,17 @@ mod tests {
             tv_gen::mips_mc::t6_mips_mc(t, 1).netlist,
         ];
         for nl in &workloads {
+            let flow = analyze(nl, &RuleSet::all());
+            let qual = qualify_with_flow(nl, &flow);
             for case in [
                 PhaseCase::all_active(),
                 PhaseCase::phase(0),
                 PhaseCase::phase(1),
             ] {
+                let b = builder(nl, &flow, &qual, case);
                 for jobs in [1usize, 2, 8] {
-                    assert_rows_owned(&spanned(nl, case, jobs).0);
+                    let (sb, ex) = lone_build(&b, jobs);
+                    assert_rows_owned(&b, &sb, &ex.expect("clean build must extract"));
                 }
             }
         }
@@ -1591,7 +1655,7 @@ mod tests {
         for jobs in [1usize, 2, 4, 8] {
             let (sb, ex) = build(&b, 1.0, jobs, Share::Off, Some(&hook));
             assert!(sb.spans.is_none() && ex.is_none(), "jobs {jobs}");
-            assert_same_graph(&sb.graph, &expected, &format!("jobs {jobs}"));
+            assert_reads_as(&sb.graph, &expected, &format!("jobs {jobs}"));
             let errors = sb
                 .graph
                 .diagnostics
@@ -1717,7 +1781,7 @@ mod tests {
                 let ex = ex.expect("clean build must extract");
                 let mine = match case.active {
                     None => {
-                        assert_same_graph(&comb.graph, &sb.graph, &what);
+                        assert_reads_as(&comb.graph, &sb.graph, &what);
                         assert_eq!(comb.spans, sb.spans, "{what}");
                         comb_ex.as_ref()
                     }
@@ -1725,7 +1789,7 @@ mod tests {
                         let (view, vex) =
                             build_view(&b, 1.0, jobs, (&comb.graph, comb_spans), &share, None)
                                 .expect("a clean view");
-                        crate::graph::assert_reads_as(&view.on(&comb.graph), &sb.graph, &what);
+                        assert_reads_as(&view.on(&comb.graph), &sb.graph, &what);
                         match vex {
                             Some(vex) => {
                                 assert_eq!(vex, ex, "{what}");

@@ -31,12 +31,13 @@
 //! session-grade manager records per-root arc **spans** and a per-node
 //! **extent index** (which roots read which node's caps/geometry) at
 //! build time. A parametric edit then resynthesizes only the affected
-//! roots and splices their delays into the existing graph in place —
-//! CSR adjacency and level schedule are untouched because parametric
-//! edits cannot change arc structure. The splice reports exactly which
-//! nodes' in-arc delay words changed, and the arrival pass re-relaxes
-//! their fanout cone over the previous run's arrivals (the cone engine)
-//! instead of walking the whole graph.
+//! roots and splices their delays into the existing graph — copying a
+//! root's rows out of its class's shared block before it writes them —
+//! while CSR adjacency and level schedule are untouched because
+//! parametric edits cannot change arc structure. The splice reports
+//! exactly which nodes' in-arc delay words changed, and the arrival pass
+//! re-relaxes their fanout cone over the previous run's arrivals (the
+//! cone engine) instead of walking the whole graph.
 //!
 //! The cases share their graphs too: a full all-active build leaves a
 //! case share, and each phase case is built as a **view** over the
@@ -77,7 +78,7 @@ use crate::error::TvError;
 use crate::fingerprint::{flow_fingerprint, hash_words, mix64, PhaseParts, ReportParts};
 use crate::graph::{
     changed_targets, splice_roots, ArcGraph, BuildScratch, Extents, GraphBuilder, PhaseCase,
-    PhaseView, RootKind, RootSpans, TimingGraph,
+    PhaseView, RootKind, RootSpans, TimingGraph, OWN_ROW,
 };
 use crate::hold::RaceHazard;
 use crate::macromodel::{build, build_view, CaseShare, Extraction, Share};
@@ -1359,7 +1360,7 @@ fn keep_graph(
     if s.shape_fp != shape_fp || !s.graph.diagnostics.is_empty() {
         return None;
     }
-    let (spans, extents) = (s.spans.as_ref()?, s.extents.as_ref()?);
+    let (spans, extents) = (s.spans.as_mut()?, s.extents.as_ref()?);
     let DirtySince::Nodes(dirty) = d.dirty_since(s.built_revision) else {
         return None;
     };
@@ -1377,7 +1378,7 @@ fn keep_graph(
     scratch.fit(run.nl.node_count());
     let graph = &mut s.graph;
     let changed = splice_roots(
-        &graph.arcs,
+        &mut graph.arcs,
         &mut graph.delays,
         0,
         &run.builder(case),
@@ -1550,13 +1551,13 @@ fn keep_view(
             scratch.fit(run.nl.node_count());
             let view = &mut v.view;
             let own_changed = splice_roots(
-                &view.arcs,
+                &mut view.arcs,
                 &mut view.delays,
-                base.graph.delays.len() as u32,
+                OWN_ROW,
                 &run.builder(case),
                 SOURCE_RESISTANCE,
                 roots,
-                &view.spans,
+                &mut view.spans,
                 &own,
                 scratch,
             );
@@ -1869,6 +1870,7 @@ fn latch_content_fp(latches: &[Latch]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{Arc, ArcDelay};
     use tv_gen::{chains, datapath};
     use tv_netlist::Tech;
 
@@ -2574,6 +2576,162 @@ mod tests {
                 }
             }
             assert!(own_splices > 0, "{name}: no view spliced");
+        }
+    }
+
+    /// A case slot's own arcs, rows, row-id tag and spans: the whole
+    /// graph of an all-active or lone slot, the replaced roots of a view
+    /// (its invariant roots read the all-active slot).
+    fn own_rows(g: &CaseGraph) -> (&[Arc], &[ArcDelay], u32, &RootSpans) {
+        match g {
+            CaseGraph::Own(s) => {
+                let spans = s.spans.as_ref().expect("a clean build's spans");
+                (&s.graph.arcs, &s.graph.delays, 0, spans)
+            }
+            CaseGraph::View(v) => (&v.view.arcs, &v.view.delays, OWN_ROW, &v.view.spans),
+        }
+    }
+
+    /// The row words of each root's arcs in a case slot's own roots.
+    fn root_words(g: &CaseGraph) -> Vec<Vec<[u64; 4]>> {
+        let (arcs, rows, tag, spans) = own_rows(g);
+        let words = |a: &Arc| rows[(a.delay - tag) as usize].words();
+        let span = |w: &[u32]| &arcs[w[0] as usize..w[1] as usize];
+        spans
+            .arcs
+            .windows(2)
+            .map(|w| span(w).iter().map(words).collect())
+            .collect()
+    }
+
+    /// The own roots of a case slot whose extents `dirty` hits.
+    fn hit_roots(g: &CaseGraph, dirty: &[NodeId]) -> Vec<u32> {
+        match g {
+            CaseGraph::Own(s) => s.extents.as_ref().expect("warm extents").hit(dirty),
+            CaseGraph::View(v) => v.splice.as_ref().map_or(Vec::new(), |(_, e)| e.hit(dirty)),
+        }
+    }
+
+    /// Seeded resize and setcap edits that keep hitting three roots of
+    /// shared classes, on three T6 cores and on mips32 at jobs 1/2/8, in
+    /// every case slot (the phase views' own roots included). Splices
+    /// copy on write: a root outside an edit's affected set — siblings of
+    /// the edited instances among them — reads bit-unchanged row words;
+    /// a case's row list grows by exactly the private blocks its roots
+    /// now hold, so by at most one block per root ever spliced, and never
+    /// past one block per root; and the warm report equals a cold
+    /// analysis of the edited design.
+    #[test]
+    fn copy_on_write_splices_keep_siblings_and_bound_the_rows() {
+        let t = Tech::nmos4um();
+        let designs = [
+            ("t6x3", tv_gen::mips_mc::t6_mips_mc(t.clone(), 3).netlist),
+            (
+                "mips32",
+                datapath::datapath(t, datapath::DatapathConfig::mips32()).netlist,
+            ),
+        ];
+        for (name, nl) in designs {
+            for jobs in [1usize, 2, 8] {
+                let opts = AnalysisOptions {
+                    jobs,
+                    ..AnalysisOptions::default()
+                };
+                let mut design = Design::new(nl.clone());
+                let mut pm = PassManager::new();
+                pm.analyze(&design, &opts);
+                let comb = comb_graph(&pm.graphs).expect("the all-active graph");
+                let spans = comb.spans.as_ref().expect("a clean build's spans");
+                let readers = |start: u32| match spans.blocks.binary_search_by_key(&start, |b| b.0)
+                {
+                    Ok(i) => spans.blocks[i].1,
+                    Err(_) => 0,
+                };
+                let shared: Vec<NodeId> = (0..comb.roots.len())
+                    .filter(|&k| readers(spans.rows[k].0) > 1)
+                    .map(|k| comb.roots[k].0)
+                    .collect();
+                let mut rng = tv_gen::rng::Rng64::new(0xC0_5EED ^ jobs as u64);
+                let pool: Vec<NodeId> = (0..3)
+                    .map(|_| shared[rng.usize_range(0, shared.len())])
+                    .collect();
+                let slots = |pm: &PassManager| -> Vec<usize> {
+                    (0..3).filter(|&k| pm.graphs[k].is_some()).collect()
+                };
+                assert_eq!(slots(&pm).len(), 3, "{name}: three cases");
+                let rows0: Vec<usize> = (0..3)
+                    .map(|k| own_rows(pm.graphs[k].as_ref().unwrap()).1.len())
+                    .collect();
+                let (mut copied, mut siblings_kept) = (0usize, 0usize);
+                let mut warm = None;
+                for step in 0..6 {
+                    let before: Vec<_> = (0..3)
+                        .map(|k| {
+                            let g = pm.graphs[k].as_ref().unwrap();
+                            (root_words(g), own_rows(g).3.rows.clone())
+                        })
+                        .collect();
+                    let n = pool[rng.usize_range(0, pool.len())];
+                    let receipt = if rng.usize_range(0, 2) == 0 {
+                        let channel = design.netlist().node_devices(n).channel;
+                        let d = channel[rng.usize_range(0, channel.len())];
+                        design.resize_device(d, rng.f64_range(3.0, 9.0), 2.0)
+                    } else {
+                        design.set_node_cap(n, rng.f64_range(0.01, 0.08))
+                    }
+                    .expect("a parametric edit");
+                    warm = Some(pm.analyze(&design, &opts));
+                    for k in slots(&pm) {
+                        let what = format!("{name} jobs {jobs} step {step} slot {k}");
+                        let g = pm.graphs[k].as_ref().unwrap();
+                        let case = [None, Some(0), Some(1)][k];
+                        let graph_pass = trace_outcome(&pm, PassId::Graph(case));
+                        assert_ne!(graph_pass, Some(PassOutcome::Computed), "{what}: kept");
+                        let hit = hit_roots(g, &receipt.dirty);
+                        let (words, spans0) = &before[k];
+                        let after = root_words(g);
+                        assert_eq!(after.len(), words.len(), "{what}");
+                        for (r, (b, a)) in words.iter().zip(&after).enumerate() {
+                            if hit.binary_search(&(r as u32)).is_err() {
+                                assert_eq!(b, a, "{what}: root {r} is outside the edit");
+                            }
+                        }
+                        siblings_kept += hit
+                            .iter()
+                            .filter(|&&r| {
+                                let start = spans0[r as usize];
+                                spans0.iter().enumerate().any(|(j, s)| {
+                                    s.1 > 0
+                                        && *s == start
+                                        && hit.binary_search(&(j as u32)).is_err()
+                                })
+                            })
+                            .count();
+                        let (_, rows, _, spans) = own_rows(g);
+                        let private: usize = spans
+                            .rows
+                            .iter()
+                            .filter(|r| r.0 as usize >= rows0[k])
+                            .map(|r| r.1 as usize)
+                            .sum();
+                        assert_eq!(rows.len() - rows0[k], private, "{what}: one block per root");
+                        let per_root: usize = spans.rows.iter().map(|r| r.1 as usize).sum();
+                        assert!(rows.len() <= per_root, "{what}: {} rows", rows.len());
+                        copied += private;
+                    }
+                }
+                let nl = design.netlist();
+                let cold = crate::Analyzer::new(nl).run(&opts);
+                assert_eq!(
+                    crate::fingerprint::report_fingerprint(nl, &warm.expect("a warm run")),
+                    crate::fingerprint::report_fingerprint(nl, &cold),
+                    "{name} jobs {jobs}: warm against cold"
+                );
+                assert!(
+                    copied > 0 && siblings_kept > 0,
+                    "{name} jobs {jobs}: no copy on write"
+                );
+            }
         }
     }
 

@@ -115,6 +115,26 @@ for j in 2 8; do
   diff -u "$t6_dir/out1.txt" "$t6_dir/out$j.txt"
   diff -u "$t6_dir/err1.txt" "$t6_dir/err$j.txt"
 done
+
+echo "== t6 warm smoke: a copy-on-write splice equals a cold analysis =="
+# Every class of the two-core design has at least two members, so a
+# setcap on a core-0 node splices one instance of a shared class: its
+# rows are copied out of the class block. The warm session (analyze,
+# edit, analyze) must end on the fingerprint of a session that makes
+# the same edit before its first analyze, at --jobs 1/2/8.
+printf 'load %s\nanalyze\nedit setcap c0_wqbar0 0.08\nanalyze\nquit\n' "$t6_dir/t6.sim" \
+  > "$t6_dir/warm.txt"
+printf 'load %s\nedit setcap c0_wqbar0 0.08\nanalyze\nquit\n' "$t6_dir/t6.sim" > "$t6_dir/cold.txt"
+last_fp() {
+  ./target/release/tv batch "$1" --jobs "$2" | grep '"cmd":"analyze"' | tail -1 \
+    | sed -E 's/.*"fingerprint":"([^"]*)".*/\1/'
+}
+for j in 1 2 8; do
+  warm="$(last_fp "$t6_dir/warm.txt" "$j")"
+  cold="$(last_fp "$t6_dir/cold.txt" "$j")"
+  [ -n "$warm" ] && [ "$warm" = "$cold" ] \
+    || { echo "t6 warm smoke: --jobs $j warm $warm, cold $cold"; exit 1; }
+done
 rm -rf "$t6_dir"
 
 echo "== race smoke: same-phase race-through vs golden =="

@@ -176,7 +176,7 @@ fn binary_fault_seed_metrics_write_recovers() {
 
 /// A `graph_build` plan fired at the first, middle and last root: the
 /// panic voids extraction, every root is re-emitted by direct build, and
-/// the graph equals the clean build bit for bit at any jobs setting.
+/// the graph reads as the clean build bit for bit at any jobs setting.
 #[test]
 fn graph_build_fault_at_any_root_rebuilds_the_clean_graph() {
     use nmos_tv::clocks::qualify::qualify_with_flow;
@@ -225,15 +225,16 @@ fn graph_build_fault_at_any_root_rebuilds_the_clean_graph() {
             let what = format!("after {after}, jobs {jobs}");
             assert!(g.diagnostics.is_empty(), "{what}");
             assert_eq!(g.arc_count(), clean.arc_count(), "{what}");
+            // The degraded build gives every root rows of its own and the
+            // clean one shares a block per class, so each arc is compared
+            // by what walks read of it: its endpoints, inversion, kind and
+            // row words.
+            let read = |t: &TimingGraph, a: &nmos_tv::core::Arc| {
+                (a.from, a.to, a.inverting, a.kind, t.delay_of(a).words())
+            };
             for (a, b) in g.arcs.iter().zip(&clean.arcs) {
-                assert_eq!(
-                    (a.from, a.to, a.delay, a.inverting, a.kind),
-                    (b.from, b.to, b.delay, b.inverting, b.kind),
-                    "{what}"
-                );
+                assert_eq!(read(&g, a), read(&clean, b), "{what}");
             }
-            let words = |t: &TimingGraph| t.delays.iter().map(|d| d.words()).collect::<Vec<_>>();
-            assert_eq!(words(&g), words(&clean), "{what}");
             assert_eq!(g.schedule.order, clean.schedule.order, "{what}");
             assert_eq!(
                 g.schedule.level_starts, clean.schedule.level_starts,
