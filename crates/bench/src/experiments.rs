@@ -9,7 +9,7 @@ use tv_gen::chains::{buffered_pass_chain, loaded_inverter, pass_chain};
 use tv_gen::datapath::{datapath, Datapath, DatapathConfig};
 use tv_gen::random::{random_logic, RandomMix};
 use tv_gen::workload::{t1_suite, t2_suite};
-use tv_netlist::{NodeId, Tech};
+use tv_netlist::Tech;
 use tv_sim::{measure, SimOptions, Simulator, Stimulus, Waveform};
 
 /// One row of the T1 accuracy table.
@@ -838,19 +838,6 @@ pub fn parallel_scaling(
             best.expect("iters >= 1")
         })
         .collect()
-}
-
-/// Helper shared by benches: a datapath ready to analyze.
-pub fn bench_datapath(tech: &Tech, config: DatapathConfig) -> Datapath {
-    datapath(tech.clone(), config)
-}
-
-/// Helper shared by benches: the output node of the first T1 circuit.
-pub fn first_t1_output(tech: &Tech) -> (tv_gen::Circuit, NodeId) {
-    let mut suite = t1_suite(tech);
-    let item = suite.remove(0);
-    let out = item.circuit.output;
-    (item.circuit, out)
 }
 
 #[cfg(test)]

@@ -285,32 +285,6 @@ pub trait ArcGraph: Sync {
             }
         }
     }
-
-    /// Reverse reachability: every node from which some node in
-    /// `targets` can be reached over arcs (the targets themselves
-    /// included). The dual of [`ArcGraph::fanout_closure`], walking
-    /// in-arcs instead of out-arcs — the fan-in cone that determines a
-    /// target's arrival.
-    fn fanin_cone(&self, targets: &[usize]) -> Vec<bool> {
-        let mut marked = vec![false; self.node_count()];
-        let mut stack: Vec<usize> = Vec::new();
-        for &t in targets {
-            if !marked[t] {
-                marked[t] = true;
-                stack.push(t);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            for ai in self.in_arcs(i) {
-                let from = self.arc(ai).from.index();
-                if !marked[from] {
-                    marked[from] = true;
-                    stack.push(from);
-                }
-            }
-        }
-        marked
-    }
 }
 
 /// The timing graph for one netlist under one phase case.
@@ -1676,47 +1650,6 @@ mod tests {
                 "fanout of s0 mismarked {:?}",
                 nl.node_name(i)
             );
-        }
-    }
-
-    #[test]
-    fn fanin_cone_is_the_dual_of_fanout_closure() {
-        let mut b = NetlistBuilder::new(Tech::nmos4um());
-        let a = b.input("a");
-        let c = b.input("c");
-        let s0 = b.node("s0");
-        let s1 = b.node("s1");
-        let t0 = b.node("t0");
-        b.inverter("i0", a, s0);
-        b.inverter("i1", s0, s1);
-        b.inverter("j0", c, t0);
-        let nl = b.finish().unwrap();
-        let (g, _) = graph_for(&nl, PhaseCase::all_active());
-
-        let cone = g.fanin_cone(&[s1.index()]);
-        for i in nl.node_ids() {
-            let expect = i == a || i == s0 || i == s1;
-            assert_eq!(
-                cone[i.index()],
-                expect,
-                "fanin of s1 mismarked {:?}",
-                nl.node_name(i)
-            );
-        }
-        // Duality: j is in fanin_cone(t) iff t is in fanout_closure(j).
-        for j in nl.node_ids() {
-            let mut fwd = vec![false; g.node_count()];
-            fwd[j.index()] = true;
-            g.fanout_closure(&mut fwd, vec![j.index()]);
-            for t in nl.node_ids() {
-                assert_eq!(
-                    g.fanin_cone(&[t.index()])[j.index()],
-                    fwd[t.index()],
-                    "duality broke for j={:?} t={:?}",
-                    nl.node_name(j),
-                    nl.node_name(t)
-                );
-            }
         }
     }
 

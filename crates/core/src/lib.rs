@@ -74,7 +74,7 @@ pub use graph::{Arc, ArcDelay, ArcGraph, ArcKind, LevelSchedule, PhaseCase, Timi
 pub use hold::{race_check, RaceHazard};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};
-pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, ReportSummary, PASS_TABLE};
+pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, ReportSummary};
 pub use propagate::{
     propagate, propagate_guarded, propagate_with, Arrivals, Completion, Guards, PhaseResult,
     PAR_MIN_WIDTH,

@@ -39,11 +39,13 @@
 //! is gated by a node qualified to phase `q`. A root whose mask has no
 //! bit but `p` is *invariant* in case `p` — its walk, trace, pins and
 //! arcs there are its all-active ones. So the all-active build leaves a
-//! `CaseShare` (masks, partition, master traces and tables), and a phase
-//! case is built as a **view** over the all-active graph
-//! (`build_view`): it signs and emits only the roots its phase
-//! replaces, and reads every invariant root's arcs in place. A phase
-//! that replaces no root is the empty view (DESIGN.md §10, §16).
+//! `CaseShare` (masks and its whole partition: every class's master
+//! trace and table), and a phase case is built as a **view** over the
+//! all-active graph (`build_view`): it signs and emits only the roots
+//! its phase replaces, and reads every invariant root's arcs in place.
+//! A replaced root whose trace matches an all-active class joins it and
+//! borrows its table. A phase that replaces no root is the empty view
+//! (DESIGN.md §10, §16).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -651,64 +653,56 @@ impl Lookup {
         self.master_canon_starts.push(self.master_canon.len());
         cid
     }
-
-    /// The lookup of the classes `kept` keeps, renumbered: `kept[c]` is
-    /// class `c`'s new id, `u32::MAX` for a class dropped, and the new
-    /// ids are `0..n`.
-    fn retain(self, kept: &[u32], n: usize) -> Lookup {
-        let mut order = vec![0; n];
-        for (c, &k) in kept.iter().enumerate() {
-            if k != u32::MAX {
-                order[k as usize] = c;
-            }
-        }
-        let mut out = Lookup::new();
-        for c in order {
-            out.master_canon.extend_from_slice(self.trace(c as u32));
-            out.master_canon_starts.push(out.master_canon.len());
-        }
-        out.by_hash = self
-            .by_hash
-            .into_iter()
-            .filter_map(|(hash, cands)| {
-                let cands: Vec<u32> = cands
-                    .into_iter()
-                    .map(|c| kept[c as usize])
-                    .filter(|&c| c != u32::MAX)
-                    .collect();
-                (!cands.is_empty()).then_some((hash, cands))
-            })
-            .collect();
-        out
-    }
 }
 
 /// What the all-active build of a clocked design leaves for the phase
-/// views of the same analysis (see the module docs): the part of the
-/// all-active partition they read ([`Kept`]). A phase view reads the
-/// classes of the roots it does not replace, and looks the traces of the
-/// roots it does replace up against the kept classes first.
-#[derive(Default)]
+/// views of the same analysis (see the module docs): its masks and its
+/// whole partition, with the lookup and tables of every class. A phase
+/// view reads the classes of the roots it does not replace, and looks
+/// the traces of the roots it does replace up against every all-active
+/// class first, so a replaced root joins a class of the same trace and
+/// borrows its table rather than minting an equal one.
 pub(crate) struct CaseShare {
     /// Case mask per root ordinal.
     masks: Vec<u8>,
     /// Roots each phase case replaces: `sensitive[p]` counts the roots
     /// whose mask has a bit other than `p`'s.
     sensitive: [usize; 2],
-    /// The all-active extraction's `macro.*` counts (classes, instanced),
-    /// which an empty view reports as its own.
-    counts: [u64; 2],
     /// The build roots, which do not depend on the case.
     roots: Vec<(NodeId, RootKind)>,
-    /// Kept class per root ordinal, `u32::MAX` for a root no phase view
-    /// reads from the share.
+    /// All-active class per root ordinal.
     class_of: Vec<u32>,
-    /// Lookup and tables of the kept classes.
+    /// Lookup and tables of the all-active classes.
     lookup: Lookup,
     tables: Vec<MacroTable>,
 }
 
 impl CaseShare {
+    /// The share of a clean all-active build, taking its masks,
+    /// partition, lookup and tables as they are.
+    fn new(
+        masks: Vec<u8>,
+        roots: &[(NodeId, RootKind)],
+        class_of: Vec<u32>,
+        lookup: Lookup,
+        tables: Vec<MacroTable>,
+    ) -> Self {
+        let mut sensitive = [0usize; 2];
+        for &m in &masks {
+            for p in 0..2u8 {
+                sensitive[p as usize] += (m & !phase_bit(p) != 0) as usize;
+            }
+        }
+        CaseShare {
+            masks,
+            sensitive,
+            roots: roots.to_vec(),
+            class_of,
+            lookup,
+            tables,
+        }
+    }
+
     /// Whether phase case `p` replaces no root, so that its view is
     /// empty.
     pub(crate) fn replaces_none(&self, p: u8) -> bool {
@@ -741,97 +735,6 @@ impl Base<'_> {
     }
 }
 
-/// What an all-active build that leaves a share keeps past grouping. A
-/// phase view reads the share's classes only for the roots invariant in
-/// it, and a replaced root only needs to find a class holding such a
-/// root: joining any other class is the same as minting it anew, since
-/// the partition, the renumbered ids and the table (a function of the
-/// trace) come out equal. So the share keeps the roots invariant in some
-/// phase whose view is not empty, and their classes, renumbered in class
-/// order (so a share that keeps every class keeps the build's ids and
-/// lookup as they are).
-struct Kept {
-    masks: Vec<u8>,
-    sensitive: [usize; 2],
-    /// Class id to share class id, `u32::MAX` for a class not kept.
-    class: Vec<u32>,
-    classes: usize,
-    lookup: Lookup,
-}
-
-impl Kept {
-    fn new(masks: Vec<u8>, class_of: &[u32], classes: usize, lookup: Lookup) -> Self {
-        let mut sensitive = [0usize; 2];
-        for &m in &masks {
-            for p in 0..2u8 {
-                sensitive[p as usize] += (m & !phase_bit(p) != 0) as usize;
-            }
-        }
-        let mut kept = Kept {
-            masks,
-            sensitive,
-            class: vec![u32::MAX; classes],
-            classes: 0,
-            lookup: Lookup::default(),
-        };
-        let mut needed = vec![false; classes];
-        for (ri, &c) in class_of.iter().enumerate() {
-            needed[c as usize] |= kept.reads(ri);
-        }
-        for (c, need) in needed.into_iter().enumerate() {
-            if need {
-                kept.class[c] = kept.classes as u32;
-                kept.classes += 1;
-            }
-        }
-        kept.lookup = if kept.classes == classes {
-            lookup
-        } else {
-            lookup.retain(&kept.class, kept.classes)
-        };
-        kept
-    }
-
-    /// Whether some phase view reads root `ri` from the share.
-    fn reads(&self, ri: usize) -> bool {
-        let m = self.masks[ri];
-        (0..2u8).any(|p| self.sensitive[p as usize] > 0 && m & !phase_bit(p) == 0)
-    }
-
-    /// The share: the kept roots' classes out of the build's, the kept
-    /// classes' tables, and the extraction's `counts`.
-    fn into_share(
-        self,
-        counts: [u64; 2],
-        roots: &[(NodeId, RootKind)],
-        class_of: &[u32],
-        tables: Vec<Cow<'_, MacroTable>>,
-    ) -> CaseShare {
-        // Kept ids follow class order, so the kept tables do too.
-        let tables = tables
-            .into_iter()
-            .zip(&self.class)
-            .filter(|&(_, &k)| k != u32::MAX)
-            .map(|(t, _)| t.into_owned())
-            .collect();
-        let class_of = (0..roots.len())
-            .map(|ri| match self.reads(ri) {
-                true => self.class[class_of[ri] as usize],
-                false => u32::MAX,
-            })
-            .collect();
-        CaseShare {
-            masks: self.masks,
-            sensitive: self.sensitive,
-            counts,
-            roots: roots.to_vec(),
-            class_of,
-            lookup: self.lookup,
-            tables,
-        }
-    }
-}
-
 /// How a build takes part in the cross-case share.
 pub(crate) enum Share<'s> {
     /// A lone build: nothing shared.
@@ -843,7 +746,7 @@ pub(crate) enum Share<'s> {
 
 /// What phases A–C learn: the class partition, the pin tables of the
 /// roots signed, and one macromodel table per class. A phase view
-/// borrows the tables of the all-active classes it keeps from the share.
+/// borrows the tables of the all-active classes it reads from the share.
 struct Classes<'s> {
     class_of: Vec<u32>,
     class_len: Vec<u32>,
@@ -852,8 +755,9 @@ struct Classes<'s> {
     pins: Vec<NodeId>,
     pin_starts: Vec<usize>,
     tables: Vec<Cow<'s, MacroTable>>,
-    /// What an all-active build that leaves a share keeps.
-    leave: Option<Kept>,
+    /// The case masks and class lookup of an all-active build that
+    /// leaves a share.
+    leave: Option<(Vec<u8>, Lookup)>,
 }
 
 impl Classes<'_> {
@@ -1041,8 +945,10 @@ pub(crate) fn build_view(
             tv_obs::incr(tv_obs::Counter::FaultDegraded);
             return None;
         }
-        let [classes, instanced] = share.counts;
-        add_counts(classes, instanced);
+        // The all-active extraction's `macro.*` counts are the empty
+        // view's own.
+        let classes = share.tables.len();
+        add_counts(classes as u64, (roots.len() - classes) as u64);
         let empty = PhaseView::new(
             builder.case,
             base,
@@ -1104,7 +1010,7 @@ pub(crate) fn build_view(
 /// build's own otherwise. Classes are then renumbered by first
 /// appearance in root order, so the partition, class ids and tables are
 /// those of a lone build of the case, and only the new classes' masters
-/// are analyzed. `leave` keeps what a share needs ([`Kept`]).
+/// are analyzed. `leave` keeps the masks and lookup a share needs.
 fn extract<'s>(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
@@ -1184,8 +1090,8 @@ fn extract<'s>(
                 let canon = &signer.canon[c0..c0 + cw as usize];
                 c0 += cw as usize;
                 let hash = trace_hash(canon);
-                let kept = base.and_then(|b| b.share.lookup.find(hash, canon));
-                class_of.push(match kept {
+                let shared = base.and_then(|b| b.share.lookup.find(hash, canon));
+                class_of.push(match shared {
                     Some(cid) => cid,
                     None => base_classes + lookup.find_or_mint(hash, canon),
                 });
@@ -1239,9 +1145,8 @@ fn extract<'s>(
             None => base.map(|b| Cow::Borrowed(&b.share.tables[pid as usize])),
         })
         .collect::<Option<Vec<_>>>()?;
-    // Only the lookup entries the share keeps outlive extraction. A
-    // build that leaves a share is all-active, so its ids are final.
-    let leave = leave.then(|| Kept::new(masks, &class_of, minted, lookup));
+    // A build that leaves a share is all-active, so its ids are final.
+    let leave = leave.then_some((masks, lookup));
     Some(Classes {
         class_of,
         class_len,
@@ -1390,8 +1295,10 @@ fn account(c: Classes<'_>, roots: &[(NodeId, RootKind)]) -> (Extraction, Option<
     for &cid in &class_of {
         fp = mix64(fp, cid as u64);
     }
-    let counts = [n_classes as u64, instanced];
-    let left = leave.map(|kept| kept.into_share(counts, roots, &class_of, tables));
+    let left = leave.map(|(masks, lookup)| {
+        let tables = tables.into_iter().map(Cow::into_owned).collect();
+        CaseShare::new(masks, roots, class_of.clone(), lookup, tables)
+    });
     let ex = Extraction {
         class_of,
         class_len,
@@ -1874,6 +1781,61 @@ mod tests {
         assert_ne!(ex[0].class_of[rx], ex[0].class_of[rw]);
         assert_eq!(ex[1].class_of[rx], ex[1].class_of[rw], "joins under φ1");
         assert_ne!(ex[2].class_of[rx], ex[2].class_of[rw]);
+    }
+
+    #[test]
+    fn a_replaced_root_joins_an_all_active_class_no_view_reads() {
+        // Random logic holds all-active classes whose members every
+        // non-empty view replaces (on this design, one replaced root's
+        // φ2 trace matches one). The share keeps them, so such a root
+        // joins the class and borrows its table, and the views still
+        // read as lone builds.
+        let nl = tv_gen::random::random_logic(
+            Tech::nmos4um(),
+            20_000,
+            1,
+            tv_gen::random::RandomMix::default(),
+        )
+        .netlist;
+        shared_agrees_with_lone(&nl);
+        let flow = analyze(&nl, &RuleSet::all());
+        let qual = qualify_with_flow(&nl, &flow);
+        let mut share = None;
+        let all = builder(&nl, &flow, &qual, PhaseCase::all_active());
+        build(&all, 1.0, 1, Share::Leave(&mut share), None);
+        let share = share.expect("a clean all-active build leaves a share");
+        let phases: Vec<u8> = (0..2).filter(|&p| !share.replaces_none(p)).collect();
+        assert!(!phases.is_empty(), "some phase replaces a root");
+        let mut read = vec![false; share.tables.len()];
+        for (ri, &c) in share.class_of.iter().enumerate() {
+            read[c as usize] |= phases.iter().any(|&phase| {
+                let b = Base {
+                    share: &share,
+                    phase,
+                };
+                b.invariant(ri)
+            });
+        }
+        let mut scratch = BuildScratch::new(nl.node_count());
+        let (mut canon, mut pins) = (Vec::new(), Vec::new());
+        let mut joins = 0;
+        for &p in &phases {
+            let pb = builder(&nl, &flow, &qual, PhaseCase::phase(p));
+            for r in share.replaced(p) {
+                canon.clear();
+                pins.clear();
+                root_canon(
+                    &pb,
+                    &share.roots[r as usize],
+                    &mut scratch,
+                    &mut canon,
+                    &mut pins,
+                );
+                let c = share.lookup.find(trace_hash(&canon), &canon);
+                joins += c.is_some_and(|c| !read[c as usize]) as usize;
+            }
+        }
+        assert!(joins > 0, "no replaced root joins an unread class");
     }
 
     #[test]

@@ -133,52 +133,6 @@ impl PassId {
     }
 }
 
-/// Static description of one pass kind for docs and tooling.
-pub struct PassInfo {
-    /// Pass family name (case-instantiated passes drop the suffix).
-    pub name: &'static str,
-    /// The declared inputs, as stamp-counter / upstream-pass names.
-    pub inputs: &'static [&'static str],
-}
-
-/// The declared pass graph: which inputs each pass reads. This table is
-/// documentation-grade truth — the fingerprint construction in this
-/// module is the executable version.
-pub const PASS_TABLE: &[PassInfo] = &[
-    PassInfo {
-        name: "flow",
-        inputs: &["topology", "rules"],
-    },
-    PassInfo {
-        name: "qualify",
-        inputs: &["flow", "topology"],
-    },
-    PassInfo {
-        name: "latches",
-        inputs: &["flow", "qualify", "topology"],
-    },
-    PassInfo {
-        name: "extract",
-        inputs: &[
-            "flow", "qualify", "topology", "geometry", "caps", "tech", "model",
-        ],
-    },
-    PassInfo {
-        name: "graph",
-        inputs: &[
-            "extract", "flow", "qualify", "topology", "geometry", "caps", "tech", "model",
-        ],
-    },
-    PassInfo {
-        name: "arrivals",
-        inputs: &["graph", "slope", "budget", "top_k"],
-    },
-    PassInfo {
-        name: "checks",
-        inputs: &["flow", "qualify", "topology", "geometry", "caps", "tech"],
-    },
-];
-
 /// How one pass was satisfied during an `analyze` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassOutcome {
@@ -752,82 +706,67 @@ impl PassManager {
             let slot = self.graphs[k]
                 .as_ref()
                 .ok_or(internal("graph pass left no case slot"))?;
-            let mut clean = true;
-            let outcome = match slot {
-                CaseGraph::Own(s) => {
-                    let graph = &s.graph;
-                    clean = graph.diagnostics.is_empty();
-                    // The arc limit is checked on the combinational
-                    // graph, before any arrival work.
-                    let limit = options
-                        .max_arcs
-                        .filter(|_| enforce_limits && active.is_none());
-                    if let Some(limit) = limit {
-                        let count = graph.arc_count();
-                        if count > limit {
-                            return Err(TvError::TooLarge {
-                                what: "arcs",
-                                count,
-                                limit,
-                            });
-                        }
-                    }
-                    case_pass(
-                        &mut self.cases[k],
-                        self.warm,
-                        &mut self.workspace,
-                        nl,
-                        active,
-                        graph,
-                        &graph.diagnostics,
-                        latches,
-                        options,
-                        opts_fp,
-                        jobs,
-                        guards,
-                        &delta,
-                    )
-                }
-                // An empty view reads exactly the all-active graph, so
-                // its case walks that graph directly.
-                CaseGraph::View(v) if v.view.is_empty() => {
-                    let base = comb_graph(&self.graphs)
-                        .ok_or(internal("a view outlived its all-active graph"))?;
-                    case_pass(
-                        &mut self.cases[k],
-                        self.warm,
-                        &mut self.workspace,
-                        nl,
-                        active,
-                        &base.graph,
-                        &[],
-                        latches,
-                        options,
-                        opts_fp,
-                        jobs,
-                        guards,
-                        &delta,
-                    )
-                }
+            // A view reads the clean all-active graph, whose (empty)
+            // diagnostics are the case's; an empty view reads exactly that
+            // graph, so its case walks it directly.
+            let (graph, view) = match slot {
+                CaseGraph::Own(s) => (&s.graph, None),
                 CaseGraph::View(v) => {
                     let base = comb_graph(&self.graphs)
                         .ok_or(internal("a view outlived its all-active graph"))?;
-                    case_pass(
-                        &mut self.cases[k],
-                        self.warm,
-                        &mut self.workspace,
-                        nl,
-                        active,
-                        &v.view.on(&base.graph),
-                        &[],
-                        latches,
-                        options,
-                        opts_fp,
-                        jobs,
-                        guards,
-                        &delta,
-                    )
+                    (&base.graph, Some(&v.view).filter(|v| !v.is_empty()))
                 }
+            };
+            let clean = graph.diagnostics.is_empty();
+            // The arc limit is checked on the combinational graph, before
+            // any arrival work.
+            let limit = options
+                .max_arcs
+                .filter(|_| enforce_limits && active.is_none());
+            if let Some(limit) = limit {
+                let count = graph.arc_count();
+                if count > limit {
+                    return Err(TvError::TooLarge {
+                        what: "arcs",
+                        count,
+                        limit,
+                    });
+                }
+            }
+            let case = &mut self.cases[k];
+            let ws = &mut self.workspace;
+            let diagnostics = &graph.diagnostics;
+            let outcome = match view {
+                None => case_pass(
+                    case,
+                    self.warm,
+                    ws,
+                    nl,
+                    active,
+                    graph,
+                    diagnostics,
+                    latches,
+                    options,
+                    opts_fp,
+                    jobs,
+                    guards,
+                    &delta,
+                ),
+                Some(v) => case_pass(
+                    case,
+                    self.warm,
+                    ws,
+                    nl,
+                    active,
+                    &v.on(graph),
+                    diagnostics,
+                    latches,
+                    options,
+                    opts_fp,
+                    jobs,
+                    guards,
+                    &delta,
+                ),
             };
             self.trace.push(PassEvent {
                 pass: PassId::Arrivals(active),
@@ -2732,24 +2671,6 @@ mod tests {
                     "{name} jobs {jobs}: no copy on write"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pass_table_covers_every_pass_name() {
-        let names: Vec<&str> = PASS_TABLE.iter().map(|p| p.name).collect();
-        for pass in [
-            PassId::Flow,
-            PassId::Qualify,
-            PassId::Latches,
-            PassId::Extract(None),
-            PassId::Extract(Some(0)),
-            PassId::Graph(None),
-            PassId::Arrivals(Some(1)),
-            PassId::Checks,
-        ] {
-            let family = pass.name().split('.').next().unwrap();
-            assert!(names.contains(&family), "{family} missing from PASS_TABLE");
         }
     }
 }

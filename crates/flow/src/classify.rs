@@ -30,14 +30,6 @@ pub enum DeviceRole {
     Pass,
 }
 
-impl DeviceRole {
-    /// Whether this role participates in restoring a node to a rail.
-    #[inline]
-    pub fn is_driver(self) -> bool {
-        !matches!(self, DeviceRole::Pass)
-    }
-}
-
 /// The inferred class of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {

@@ -26,20 +26,6 @@ pub fn register_bit(
     q
 }
 
-/// Adds a `width`-bit register. Returns the restored output bits.
-pub fn register_into(
-    b: &mut NetlistBuilder,
-    name: &str,
-    phi1: NodeId,
-    phi2: NodeId,
-    d: &[NodeId],
-) -> Vec<NodeId> {
-    d.iter()
-        .enumerate()
-        .map(|(i, &bit)| register_bit(b, &format!("{name}_b{i}"), phi1, phi2, bit))
-        .collect()
-}
-
 /// Adds a register file of `regs` registers × `width` bits with one shared
 /// read bus per bit line. Each register drives the bus through a read
 /// pass gate controlled by its (externally driven) `rd<r>` select; writes

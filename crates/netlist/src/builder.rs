@@ -463,29 +463,6 @@ impl NetlistBuilder {
         self.enhancement(name, clk, self.vdd(), node, 2.0 * s, s)
     }
 
-    /// Moves one end of a device's channel from `from` to `to` — the
-    /// engineering-change primitive buffer insertion needs. If both
-    /// channel ends sit on `from`, only the source is moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not one of the device's channel terminals.
-    pub fn rewire_channel(&mut self, device: DeviceId, from: NodeId, to: NodeId) {
-        let d = &mut self.devices[device.index()];
-        if d.source == from {
-            d.source = to;
-        } else if d.drain == from {
-            d.drain = to;
-        } else {
-            panic!("{from} is not a channel terminal of device {}", d.name);
-        }
-        if d.source == d.drain && self.pending_error.is_none() {
-            self.pending_error = Some(NetlistError::ShortedChannel {
-                device: d.name.clone(),
-            });
-        }
-    }
-
     /// Finalizes the netlist: builds connectivity indexes and the
     /// capacitance table.
     ///

@@ -189,11 +189,6 @@ impl Design {
         &self.netlist
     }
 
-    /// Unwraps the design back into its netlist.
-    pub fn into_netlist(self) -> Netlist {
-        self.netlist
-    }
-
     /// The current revision (0 = as loaded).
     #[inline]
     pub fn revision(&self) -> Revision {

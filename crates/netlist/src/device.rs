@@ -148,19 +148,6 @@ impl Device {
         }
     }
 
-    /// Gate capacitance presented to whatever drives this device's gate, pF.
-    #[inline]
-    pub fn gate_cap(&self, tech: &Tech) -> f64 {
-        tech.gate_capacitance(self.w_um, self.l_um)
-    }
-
-    /// Aspect ratio W/L (dimensionless). Large for strong pull-downs,
-    /// small (< 1) for weak loads.
-    #[inline]
-    pub fn aspect(&self) -> f64 {
-        self.w_um / self.l_um
-    }
-
     /// Whether this depletion device is wired as a classic load: gate tied
     /// to one of its own channel terminals.
     #[inline]

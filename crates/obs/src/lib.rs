@@ -33,9 +33,3 @@ pub mod trace;
 
 pub use counters::{add, incr, snapshot, Counter, Snapshot};
 pub use spans::{span, SpanEvent, SpanGuard};
-
-/// Enables or disables both planes at once (counters and spans).
-pub fn set_all_enabled(on: bool) {
-    counters::set_enabled(on);
-    spans::set_enabled(on);
-}

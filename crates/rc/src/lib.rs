@@ -46,10 +46,8 @@ pub mod lumped;
 pub mod moments;
 pub mod passchain;
 pub mod slope;
-pub mod stage_tree;
 pub mod tree;
 
 pub use bounds::DelayBounds;
 pub use slope::SlopeModel;
-pub use stage_tree::{stage_tree, StageTree};
 pub use tree::{RcNodeId, RcTree};

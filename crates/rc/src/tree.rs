@@ -1,7 +1,5 @@
 //! Rooted RC trees.
 
-use tv_netlist::NodeId;
-
 /// Index of a node within an [`RcTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RcNodeId(u32);
@@ -29,9 +27,6 @@ struct RcNode {
     r: f64,
     /// Capacitance to ground at this node, pF.
     c: f64,
-    /// The netlist node this RC node stands for, when the tree was
-    /// extracted from a netlist.
-    tag: Option<NodeId>,
 }
 
 /// A rooted RC tree: the root is the driven stage output, the root's edge
@@ -59,7 +54,6 @@ impl RcTree {
                 parent: None,
                 r: driver_r,
                 c: 0.0,
-                tag: None,
             }],
         }
     }
@@ -97,7 +91,6 @@ impl RcTree {
             parent: Some(parent),
             r,
             c,
-            tag: None,
         });
         id
     }
@@ -110,17 +103,6 @@ impl RcTree {
     pub fn add_cap(&mut self, node: RcNodeId, c: f64) {
         assert!(c.is_finite() && c >= 0.0, "capacitance must be >= 0");
         self.nodes[node.index()].c += c;
-    }
-
-    /// Associates a netlist node with an RC node (used by extraction).
-    pub fn set_tag(&mut self, node: RcNodeId, tag: NodeId) {
-        self.nodes[node.index()].tag = Some(tag);
-    }
-
-    /// The netlist node an RC node stands for, if tagged.
-    #[inline]
-    pub fn tag(&self, node: RcNodeId) -> Option<NodeId> {
-        self.nodes[node.index()].tag
     }
 
     /// The parent of a node (`None` for the root).
@@ -218,15 +200,6 @@ mod tests {
         assert!((sub[c.index()] - 0.4).abs() < 1e-12);
         assert!((sub[t.root().index()] - 1.4).abs() < 1e-12);
         assert!((t.total_cap() - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        let mut t = RcTree::new(1.0);
-        let a = t.add_child(t.root(), 1.0, 0.1);
-        assert_eq!(t.tag(a), None);
-        t.set_tag(a, NodeId::from_index(42));
-        assert_eq!(t.tag(a), Some(NodeId::from_index(42)));
     }
 
     #[test]

@@ -53,6 +53,7 @@ use std::sync::{Arc, OnceLock};
 use tv_core::{AnalysisOptions, PassManager, PassOutcome, TvError};
 use tv_gen::datapath::{datapath, DatapathConfig};
 use tv_netlist::{codes, sim_format, Design, DeviceKind, Diagnostics, EditClass, NodeRole, Tech};
+use tv_obs::json::escape as json_escape;
 
 use crate::journal;
 
@@ -670,22 +671,6 @@ fn json_opt_f64(v: Option<f64>) -> String {
         Some(x) if x.is_finite() => json_f64(x),
         _ => "null".into(),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs a whole session: reads commands from `input` line by line,

@@ -14,6 +14,12 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== core lines (report only) =="
+# Non-blank lines outside #[cfg(test)] items in crates/core/src, the
+# count ROADMAP.md tracks for the core crate. Informational: this step
+# never fails the gate.
+./scripts/core_lines.sh || true
+
 echo "== tvbench tests: the benchmark against the current crates =="
 # tvbench is a workspace of its own (BENCHMARK.json), so the tier-1
 # `cargo test` never builds it. Its tests run every workload at smoke
