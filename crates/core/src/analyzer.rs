@@ -48,9 +48,17 @@ pub struct TimingReport {
     pub census: Census,
     /// The all-clocks-active analysis from primary inputs to outputs —
     /// the right view for purely combinational circuits and for T1-style
-    /// estimate-vs-simulation comparisons.
+    /// estimate-vs-simulation comparisons. It is walked only when it is
+    /// the run's one case: on a design without clocks, or with
+    /// [`AnalysisOptions::case_analysis`] off. On a clocked design under
+    /// case analysis its graph is built as the phase views' base but not
+    /// walked (open latches close loops, so it is cyclic by
+    /// construction): this result is then empty — no arrivals, no
+    /// endpoints, 0 relaxations, [`Completion::Complete`] — and
+    /// [`TimingReport::phases`] carry the timing.
     pub combinational: PhaseResult,
-    /// Critical paths of the combinational view.
+    /// Critical paths of the combinational view; empty when it was not
+    /// walked.
     pub combinational_paths: Vec<TimingPath>,
     /// Per-phase case analyses (empty when the netlist has no clocks or
     /// case analysis was disabled).
@@ -77,13 +85,17 @@ impl TimingReport {
     }
 
     /// Worst combinational arrival at a node (convenience passthrough).
+    /// `None` everywhere on a clocked design under case analysis, whose
+    /// all-active case is not walked: read [`TimingReport::phase`] there.
     pub fn arrival(&self, node: NodeId) -> Option<f64> {
         self.combinational.arrival(node)
     }
 
-    /// Whether every propagation case ran to completion — no resource
-    /// guard ([`AnalysisOptions::relax_budget`] /
-    /// [`AnalysisOptions::deadline`]) tripped.
+    /// Whether every walked propagation case ran to completion — no
+    /// resource guard ([`AnalysisOptions::relax_budget`] /
+    /// [`AnalysisOptions::deadline`]) tripped. On a clocked design under
+    /// case analysis that is the phase cases; the all-active case, not
+    /// walked there, reads complete.
     pub fn is_complete(&self) -> bool {
         self.combinational.completion == Completion::Complete
             && self

@@ -113,7 +113,9 @@ fn hash_paths(h: &mut Fnv, paths: &[TimingPath]) {
 /// every floating-point value. Node *names* are hashed too, so identity
 /// covers naming, not just values. This is the function behind the golden
 /// fingerprints in `tests/integration_layout.rs` and the `fingerprint`
-/// field of session `analyze` replies.
+/// field of session `analyze` replies. A report with phase cases hashes
+/// one word in place of its all-active block: case analysis does not
+/// walk that case, so its result is empty.
 pub fn report_fingerprint(nl: &Netlist, report: &TimingReport) -> u64 {
     ReportParts {
         combinational: &report.combinational,
@@ -161,7 +163,23 @@ pub(crate) struct PhaseParts<'a> {
     pub races: &'a [RaceHazard],
 }
 
+/// The word a report with phase cases hashes in place of its all-active
+/// block.
+const UNWALKED: u64 = u64::MAX;
+
 impl ReportParts<'_> {
+    /// The latest critical arrival of the walked cases: the phase cases
+    /// when there are any, the all-active case otherwise.
+    pub(crate) fn critical(&self) -> Option<f64> {
+        if self.phases.is_empty() {
+            return self.combinational.critical_arrival();
+        }
+        self.phases
+            .iter()
+            .filter_map(|p| p.result.critical_arrival())
+            .reduce(f64::max)
+    }
+
     /// The one traversal behind every golden report fingerprint.
     pub(crate) fn fingerprint(&self, nl: &Netlist) -> u64 {
         let mut h = Fnv::new();
@@ -171,8 +189,14 @@ impl ReportParts<'_> {
             h.bytes(nl.node_name(id).as_bytes());
             h.f64(nl.node_cap(id));
         }
-        hash_phase_result(&mut h, nl, self.combinational);
-        hash_paths(&mut h, self.combinational_paths);
+        // Under case analysis the all-active case is not walked, and one
+        // word stands for its empty result.
+        if self.phases.is_empty() {
+            hash_phase_result(&mut h, nl, self.combinational);
+            hash_paths(&mut h, self.combinational_paths);
+        } else {
+            h.u64(UNWALKED);
+        }
         h.u64(self.phases.len() as u64);
         for p in &self.phases {
             h.u64(p.phase as u64);

@@ -106,20 +106,32 @@ done
 
 echo "== t6 view smoke: a two-core tv gen design at --jobs 1/2/8 =="
 # Two T6 cores have the chip's clock-case shape: phase views over an
-# all-active graph whose divergent residue is flagged cyclic, so every
-# run exits 1, and the three reports (and diagnostics) must be
-# byte-identical. About 0.3 s.
+# all-active graph whose divergent residue is flagged cyclic. Case
+# analysis times each phase, both acyclic, and never walks the
+# all-active view, so every run exits 0. With --no-case the all-active
+# view is walked alone and exhausts its relaxation budget, so every such
+# run exits 1. Each set of three reports (and diagnostics) must be
+# byte-identical. About 0.6 s.
 t6_dir="$(mktemp -d /tmp/tv-t6.XXXXXX)"
 ./target/release/tv gen --cores 2 --out "$t6_dir/t6.sim" > /dev/null
-for j in 1 2 8; do
-  code=0
-  ./target/release/tv analyze "$t6_dir/t6.sim" --jobs "$j" \
-    > "$t6_dir/out$j.txt" 2> "$t6_dir/err$j.txt" || code=$?
-  [ "$code" -eq 1 ] || { echo "t6 view smoke: --jobs $j exited $code, want 1"; exit 1; }
-done
-for j in 2 8; do
-  diff -u "$t6_dir/out1.txt" "$t6_dir/out$j.txt"
-  diff -u "$t6_dir/err1.txt" "$t6_dir/err$j.txt"
+for mode in case no-case; do
+  want=0
+  flags=()
+  if [ "$mode" = no-case ]; then
+    want=1
+    flags=(--no-case)
+  fi
+  for j in 1 2 8; do
+    code=0
+    ./target/release/tv analyze "$t6_dir/t6.sim" "${flags[@]}" --jobs "$j" \
+      > "$t6_dir/$mode-out$j.txt" 2> "$t6_dir/$mode-err$j.txt" || code=$?
+    [ "$code" -eq "$want" ] \
+      || { echo "t6 view smoke: $mode --jobs $j exited $code, want $want"; exit 1; }
+  done
+  for j in 2 8; do
+    diff -u "$t6_dir/$mode-out1.txt" "$t6_dir/$mode-out$j.txt"
+    diff -u "$t6_dir/$mode-err1.txt" "$t6_dir/$mode-err$j.txt"
+  done
 done
 
 echo "== t6 warm smoke: a copy-on-write splice equals a cold analysis =="

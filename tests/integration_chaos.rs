@@ -267,19 +267,17 @@ fn fault_degraded_case_results_are_never_kept() {
         (Site::PropagateWorker, codes::ANALYSIS_WORKER_PANIC),
     ] {
         let mut pm = PassManager::new();
-        // The first walk is the all-active case's.
+        // The first walk is the φ1 case's: under case analysis the
+        // all-active case is not walked.
         nmos_tv::fault::arm(FaultPlan { site, after: 0 });
         let degraded = pm.analyze(&design, &opts);
         assert!(nmos_tv::fault::fired(), "{site:?} never fired");
         nmos_tv::fault::disarm();
+        let phi1 = &degraded.phase(0).expect("φ1 analyzed").result;
         assert!(
-            degraded
-                .combinational
-                .diagnostics
-                .iter()
-                .any(|d| d.code == code),
+            phi1.diagnostics.iter().any(|d| d.code == code),
             "{site:?}: {:?}",
-            degraded.combinational.diagnostics
+            phi1.diagnostics
         );
         let again = pm.analyze(&design, &opts);
         let outcome = |pass| {
@@ -288,13 +286,14 @@ fn fault_degraded_case_results_are_never_kept() {
                 .find(|e| e.pass == pass)
                 .map(|e| e.outcome)
         };
+        assert_eq!(outcome(PassId::Arrivals(None)), None, "{site:?}");
         assert_eq!(
-            outcome(PassId::Arrivals(None)),
+            outcome(PassId::Arrivals(Some(0))),
             Some(PassOutcome::Computed),
             "{site:?}"
         );
         assert_eq!(
-            outcome(PassId::Arrivals(Some(0))),
+            outcome(PassId::Arrivals(Some(1))),
             Some(PassOutcome::Reused),
             "{site:?}"
         );

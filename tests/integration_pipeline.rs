@@ -57,7 +57,14 @@ fn analysis_is_deterministic() {
     let opts = AnalysisOptions::default();
     let r1 = Analyzer::new(&c.netlist).run(&opts);
     let r2 = Analyzer::new(&c.netlist).run(&opts);
+    // Every case's endpoints: random logic is clocked, so the phases
+    // carry them and the all-active case is not walked.
+    assert_eq!(r1.phases.len(), 2);
     assert_eq!(r1.combinational.endpoints, r2.combinational.endpoints);
+    for (p1, p2) in r1.phases.iter().zip(&r2.phases) {
+        assert!(!p1.result.endpoints.is_empty(), "phase {}", p1.phase);
+        assert_eq!(p1.result.endpoints, p2.result.endpoints);
+    }
     assert_eq!(r1.checks.len(), r2.checks.len());
     assert_eq!(
         r1.flow_report.oriented + r1.flow_report.bidirectional,
